@@ -1,11 +1,12 @@
-//! Criterion benchmark of the kernel layer (ISSUE-10): dispatched word/SIMD pack and
-//! unpack vs the scalar reference at each packed bit width, and the fused packed-row
-//! attention decode vs the forced-scalar materializing pipeline.
+//! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the
+//! scalar reference at each packed bit width, and the fused packed-row attention decode
+//! vs the forced-scalar materializing pipeline.
 //!
 //! The `--json <path>` mode replaces the criterion run with deterministic hand-timed
 //! sweeps (best-of-N over fixed iteration counts) and writes one throughput entry per
-//! label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`, ... — each carrying the
-//! dispatched `throughput`, the `scalar_throughput` reference, and their ratio. The
+//! label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`, `qdq_mxfp4plus`,
+//! `pack_row_mxfp4plus`, ... — each carrying the dispatched `throughput`, the
+//! `scalar_throughput` reference (forced scalar), and their ratio. The
 //! committed `BENCH_kernels.json` baseline and the CI artifact both come from here;
 //! `bench_gate` compares the `throughput` field per label at the same -15% tolerance as
 //! the serving snapshot.
@@ -17,6 +18,7 @@ use mx_formats::kernels::{
     active_backend, force_scalar, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into,
     unpack_codes_into_scalar,
 };
+use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 
 /// Codes per pack/unpack call: large enough that the SIMD prefix dominates the tail.
@@ -111,8 +113,53 @@ fn best_seconds(mut f: impl FnMut(), iters: usize, reps: usize) -> f64 {
     best
 }
 
+/// Elements per quantizer call: one KV row of the `llama2_7b` toy is 1024 wide.
+const ROW: usize = 1024;
+
+/// An activation-like row: small values with a sparse outlier channel.
+fn sample_row() -> Vec<f32> {
+    (0..ROW)
+        .map(|i| {
+            let u = ((i * 2_654_435_761) % 2001) as f32 / 1000.0 - 1.0;
+            if i % 41 == 7 {
+                u * 30.0
+            } else {
+                u
+            }
+        })
+        .collect()
+}
+
+/// Dispatched and forced-scalar elements/sec of the MXFP4+ block quantizer: fake
+/// quantization (`qdq`, the activation path) and the packed-row encode (`pack_row`, the
+/// KV append path).
+fn quantizer_entries(entries: &mut Vec<String>) {
+    let scheme = QuantScheme::mxfp4_plus();
+    let codec = RowCodec::for_scheme(scheme);
+    let row = sample_row();
+    let mut out = vec![0.0f32; ROW];
+    let mut packed = vec![0u8; codec.packed_bytes(ROW)];
+    let mut qdq = || scheme.quantize_dequantize_into(std::hint::black_box(&row), &mut out);
+    let mut pack = || codec.pack_row_into(std::hint::black_box(&row), &mut packed);
+    let per_sec = |s: f64| ROW as f64 / s;
+    let (qdq_fast, pack_fast) = (best_seconds(&mut qdq, 2000, 5), best_seconds(&mut pack, 2000, 5));
+    force_scalar(true);
+    let (qdq_ref, pack_ref) = (best_seconds(&mut qdq, 100, 5), best_seconds(&mut pack, 100, 5));
+    force_scalar(false);
+    for (label, fast, reference) in [("qdq_mxfp4plus", qdq_fast, qdq_ref), ("pack_row_mxfp4plus", pack_fast, pack_ref)]
+    {
+        entries.push(mx_bench::snapshot::kernel_entry_json(label, "elements", per_sec(fast), per_sec(reference)));
+        println!(
+            "{label}: {:.2} ns/element, {:.1}x the forced-scalar reference",
+            fast * 1e9 / ROW as f64,
+            reference / fast
+        );
+    }
+}
+
 /// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
-/// scalar, codes/sec) plus the fused-vs-materializing paged decode (tokens/sec).
+/// scalar, codes/sec), the fused-vs-materializing paged decode (tokens/sec) and the
+/// MXFP4+ block quantizer (elements/sec).
 fn kernels_snapshot() -> String {
     let mut entries = Vec::new();
     println!("kernel snapshot: dispatch backend `{}`", active_backend().name());
@@ -159,6 +206,7 @@ fn kernels_snapshot() -> String {
         tokens / reference,
     ));
     println!("fused attention decode: {:.2}x the forced-scalar pipeline", reference / fused);
+    quantizer_entries(&mut entries);
 
     mx_bench::snapshot::document_json("kernels", &entries)
 }

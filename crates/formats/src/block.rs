@@ -106,19 +106,7 @@ impl MxBlock {
     /// Panics if `out.len() != self.len()`.
     pub fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.codes.len(), "output length must equal block length");
-        if self.scale.is_zero_block() {
-            out.fill(0.0);
-            return;
-        }
-        let s = self.scale.value();
-        for (o, &c) in out.iter_mut().zip(&self.codes) {
-            let e = if self.element.is_int() {
-                minifloat::decode_int(self.element, c)
-            } else {
-                minifloat::decode_fp(self.element, c)
-            };
-            *o = e * s;
-        }
+        dequantize_codes_into(self.element, self.scale, None, &self.codes, out);
     }
 
     /// Index of the block-max (largest magnitude) element of the original values.
@@ -173,6 +161,34 @@ pub fn quantize_codes_into(element: ElementType, values: &[f32], codes: &mut [u8
     scale
 }
 
+/// The reference block decoder behind [`MxBlock::dequantize_into`] and
+/// [`MxPlusBlock::dequantize_into`](crate::mxplus::MxPlusBlock::dequantize_into): the
+/// zero-block scale decodes to zeros, `bm` names the MX+ block-max slot (decoded from
+/// its extended mantissa), and every other code goes through the scalar element decoder.
+pub(crate) fn dequantize_codes_into(
+    element: ElementType,
+    scale: SharedScale,
+    bm: Option<usize>,
+    codes: &[u8],
+    out: &mut [f32],
+) {
+    if scale.is_zero_block() {
+        out.fill(0.0);
+        return;
+    }
+    let s = scale.value();
+    for (i, (o, &c)) in out.iter_mut().zip(codes).enumerate() {
+        let e = if bm == Some(i) {
+            minifloat::decode_bm_extended(element, c)
+        } else if element.is_int() {
+            minifloat::decode_int(element, c)
+        } else {
+            minifloat::decode_fp(element, c)
+        };
+        *o = e * s;
+    }
+}
+
 /// Splits a row into blocks of `block_size`, quantizes each with `element`, and returns
 /// the dequantized ("fake quantized") row. This is the drop-in direct-cast path used for
 /// the model-quality experiments.
@@ -185,17 +201,14 @@ pub fn fake_quantize_row(element: ElementType, block_size: usize, values: &[f32]
 
 /// Like [`fake_quantize_row`], but writes into a caller-provided buffer so hot loops can
 /// reuse one scratch allocation across rows (the KV-cache append path depends on this).
+/// Runs on the fast block quantizer (`cast.rs`), bit-identical to dequantizing
+/// [`MxBlock::quantize`] of every block.
 ///
 /// # Panics
 ///
 /// Panics if `block_size == 0` or `out.len() != values.len()`.
 pub fn fake_quantize_row_into(element: ElementType, block_size: usize, values: &[f32], out: &mut [f32]) {
-    assert!(block_size > 0, "block size must be positive");
-    assert_eq!(out.len(), values.len(), "output length must equal input length");
-    for (chunk, out_chunk) in values.chunks(block_size).zip(out.chunks_mut(block_size)) {
-        let block = MxBlock::quantize(element, chunk);
-        block.dequantize_into(out_chunk);
-    }
+    crate::cast::quantize_dequantize_into(element, block_size, false, values, out);
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! programmatically via [`force_scalar`], or for a whole process via the
 //! `MX_FORCE_SCALAR_KERNELS` environment variable (any non-empty value other than `0`).
 //! Forcing scalar also disables the fused packed-row attention walk
-//! ([`crate::layout::RowCodec::walk_row_blocks`] returns `false`), so one switch yields
-//! the full reference execution path end to end.
+//! ([`crate::layout::RowCodec::walk_row_blocks`] returns `false`) and sends every MX/MX+
+//! conversion to the scalar `minifloat` codecs instead of the fast block quantizer, so
+//! one switch yields the full reference execution path end to end.
 //!
 //! The module also hosts the per-element-type decode lookup tables used by the block
 //! decoder and the fused attention kernel: a code is at most 8 bits, so each decoder is
@@ -73,8 +74,8 @@ pub fn force_scalar(enabled: bool) {
 
 /// Whether the scalar reference path is currently forced (via [`force_scalar`] or the
 /// `MX_FORCE_SCALAR_KERNELS` environment variable). The fused packed-row attention walk
-/// checks this and reports itself unavailable, so forcing scalar exercises the complete
-/// reference pipeline.
+/// checks this and reports itself unavailable, and the block quantizer takes the scalar
+/// reference codecs, so forcing scalar exercises the complete reference pipeline.
 #[must_use]
 pub fn scalar_forced() -> bool {
     active_backend() == KernelBackend::Scalar

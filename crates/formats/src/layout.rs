@@ -8,13 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{self, MxBlock};
+use crate::cast;
 use crate::element::ElementType;
 use crate::error::FormatError;
 use crate::kernels::{self, code_at, pack_codes_into, unpack_codes_into, MAX_FUSED_BLOCK};
 use crate::minifloat;
 use crate::mxfp::MxFormat;
-use crate::mxplus::{self, MxPlusBlock, MxPlusFormat};
+use crate::mxplus::{MxPlusBlock, MxPlusFormat};
 use crate::quantize::QuantScheme;
 use crate::scale::SharedScale;
 
@@ -200,8 +200,9 @@ pub enum RowCodec {
     /// Bit-packed MX blocks: per block one E8M0 scale byte followed by the element codes
     /// packed at their native width (each block padded to a whole byte).
     Mx(MxFormat),
-    /// Bit-packed MX+ blocks: per block one scale byte, one metadata byte (5-bit BM index)
-    /// and the packed element codes.
+    /// Bit-packed MX+ blocks: per block one scale byte, one metadata byte holding the BM
+    /// index (the 5-bit field of Figure 7 for the standard 32-element block, whose three
+    /// reserved bits stay zero) and the packed element codes.
     MxPlus(MxPlusFormat),
     /// Fallback for schemes without a byte-exact code representation here: the row is
     /// fake-quantized and stored as little-endian `f32` bytes (no compression).
@@ -244,45 +245,9 @@ impl RowCodec {
     /// Panics if `out.len() != self.packed_bytes(values.len())`.
     pub fn pack_row_into(&self, values: &[f32], out: &mut [u8]) {
         assert_eq!(out.len(), self.packed_bytes(values.len()), "packed row buffer size mismatch");
-        let mut codes_buf = [0u8; MAX_FUSED_BLOCK];
         match self {
-            RowCodec::Mx(f) => {
-                let bits = f.element.bits();
-                let mut off = 0;
-                for chunk in values.chunks(f.block_size) {
-                    let nb = kernels::packed_len(chunk.len(), bits);
-                    if chunk.len() <= MAX_FUSED_BLOCK {
-                        let codes = &mut codes_buf[..chunk.len()];
-                        out[off] = block::quantize_codes_into(f.element, chunk, codes).to_bits();
-                        pack_codes_into(codes, bits, &mut out[off + 1..off + 1 + nb]);
-                    } else {
-                        let block = MxBlock::quantize(f.element, chunk);
-                        out[off] = block.scale().to_bits();
-                        pack_codes_into(block.codes(), bits, &mut out[off + 1..off + 1 + nb]);
-                    }
-                    off += 1 + nb;
-                }
-            }
-            RowCodec::MxPlus(f) => {
-                let bits = f.element.bits();
-                let mut off = 0;
-                for chunk in values.chunks(f.block_size) {
-                    let nb = kernels::packed_len(chunk.len(), bits);
-                    if chunk.len() <= MAX_FUSED_BLOCK {
-                        let codes = &mut codes_buf[..chunk.len()];
-                        let (scale, bm_index) = mxplus::quantize_codes_into(f.element, chunk, codes);
-                        out[off] = scale.to_bits();
-                        out[off + 1] = bm_index & 0x1f;
-                        pack_codes_into(codes, bits, &mut out[off + 2..off + 2 + nb]);
-                    } else {
-                        let block = MxPlusBlock::quantize(f.element, chunk);
-                        out[off] = block.scale().to_bits();
-                        out[off + 1] = block.metadata_byte();
-                        pack_codes_into(block.codes(), bits, &mut out[off + 2..off + 2 + nb]);
-                    }
-                    off += 2 + nb;
-                }
-            }
+            RowCodec::Mx(f) => pack_blocks(f.element, f.block_size, false, values, out),
+            RowCodec::MxPlus(f) => pack_blocks(f.element, f.block_size, true, values, out),
             RowCodec::Dequantized(scheme) => {
                 for (o, q) in out.chunks_exact_mut(4).zip(scheme.quantize_dequantize(values)) {
                     o.copy_from_slice(&q.to_le_bytes());
@@ -315,7 +280,7 @@ impl RowCodec {
                 let mut off = 0;
                 for out_chunk in out.chunks_mut(f.block_size) {
                     let scale = SharedScale::from_bits(packed[off]);
-                    let bm = usize::from(packed[off + 1] & 0x1f);
+                    let bm = usize::from(packed[off + 1]);
                     let nb = kernels::packed_len(out_chunk.len(), bits);
                     decode_block(f.element, scale, &packed[off + 2..off + 2 + nb], Some(bm), out_chunk);
                     off += 2 + nb;
@@ -378,7 +343,7 @@ impl RowCodec {
                 while start < len {
                     let n = f.block_size.min(len - start);
                     let scale = SharedScale::from_bits(packed[off]);
-                    let bm = usize::from(packed[off + 1] & 0x1f);
+                    let bm = usize::from(packed[off + 1]);
                     let nb = kernels::packed_len(n, bits);
                     decode_block(f.element, scale, &packed[off + 2..off + 2 + nb], Some(bm), &mut values[..n]);
                     visit(start, &values[..n]);
@@ -400,6 +365,23 @@ impl RowCodec {
         }
         true
     }
+}
+
+/// Quantizes each `block_size` block of `values` through the fast block quantizer and
+/// writes its header (scale byte, then for MX+ the BM-index byte) and packed codes.
+fn pack_blocks(element: ElementType, block_size: usize, plus: bool, values: &[f32], out: &mut [u8]) {
+    let bits = element.bits();
+    let header = 1 + usize::from(plus);
+    let mut off = 0;
+    cast::quantize_row_codes(element, block_size, plus, values, |scale, bm_index, codes| {
+        out[off] = scale.to_bits();
+        if plus {
+            out[off + 1] = bm_index;
+        }
+        let nb = kernels::packed_len(codes.len(), bits);
+        pack_codes_into(codes, bits, &mut out[off + header..off + header + nb]);
+        off += header + nb;
+    });
 }
 
 /// Bytes of a row of `len` elements split into `block_size` blocks, each paying

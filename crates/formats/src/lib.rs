@@ -21,6 +21,8 @@
 //! * Bit-packed storage layouts ([`layout`]), quantization-error metrics ([`metrics`]),
 //!   channel reordering ([`reorder`]) and top-k outlier promotion ([`topk`]) used by the
 //!   paper's analysis sections.
+//! * A fast, bit-exact MX/MX+ block quantizer (`cast.rs`) behind every hot MX/MX+
+//!   conversion, pinned against the scalar reference codecs above.
 //! * A single high-level entry point, [`quantize::QuantScheme`], that fake-quantizes a
 //!   tensor row with any of the above formats so that downstream crates (the LLM and DNN
 //!   substrates) can evaluate model quality under each format.
@@ -51,6 +53,7 @@
 
 pub mod bf16;
 pub mod block;
+pub(crate) mod cast;
 pub mod element;
 pub mod error;
 pub mod kernels;

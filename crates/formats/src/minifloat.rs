@@ -4,7 +4,9 @@
 //! [`ElementType`](crate::ElementType), using round-to-nearest-even and saturation
 //! semantics, exactly as the MX block codecs require. They are deliberately scalar and
 //! branch-heavy rather than table-driven so that every rounding decision is visible and
-//! testable; the block codecs compose them.
+//! testable. They are the reference: [`MxBlock`](crate::MxBlock) and
+//! [`MxPlusBlock`](crate::MxPlusBlock) compose them, and the fast block quantizer in
+//! `cast.rs` that serves the hot paths must match them bit for bit.
 
 use crate::element::ElementType;
 

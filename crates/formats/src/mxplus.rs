@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{MxBlock, BLOCK_SIZE};
+use crate::block::{self, MxBlock, BLOCK_SIZE};
 use crate::element::ElementType;
 use crate::error::FormatError;
 use crate::minifloat;
@@ -133,21 +133,7 @@ impl MxPlusBlock {
     /// Panics if `out.len() != self.len()`.
     pub fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.codes.len(), "output length must equal block length");
-        if self.scale.is_zero_block() {
-            out.fill(0.0);
-            return;
-        }
-        let s = self.scale.value();
-        for (i, (o, &c)) in out.iter_mut().zip(&self.codes).enumerate() {
-            let e = if i == usize::from(self.bm_index) {
-                minifloat::decode_bm_extended(self.element, c)
-            } else if self.element.is_int() {
-                minifloat::decode_int(self.element, c)
-            } else {
-                minifloat::decode_fp(self.element, c)
-            };
-            *o = e * s;
-        }
+        block::dequantize_codes_into(self.element, self.scale, Some(usize::from(self.bm_index)), &self.codes, out);
     }
 
     /// Splits the BM element into the sum `BM_H + BM_L` of two values that are exactly
@@ -267,11 +253,20 @@ impl MxPlusFormat {
     /// Direct-cast fake quantization of a row.
     #[must_use]
     pub fn quantize_dequantize(&self, values: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(self.block_size) {
-            out.extend(MxPlusBlock::quantize(self.element, chunk).dequantize());
-        }
+        let mut out = vec![0.0; values.len()];
+        self.quantize_dequantize_into(values, &mut out);
         out
+    }
+
+    /// Buffer-reusing variant of [`MxPlusFormat::quantize_dequantize`]: writes the
+    /// fake-quantized row into `out` through the fast block quantizer (`cast.rs`),
+    /// bit-identical to dequantizing [`MxPlusBlock::quantize`] of every block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != values.len()`.
+    pub fn quantize_dequantize_into(&self, values: &[f32], out: &mut [f32]) {
+        crate::cast::quantize_dequantize_into(self.element, self.block_size, true, values, out);
     }
 
     /// Short display name like "MXFP4+".

@@ -166,9 +166,10 @@ impl QuantScheme {
     /// fake-quantized row into `out` so per-row callers (KV-cache appends, column-block
     /// weight casts) can reuse one scratch buffer instead of allocating a `Vec` per row.
     ///
-    /// Identity/rounding schemes and the MX family quantize fully in place; the remaining
-    /// schemes fall back to their allocating kernel and copy the result into `out`, so the
-    /// two entry points always agree bit for bit.
+    /// FP32, BF16, MX and MX+ write straight into `out` without allocating; MX and MX+
+    /// run on the fast block quantizer (`cast.rs`). The remaining schemes fall back
+    /// to their allocating kernel and copy the result into `out`, so the two entry points
+    /// always agree bit for bit.
     ///
     /// # Panics
     ///
@@ -183,6 +184,7 @@ impl QuantScheme {
                 }
             }
             QuantScheme::Mx(f) => f.quantize_dequantize_into(values, out),
+            QuantScheme::MxPlus(f) => f.quantize_dequantize_into(values, out),
             _ => out.copy_from_slice(&self.quantize_dequantize(values)),
         }
     }

@@ -120,9 +120,8 @@ pub fn floor_log2(x: f32) -> i32 {
     let bits = x.to_bits();
     let exp = ((bits >> 23) & 0xff) as i32;
     if exp == 0 {
-        // Subnormal f32: fall back to log2 (values this small never matter for blocks,
-        // but keep the function total).
-        x.log2().floor() as i32
+        // Subnormal f32: `x = mantissa · 2^-149`, so the mantissa's top set bit gives it.
+        (31 - (bits & 0x007f_ffff).leading_zeros()) as i32 - 149
     } else {
         exp - 127
     }
@@ -165,6 +164,10 @@ mod tests {
             assert_eq!(floor_log2(x * 1.5), e);
             assert_eq!(floor_log2(x * 1.999), e);
         }
+        // Subnormals are exact too, including just below the smallest normal.
+        assert_eq!(floor_log2(f32::from_bits(1)), -149);
+        assert_eq!(floor_log2(f32::from_bits(0x0040_0000)), -127);
+        assert_eq!(floor_log2(f32::from_bits(0x007f_ffff)), -127);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! ISSUE-10 acceptance tests for the fused packed-row attention path: query·key dots and
+//! Acceptance tests for the fused packed-row attention path: query·key dots and
 //! probability×value accumulation computed directly from packed MX rows must be
 //! **bit-identical** to the materialize-then-dot reference, at the reader level and
-//! end-to-end through the serving engine at 1, 2 and 4 threads.
+//! end-to-end through the serving engine at 1, 2 and 4 threads. End to end, the fast
+//! block quantizer must also match the forced-scalar reference pipeline token for token.
 //!
 //! Every test here serializes on one mutex: the forced-scalar switch is process-global,
 //! and the engagement assertions (`fused_rows > 0`) would race against a concurrently
@@ -22,8 +23,11 @@ static FORCE_LOCK: Mutex<()> = Mutex::new(());
 /// GQA-shaped tiny model (4 query heads over 2 KV heads) so the fused scatter's
 /// head-group replication is exercised, not just the trivial `group == 1` layout.
 fn gqa_model() -> TransformerModel {
-    let cfg = ModelConfig { kv_heads: 2, ..ModelConfig::tiny_test(17) };
-    TransformerModel::new(cfg, ModelQuantConfig::a_mxfp4_plus())
+    gqa_model_with(ModelQuantConfig::a_mxfp4_plus())
+}
+
+fn gqa_model_with(quant: ModelQuantConfig) -> TransformerModel {
+    TransformerModel::new(ModelConfig { kv_heads: 2, ..ModelConfig::tiny_test(17) }, quant)
 }
 
 fn run_paged(model: &TransformerModel, threads: usize) -> Vec<Vec<usize>> {
@@ -58,18 +62,26 @@ fn fused_paged_decode_matches_f32_at_1_2_and_4_threads() {
     }
 }
 
-/// Forcing the scalar kernels (which also disables the fused block walk, routing
-/// attention through the materializing `key_row`/`value_row` reference) changes no
-/// token: the fused path is a pure optimization.
+/// Forcing the scalar kernels changes no token: it selects the reference block
+/// quantizer for the weight cast (the reference model is built while forced), the
+/// activation and attention operands and the KV pack, and disables the fused block
+/// walk, routing attention through the materializing `key_row`/`value_row` reference.
+/// Beyond A-MXFP4+, uniform MXFP8+ and MXINT8+ pin the quantizer's E4M3-saturation and
+/// integer-rounding arms token for token.
 #[test]
 fn forced_scalar_and_fused_paged_decodes_are_token_identical() {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let model = gqa_model();
-    let fused = run_paged(&model, 1);
-    force_scalar(true);
-    let reference = run_paged(&model, 1);
-    force_scalar(false);
-    assert_eq!(fused, reference, "fused attention must be bit-identical to the materializing reference");
+    for quant in [
+        ModelQuantConfig::a_mxfp4_plus(),
+        ModelQuantConfig::uniform(QuantScheme::mxfp8_plus()),
+        ModelQuantConfig::uniform(QuantScheme::mxint8_plus()),
+    ] {
+        let fused = run_paged(&gqa_model_with(quant), 1);
+        force_scalar(true);
+        let reference = run_paged(&gqa_model_with(quant), 1);
+        force_scalar(false);
+        assert_eq!(fused, reference, "{quant:?}: the fast path must be token-identical to the reference pipeline");
+    }
 }
 
 fn sample_row(kv_dim: usize, salt: usize) -> Vec<f32> {
