@@ -1,12 +1,14 @@
 //! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the
-//! scalar reference at each packed bit width, and the fused packed-row attention decode
-//! vs the forced-scalar materializing pipeline.
+//! scalar reference at each packed bit width, the fused packed-row attention decode
+//! vs the forced-scalar materializing pipeline, and the panel GEMM over the `llama2_7b`
+//! toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run, which keeps the
+//! row-major `f32` weights and `matmul`.
 //!
 //! The `--json <path>` mode replaces the criterion run with deterministic hand-timed
 //! sweeps (best-of-N over fixed iteration counts) and writes one throughput entry per
 //! label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`, `qdq_mxfp4plus`,
-//! `pack_row_mxfp4plus`, ... — each carrying the dispatched `throughput`, the
-//! `scalar_throughput` reference (forced scalar), and their ratio. The
+//! `pack_row_mxfp4plus`, `gemm_m1_llama2_7b`, ... — each carrying the dispatched
+//! `throughput`, the `scalar_throughput` reference (forced scalar), and their ratio. The
 //! committed `BENCH_kernels.json` baseline and the CI artifact both come from here;
 //! `bench_gate` compares the `throughput` field per label at the same -15% tolerance as
 //! the serving snapshot.
@@ -20,6 +22,7 @@ use mx_formats::kernels::{
 };
 use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
+use mx_tensor::{Matrix, WeightPanels};
 
 /// Codes per pack/unpack call: large enough that the SIMD prefix dominates the tail.
 const CODES: usize = 1 << 16;
@@ -32,8 +35,14 @@ fn sample_codes(bits: u32) -> Vec<u8> {
     (0..CODES).map(|i| ((i * 2_654_435_761) >> 7) as u8 & mask).collect()
 }
 
-fn bench_model() -> TransformerModel {
-    TransformerModel::new(ModelConfig::tiny_test(17), ModelQuantConfig::a_mxfp4_plus())
+/// The fused-attention bench model. `forced` casts its weights under forced scalar
+/// kernels, as a forced-scalar run does, so the reference arm multiplies row-major `f32`
+/// weights with `matmul`.
+fn bench_model(forced: bool) -> TransformerModel {
+    force_scalar(forced);
+    let model = TransformerModel::new(ModelConfig::tiny_test(17), ModelQuantConfig::a_mxfp4_plus());
+    force_scalar(false);
+    model
 }
 
 fn pack_unpack(c: &mut Criterion) {
@@ -78,11 +87,11 @@ fn paged_run(model: &TransformerModel) -> (Vec<Vec<usize>>, usize) {
 }
 
 fn fused_attention(c: &mut Criterion) {
-    let model = bench_model();
+    let (model, reference_model) = (bench_model(false), bench_model(true));
     // The fused path must be a pure optimization: identical tokens with or without it.
     let fused = paged_run(&model);
     force_scalar(true);
-    let reference = paged_run(&model);
+    let reference = paged_run(&reference_model);
     force_scalar(false);
     assert_eq!(fused.0, reference.0, "fused attention must not change any token");
 
@@ -92,12 +101,139 @@ fn fused_attention(c: &mut Criterion) {
     group.bench_function("paged_forced_scalar", |b| {
         b.iter(|| {
             force_scalar(true);
-            let tokens = paged_run(&model).1;
+            let tokens = paged_run(&reference_model).1;
             force_scalar(false);
             tokens
         });
     });
     group.finish();
+}
+
+/// One of the 29 projection matrices of the `llama2_7b` toy under A-MXFP4+ (MXFP4
+/// weights): the raw weights and their scheme, their panels, and the panels cast under
+/// forced scalar kernels (the row-major store that forced runs and hosts without AVX2
+/// keep).
+struct GemmWeight {
+    w: Matrix,
+    scheme: QuantScheme,
+    panels: WeightPanels,
+    forced: WeightPanels,
+}
+
+fn gemm_weights() -> Vec<GemmWeight> {
+    let model = TransformerModel::new(ModelConfig::llama2_7b(), ModelQuantConfig::a_mxfp4_plus());
+    let quant = model.quant();
+    let weights = model.weights();
+    let mut all: Vec<(&Matrix, QuantScheme)> = Vec::new();
+    for lw in &weights.layers {
+        for w in [&lw.wq, &lw.wk, &lw.wv, &lw.wo, &lw.w_gate, &lw.w_up, &lw.w_down] {
+            all.push((w, quant.linear.weights));
+        }
+    }
+    all.push((&weights.lm_head, quant.lm_head.weights));
+    all.into_iter()
+        .map(|(w, scheme)| {
+            let panels = WeightPanels::cast(w, scheme);
+            force_scalar(true);
+            let forced = WeightPanels::cast(w, scheme);
+            force_scalar(false);
+            GemmWeight { w: w.clone(), scheme, panels, forced }
+        })
+        .collect()
+}
+
+/// `m` MXFP4+-quantized activation rows of width `k`, as the model feeds the projections.
+fn gemm_activations(m: usize, k: usize) -> Matrix {
+    Matrix::from_fn(m, k, |r, c| {
+        let u = (((r * k + c) * 2_654_435_761) % 2001) as f32 / 1000.0 - 1.0;
+        if c % 41 == 7 {
+            u * 30.0
+        } else {
+            u
+        }
+    })
+    .quantize_rows(QuantScheme::mxfp4_plus())
+}
+
+/// The panel GEMM must equal `matmul` on the `quantize_columns` weights bit for bit: on
+/// the dispatched path, and under forced scalar kernels over both casts.
+fn assert_gemm_bit_identity(weights: &[GemmWeight], m: usize) {
+    let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for g in weights {
+        let a = gemm_activations(m, g.w.rows());
+        let reference = bits(&a.matmul(&g.w.quantize_columns(g.scheme)));
+        assert_eq!(bits(&a.matmul_panels(&g.panels)), reference, "panel GEMM must equal matmul at M = {m}");
+        force_scalar(true);
+        let scalar = [bits(&a.matmul_panels(&g.panels)), bits(&a.matmul_panels(&g.forced))];
+        force_scalar(false);
+        for product in scalar {
+            assert_eq!(product, reference, "forced-scalar panel GEMM must equal matmul at M = {m}");
+        }
+    }
+}
+
+/// FLOPs of one pass of `m` rows through every matrix.
+fn gemm_flops(weights: &[GemmWeight], m: usize) -> f64 {
+    weights.iter().map(|g| 2.0 * (m * g.w.rows() * g.w.cols()) as f64).sum()
+}
+
+/// One pass of `inputs` through every matrix: its panels, or its forced-scalar cast.
+fn gemm_pass(weights: &[GemmWeight], inputs: &[Matrix], forced: bool) -> usize {
+    let pass = weights.iter().zip(inputs);
+    pass.map(|(g, a)| a.matmul_panels(if forced { &g.forced } else { &g.panels }).rows()).sum()
+}
+
+fn gemm(c: &mut Criterion) {
+    let weights = gemm_weights();
+    let mut group = c.benchmark_group("panel_gemm_llama2_7b");
+    group.sample_size(10);
+    for m in [1, 32] {
+        assert_gemm_bit_identity(&weights, m);
+        let inputs: Vec<Matrix> = weights.iter().map(|g| gemm_activations(m, g.w.rows())).collect();
+        group.bench_with_input(BenchmarkId::new("dispatched", m), &m, |b, _| {
+            b.iter(|| gemm_pass(&weights, &inputs, false));
+        });
+        group.bench_with_input(BenchmarkId::new("forced_scalar", m), &m, |b, _| {
+            b.iter(|| {
+                force_scalar(true);
+                let rows = gemm_pass(&weights, &inputs, true);
+                force_scalar(false);
+                rows
+            });
+        });
+    }
+    group.finish();
+}
+
+/// GFLOP/s of one pass through all 29 `llama2_7b` projections at M = 1 (decode) and
+/// M = 32 (prefill), after the bit-identity check: the panels on the dispatched path, and
+/// the forced-scalar run, which keeps `f32` weights and `matmul`.
+fn gemm_entries(entries: &mut Vec<String>) {
+    let weights = gemm_weights();
+    let (f32_bytes, panel_bytes): (usize, usize) = weights
+        .iter()
+        .map(|g| (g.forced.storage_bytes(), g.panels.storage_bytes()))
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    println!(
+        "llama2_7b projection weights: {:.2} MB as f32, {:.2} MB as panels",
+        f32_bytes as f64 / 1e6,
+        panel_bytes as f64 / 1e6
+    );
+    for (m, iters) in [(1, 200), (32, 20)] {
+        assert_gemm_bit_identity(&weights, m);
+        let inputs: Vec<Matrix> = weights.iter().map(|g| gemm_activations(m, g.w.rows())).collect();
+        let pass = |forced| {
+            std::hint::black_box(gemm_pass(&weights, &inputs, forced));
+        };
+        let fast = best_seconds(|| pass(false), iters, 5);
+        force_scalar(true);
+        let reference = best_seconds(|| pass(true), iters, 5);
+        force_scalar(false);
+        let gflops = |s: f64| gemm_flops(&weights, m) / s / 1e9;
+        let label = format!("gemm_m{m}_llama2_7b");
+        entries.push(mx_bench::snapshot::kernel_entry_json(&label, "gflop", gflops(fast), gflops(reference)));
+        println!("{label}: {:.2} GFLOP/s, {:.2}x the forced-scalar f32 matmul", gflops(fast), reference / fast);
+    }
 }
 
 /// Best-of-`reps` seconds per call of `f`, each rep averaging `iters` calls.
@@ -158,8 +294,8 @@ fn quantizer_entries(entries: &mut Vec<String>) {
 }
 
 /// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
-/// scalar, codes/sec), the fused-vs-materializing paged decode (tokens/sec) and the
-/// MXFP4+ block quantizer (elements/sec).
+/// scalar, codes/sec), the fused-vs-materializing paged decode (tokens/sec), the
+/// MXFP4+ block quantizer (elements/sec) and the panel GEMM (GFLOP/s).
 fn kernels_snapshot() -> String {
     let mut entries = Vec::new();
     println!("kernel snapshot: dispatch backend `{}`", active_backend().name());
@@ -193,11 +329,11 @@ fn kernels_snapshot() -> String {
         );
     }
 
-    let model = bench_model();
+    let (model, reference_model) = (bench_model(false), bench_model(true));
     let tokens = paged_run(&model).1 as f64;
     let fused = best_seconds(|| drop(paged_run(&model)), 1, 3);
     force_scalar(true);
-    let reference = best_seconds(|| drop(paged_run(&model)), 1, 3);
+    let reference = best_seconds(|| drop(paged_run(&reference_model)), 1, 3);
     force_scalar(false);
     entries.push(mx_bench::snapshot::kernel_entry_json(
         "fused_attention_decode",
@@ -207,11 +343,12 @@ fn kernels_snapshot() -> String {
     ));
     println!("fused attention decode: {:.2}x the forced-scalar pipeline", reference / fused);
     quantizer_entries(&mut entries);
+    gemm_entries(&mut entries);
 
     mx_bench::snapshot::document_json("kernels", &entries)
 }
 
-criterion_group!(benches, pack_unpack, fused_attention);
+criterion_group!(benches, pack_unpack, fused_attention, gemm);
 
 fn main() {
     // `--json <path>` replaces the criterion run with the deterministic hand-timed

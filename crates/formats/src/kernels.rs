@@ -22,6 +22,8 @@
 //! decoder and the fused attention kernel: a code is at most 8 bits, so each decoder is
 //! a pure function on 256 inputs and tabulates exactly — the table path is bit-identical
 //! to calling the decoder, just without re-deriving sign/exponent/mantissa per element.
+//! On top of them sits the one 4-bit decoder, [`decode4_into`], whose AVX2 lookup
+//! ([`avx2::Decode4`]) also decodes `mx_tensor`'s 4-bit weight panels in registers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -658,6 +660,112 @@ pub fn bm_decode_table(element: ElementType) -> &'static [f32; 256] {
     BM_DECODE_TABLES[type_index(element)].get_or_init(|| build_table(element, true))
 }
 
+/// Decodes `out.len()` 4-bit codes, packed two per byte as [`pack_codes_into`] lays them
+/// out (code `i` in the low nibble of byte `i / 2` when `i` is even, the high nibble when
+/// odd), through a [`decode_table`]: `out[i] = table[code_i] * scale`.
+///
+/// This is the one 4-bit decoder. The packed-row reads (`RowCodec::unpack_row_into` and
+/// the fused attention walk) call it, and the lookup it runs on under AVX2,
+/// [`avx2::Decode4`], also decodes the 4-bit weight panels of `mx_tensor`'s panel GEMM:
+/// two 8-lane permutes over the table's 16 entries plus a blend per 8 codes. Other
+/// backends, and the last `out.len() % 8` codes, index the table one code at a time.
+/// Both give the same bits.
+///
+/// # Panics
+///
+/// Panics if `packed` is shorter than `packed_len(out.len(), 4)`.
+pub fn decode4_into(packed: &[u8], table: &[f32; 256], scale: f32, out: &mut [f32]) {
+    assert!(packed.len() >= packed_len(out.len(), 4), "packed input buffer too short");
+    #[cfg(target_arch = "x86_64")]
+    let done = if active_backend() == KernelBackend::Avx2 {
+        // SAFETY: the Avx2 backend is only selected after `is_x86_feature_detected!("avx2")`
+        // succeeded in `detect()`.
+        unsafe { avx2::decode4_scaled(packed, table, scale, out) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (i, o) in out.iter_mut().enumerate().skip(done) {
+        let code = (packed[i / 2] >> (4 * (i % 2))) & 0x0f;
+        *o = table[usize::from(code)] * scale;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub mod avx2 {
+    //! The AVX2 4-bit table lookup behind [`decode4_into`](super::decode4_into), public
+    //! so kernels in other crates can decode packed codes in registers. Its methods are
+    //! safe to call from code compiled with AVX2 enabled (a `#[target_feature(enable =
+    //! "avx2")]` function); anywhere else the caller must check for AVX2 first.
+
+    use std::arch::x86_64::*;
+
+    /// The first 16 entries of a decode table, held in two 8-lane registers.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Decode4 {
+        lo: __m256,
+        hi: __m256,
+        shifts: __m256i,
+    }
+
+    impl Decode4 {
+        /// Loads entries `0..16` of `table`.
+        ///
+        /// # Safety
+        ///
+        /// Outside code compiled with AVX2 enabled, the caller must have verified AVX2
+        /// support at runtime.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        #[must_use]
+        pub fn new(table: &[f32; 256]) -> Self {
+            // SAFETY: `table` holds 256 entries, so both 8-lane loads are in bounds.
+            let (lo, hi) = unsafe { (_mm256_loadu_ps(table.as_ptr()), _mm256_loadu_ps(table.as_ptr().add(8))) };
+            Decode4 { lo, hi, shifts: _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28) }
+        }
+
+        /// Decodes the eight codes of one little-endian packed word: lane `j` is
+        /// `table[(word >> 4j) & 15]`, bit for bit.
+        ///
+        /// # Safety
+        ///
+        /// As for [`Decode4::new`].
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        #[must_use]
+        pub fn decode8(self, word: u32) -> __m256 {
+            // Lane j holds code j in its low 4 bits (higher codes above it). The permutes
+            // read only bits 0-2; bit 3, shifted up to the sign bit, picks the half.
+            let codes = _mm256_srlv_epi32(_mm256_set1_epi32(word as i32), self.shifts);
+            let lo = _mm256_permutevar8x32_ps(self.lo, codes);
+            let hi = _mm256_permutevar8x32_ps(self.hi, codes);
+            _mm256_blendv_ps(lo, hi, _mm256_castsi256_ps(_mm256_slli_epi32::<28>(codes)))
+        }
+    }
+
+    /// The vector part of [`decode4_into`](super::decode4_into): decodes the longest
+    /// multiple-of-8 prefix of `out` and returns its length.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime, and `packed` must hold at
+    /// least `out.len() / 2` bytes.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode4_scaled(packed: &[u8], table: &[f32; 256], scale: f32, out: &mut [f32]) -> usize {
+        let decode = Decode4::new(table);
+        let scale = _mm256_set1_ps(scale);
+        let mut done = 0;
+        for (o, w) in out.chunks_exact_mut(8).zip(packed.chunks_exact(4)) {
+            let v = _mm256_mul_ps(decode.decode8(u32::from_le_bytes([w[0], w[1], w[2], w[3]])), scale);
+            // SAFETY: `o` is a chunk of exactly 8 `f32`s.
+            unsafe { _mm256_storeu_ps(o.as_mut_ptr(), v) };
+            done += 8;
+        }
+        done
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,6 +889,36 @@ mod tests {
                 assert_eq!(table[usize::from(code)].to_bits(), direct.to_bits(), "{element:?} code {code}");
                 let direct_bm = minifloat::decode_bm_extended(element, code);
                 assert_eq!(bm_table[usize::from(code)].to_bits(), direct_bm.to_bits(), "{element:?} bm code {code}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode4_matches_the_table_code_by_code() {
+        let cases: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 7, 8, 9, 16, 31, 32, 33, 64, 67]
+            .into_iter()
+            .map(|n| {
+                let codes = sample_codes(n, 4);
+                let mut packed = vec![0u8; packed_len(n, 4)];
+                pack_codes_into_scalar(&codes, 4, &mut packed);
+                (codes, packed)
+            })
+            .collect();
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for element in [ElementType::E2M1, ElementType::Int4] {
+            let table = decode_table(element);
+            for (codes, packed) in &cases {
+                for scale in [1.0f32, 0.0, 2f32.powi(-126), 2f32.powi(125), f32::NAN] {
+                    let expected: Vec<u32> = codes.iter().map(|&c| (table[usize::from(c)] * scale).to_bits()).collect();
+                    for forced in [false, true] {
+                        force_scalar(forced);
+                        let mut out = vec![f32::NAN; codes.len()];
+                        decode4_into(packed, table, scale, &mut out);
+                        let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, expected, "{element:?} len {} scale {scale} forced {forced}", codes.len());
+                    }
+                    force_scalar(false);
+                }
             }
         }
     }

@@ -130,10 +130,12 @@ impl PackedMxPlusRow {
 /// Decodes one block's packed codes into `out` (`bm` names the MX+ block-max slot, if
 /// any), bit-identically to the original per-code scalar loop.
 ///
-/// The fast path bulk-unpacks the codes through the dispatched kernel into a stack
-/// buffer and maps them through the per-element-type decode table — the same decoder
-/// outputs, minus the per-element bit extraction and decode branching. Forced-scalar
-/// mode and oversized blocks take the original random-access reference loop.
+/// The fast path maps the codes through the per-element-type decode table — the same
+/// decoder outputs, minus the per-element bit extraction and decode branching. 4-bit
+/// codes go straight from the packed bytes through [`kernels::decode4_into`]; wider
+/// codes are bulk-unpacked through the dispatched kernel into a stack buffer first.
+/// Forced-scalar mode and oversized blocks take the original random-access reference
+/// loop.
 fn decode_block(element: ElementType, scale: SharedScale, code_bytes: &[u8], bm: Option<usize>, out: &mut [f32]) {
     if scale.is_zero_block() {
         out.fill(0.0);
@@ -155,17 +157,21 @@ fn decode_block(element: ElementType, scale: SharedScale, code_bytes: &[u8], bm:
         }
         return;
     }
-    let mut codes = [0u8; MAX_FUSED_BLOCK];
-    let codes = &mut codes[..out.len()];
-    unpack_codes_into(code_bytes, bits, codes);
     let table = kernels::decode_table(element);
-    for (o, &c) in out.iter_mut().zip(codes.iter()) {
-        *o = table[usize::from(c)] * s;
+    if bits == 4 {
+        kernels::decode4_into(code_bytes, table, s, out);
+    } else {
+        let mut codes = [0u8; MAX_FUSED_BLOCK];
+        let codes = &mut codes[..out.len()];
+        unpack_codes_into(code_bytes, bits, codes);
+        for (o, &c) in out.iter_mut().zip(codes.iter()) {
+            *o = table[usize::from(c)] * s;
+        }
     }
     // A BM index pointing past a short tail block decodes as if absent, matching the
     // reference loop (where `i == bm` simply never holds).
     if let Some(i) = bm.filter(|&i| i < out.len()) {
-        out[i] = kernels::bm_decode_table(element)[usize::from(codes[i])] * s;
+        out[i] = kernels::bm_decode_table(element)[usize::from(code_at(code_bytes, bits, i))] * s;
     }
 }
 

@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::{fake_quantize_row, MxBlock, BLOCK_SIZE};
 use crate::element::ElementType;
 use crate::error::FormatError;
+use crate::scale::SharedScale;
 
 /// A concrete MX-compliant format: an element data type plus a block size.
 ///
@@ -77,6 +78,21 @@ impl MxFormat {
     #[must_use]
     pub fn quantize_row(&self, values: &[f32]) -> Vec<MxBlock> {
         values.chunks(self.block_size).map(|c| MxBlock::quantize(self.element, c)).collect()
+    }
+
+    /// Quantizes one row through the fast block quantizer, handing each block's shared
+    /// scale and element codes to `visit`, in order, without allocating per block. The
+    /// codes and scale equal [`MxFormat::quantize_row`]'s blocks, so decoding them
+    /// (`element` decode of each code times the scale, zeros for the zero-block scale)
+    /// reproduces [`MxFormat::quantize_dequantize`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block size is 0.
+    pub fn quantize_codes_with(&self, values: &[f32], mut visit: impl FnMut(SharedScale, &[u8])) {
+        crate::cast::quantize_row_codes(self.element, self.block_size, false, values, |scale, _, codes| {
+            visit(scale, codes);
+        });
     }
 
     /// Dequantizes a sequence of blocks produced by [`MxFormat::quantize_row`].

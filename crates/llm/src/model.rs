@@ -3,13 +3,17 @@
 //! The decode hot path ([`DecodePath::ZeroCopy`], the default) reads cached keys/values
 //! through borrowed row slices ([`crate::kvcache::LayerKvCache::key_row`]) — zero copies
 //! per token — runs its score/probability operands through reusable scratch buffers, and
-//! multiplies against weights that were direct-cast **once** at construction. The seed's
+//! multiplies against weights that were direct-cast **once** at construction into
+//! [`WeightPanels`]: 4-bit code panels plus per-block scales under MXFP4/MXINT4 weights
+//! on the AVX2 backend, the row-major `f32` matrix otherwise. Every projection runs
+//! through [`Matrix::matmul_panels`], which is bit-identical to [`Matrix::matmul`] on the
+//! `quantize_columns` weights. The seed's
 //! decode path — one full-cache [`Matrix`] materialization per tensor per layer per
 //! forward call (O(T²) over a decoded sequence) plus per-call weight re-quantization —
 //! is preserved behind [`DecodePath::SeedClone`] as a bit-identical regression baseline
 //! and as the "before" arm of the decode benchmark.
 
-use mx_tensor::{kernels, Matrix};
+use mx_tensor::{kernels, Matrix, WeightPanels};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
@@ -33,21 +37,24 @@ pub enum DecodePath {
 /// Per-layer weights after the one-time direct cast with the configured weight schemes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastLayerWeights {
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    wo: Matrix,
-    w_gate: Matrix,
-    w_up: Matrix,
-    w_down: Matrix,
+    wq: WeightPanels,
+    wk: WeightPanels,
+    wv: WeightPanels,
+    wo: WeightPanels,
+    w_gate: WeightPanels,
+    w_up: WeightPanels,
+    w_down: WeightPanels,
 }
 
-/// All weight operands quantized once (column-blocked along the reduction dimension),
-/// exactly as `matmul_quantized` would per call — precomputing them is bit-identical.
+/// All weight operands quantized once (column-blocked along the reduction dimension,
+/// exactly as `matmul_quantized` would per call) and held only as [`WeightPanels`]: the
+/// block quantizer's 4-bit codes under MXFP4/MXINT4 weights on the AVX2 backend, the
+/// fake-quantized row-major `f32` matrix under every other scheme or backend. Multiplying
+/// against them with [`Matrix::matmul_panels`] is bit-identical to `matmul_quantized`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastWeights {
     layers: Vec<CastLayerWeights>,
-    lm_head: Matrix,
+    lm_head: WeightPanels,
 }
 
 impl CastWeights {
@@ -58,16 +65,16 @@ impl CastWeights {
                 .layers
                 .iter()
                 .map(|lw| CastLayerWeights {
-                    wq: lw.wq.quantize_columns(w),
-                    wk: lw.wk.quantize_columns(w),
-                    wv: lw.wv.quantize_columns(w),
-                    wo: lw.wo.quantize_columns(w),
-                    w_gate: lw.w_gate.quantize_columns(w),
-                    w_up: lw.w_up.quantize_columns(w),
-                    w_down: lw.w_down.quantize_columns(w),
+                    wq: WeightPanels::cast(&lw.wq, w),
+                    wk: WeightPanels::cast(&lw.wk, w),
+                    wv: WeightPanels::cast(&lw.wv, w),
+                    wo: WeightPanels::cast(&lw.wo, w),
+                    w_gate: WeightPanels::cast(&lw.w_gate, w),
+                    w_up: WeightPanels::cast(&lw.w_up, w),
+                    w_down: WeightPanels::cast(&lw.w_down, w),
                 })
                 .collect(),
-            lm_head: weights.lm_head.quantize_columns(quant.lm_head.weights),
+            lm_head: WeightPanels::cast(&weights.lm_head, quant.lm_head.weights),
         }
     }
 }
@@ -201,7 +208,7 @@ impl TransformerModel {
             x = self.layer_forward_backend(layer, &x, start_pos, cache, scratch);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.quantize_rows(self.quant.lm_head.activations).matmul(&self.cast.lm_head)
+        normed.quantize_rows(self.quant.lm_head.activations).matmul_panels(&self.cast.lm_head)
     }
 
     /// The seed's clone-based forward pass (see [`DecodePath::SeedClone`]).
@@ -468,7 +475,7 @@ impl TransformerModel {
             // Quantize the shared activation operand once for all three projections
             // and multiply against the pre-cast weights.
             let a = normed.quantize_rows(self.quant.linear.activations);
-            (a.matmul(&cast.wq), a.matmul(&cast.wk), a.matmul(&cast.wv))
+            (a.matmul_panels(&cast.wq), a.matmul_panels(&cast.wk), a.matmul_panels(&cast.wv))
         };
         self.apply_rotary(&mut q, &mut k, start_pos);
 
@@ -483,19 +490,19 @@ impl TransformerModel {
         self.attention_zero_copy(&mut reader, &q, start_pos, &mut attn_out);
         drop(reader);
 
-        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul(&cast.wo);
+        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&cast.wo);
         let x = x.add(&attn_proj);
 
         // --- MLP ---
         let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
-        let project = |cast_w: &Matrix, activations: &Matrix| {
-            activations.quantize_rows(self.quant.linear.activations).matmul(cast_w)
+        let project = |cast_w: &WeightPanels, activations: &Matrix| {
+            activations.quantize_rows(self.quant.linear.activations).matmul_panels(cast_w)
         };
         let mlp_out = match cfg.mlp {
             MlpKind::GatedSilu => {
                 let (gate, up) = {
                     let a = normed.quantize_rows(self.quant.linear.activations);
-                    (a.matmul(&cast.w_gate), a.matmul(&cast.w_up))
+                    (a.matmul_panels(&cast.w_gate), a.matmul_panels(&cast.w_up))
                 };
                 project(&cast.w_down, &self.gated_silu_hidden(&gate, &up))
             }

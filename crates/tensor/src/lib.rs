@@ -2,9 +2,11 @@
 //!
 //! Dense tensor substrate for the MX+ reproduction: a small row-major matrix type,
 //! reference matrix multiplication with FP32 accumulation, quantized matrix
-//! multiplication driven by [`mx_formats::QuantScheme`], the elementwise/normalization
-//! kernels a transformer needs, and synthetic activation/weight generators whose outlier
-//! structure is calibrated to the paper's observations (Figure 4).
+//! multiplication driven by [`mx_formats::QuantScheme`], weight panels with a
+//! register-tiled GEMM bit-identical to the reference ([`panels`]), the
+//! elementwise/normalization kernels a transformer needs, and synthetic activation/weight
+//! generators whose outlier structure is calibrated to the paper's observations
+//! (Figure 4).
 //!
 //! The crate is deliberately dependency-light (no BLAS): the reproduction's experiments
 //! are about *quantization error* and *relative* performance, not absolute GEMM speed.
@@ -25,11 +27,13 @@
 
 pub mod kernels;
 pub mod matrix;
+pub mod panels;
 pub mod quantized;
 pub mod synth;
 pub mod view;
 
 pub use matrix::Matrix;
+pub use panels::WeightPanels;
 pub use quantized::QuantizedLinear;
 pub use synth::{ActivationProfile, OutlierSpec};
 pub use view::MatrixView;
