@@ -1,17 +1,14 @@
 //! Criterion benchmark of the decode hot path under the paper's headline serving
-//! configuration (A-MXFP4+, W-MXFP4): the zero-copy engine vs the seed's decode path.
+//! configuration (A-MXFP4+, W-MXFP4): per-token decode against caches of 64-512
+//! positions, a 4-sequence batched serving run, and the f32-backend thread-scaling sweep.
 //!
-//! The `view` arm (`DecodePath::ZeroCopy`) reads cached keys/values through borrowed row
-//! slices, reuses scratch buffers, and multiplies against weights direct-cast once. The
-//! `clone` arm (`DecodePath::SeedClone`) reproduces the seed's behaviour: the whole
-//! `len x kv_dim` cache is materialized per tensor per layer per step (O(T²) per decoded
-//! sequence) and every weight operand is re-quantized on every projection. Both arms
-//! produce bit-identical logits (pinned by tests in `mx-llm`); only the per-token work
-//! differs.
+//! Decode reads cached keys/values through borrowed row slices, reuses scratch buffers,
+//! and multiplies against weights direct-cast once; a full-cache copy per step would show
+//! up here as time growing faster than linearly with the cache length.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mx_llm::model::argmax;
-use mx_llm::{DecodePath, KvCache, ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
+use mx_llm::{KvCache, ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 
 /// Tokens decoded per measured iteration (amortizes the per-iteration cache clone).
 const DECODE_TOKENS: usize = 16;
@@ -35,27 +32,25 @@ fn cache_at(model: &TransformerModel, seq_len: usize) -> KvCache {
     cache
 }
 
-fn decode_view_vs_clone(c: &mut Criterion) {
+fn decode_per_token(c: &mut Criterion) {
     let model = bench_model();
     let mut group = c.benchmark_group("decode_per_token");
     group.sample_size(20);
     for seq_len in [64usize, 256, 512] {
         let base = cache_at(&model, seq_len);
-        for (label, mode) in [("view", DecodePath::ZeroCopy), ("clone", DecodePath::SeedClone)] {
-            group.bench_with_input(BenchmarkId::new(label, seq_len), &base, |b, base| {
-                b.iter(|| {
-                    let mut cache = base.clone();
-                    // Vec::clone keeps capacity == len; restore decode headroom so the
-                    // measured loop never pays a growth reallocation (in either arm).
-                    cache.reserve(DECODE_TOKENS + 1);
-                    let mut next = 2usize;
-                    for _ in 0..DECODE_TOKENS {
-                        next = argmax(&model.decode_step_with_path(next, &mut cache, mode));
-                    }
-                    next
-                });
+        group.bench_with_input(BenchmarkId::new("view", seq_len), &base, |b, base| {
+            b.iter(|| {
+                let mut cache = base.clone();
+                // Vec::clone keeps capacity == len; restore decode headroom so the
+                // measured loop never pays a growth reallocation.
+                cache.reserve(DECODE_TOKENS + 1);
+                let mut next = 2usize;
+                for _ in 0..DECODE_TOKENS {
+                    next = argmax(&model.decode_step(next, &mut cache));
+                }
+                next
             });
-        }
+        });
     }
     group.finish();
 }
@@ -128,7 +123,7 @@ fn serving_snapshot() -> String {
     mx_bench::snapshot::document_json("decode_serving", &entries)
 }
 
-criterion_group!(benches, decode_view_vs_clone, batched_serving, serving_thread_scaling);
+criterion_group!(benches, decode_per_token, batched_serving, serving_thread_scaling);
 
 fn main() {
     // `--json <path>` replaces the criterion run with one deterministic serving sweep

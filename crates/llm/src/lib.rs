@@ -41,7 +41,7 @@ pub use config::ModelConfig;
 pub use eval::{evaluate_perplexity, PerplexityReport};
 pub use fault::{FaultKind, FaultPlan, RecoveryPolicy};
 pub use kvcache::{KvBackend, KvCache, KvLayerReader, LayerKvCache};
-pub use model::{DecodePath, TransformerModel};
+pub use model::TransformerModel;
 pub use paging::{
     audit_caches, PagePool, PagedKvCache, PagedLayerReader, PagedScratch, PagingError, SharedPrefix, SpilledKv,
 };

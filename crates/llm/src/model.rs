@@ -1,38 +1,33 @@
 //! The transformer model: prefill and decode with quantized dot products.
 //!
-//! The decode hot path ([`DecodePath::ZeroCopy`], the default) reads cached keys/values
-//! through borrowed row slices ([`crate::kvcache::LayerKvCache::key_row`]) — zero copies
-//! per token — runs its score/probability operands through reusable scratch buffers, and
-//! multiplies against weights that were direct-cast **once** at construction into
+//! There is one forward implementation, [`TransformerModel::forward_batch_with_scratch`]:
+//! a ragged batch of segments, each the new tokens of one sequence plus that sequence's
+//! KV cache. Everything outside attention — norms, activation quantization, the seven
+//! projections and the lm_head, SiLU and the residual adds — runs once over the stacked
+//! rows of every segment, so a serving pass that decodes a token for each of `n`
+//! sequences multiplies one `n`-row activation block against each weight, decoding
+//! every weight panel once. RoPE, the K/V append and attention run per segment against
+//! its own cache. Single-sequence prefill and decode
+//! ([`TransformerModel::forward_backend_with_scratch`] and friends) are its one-segment
+//! case.
+//!
+//! Attention reads cached keys/values through borrowed row slices or packed-row decodes
+//! ([`crate::kvcache::KvLayerReader`]) — zero full-cache copies per token — and runs its
+//! score/probability operands through reusable scratch buffers. The projections
+//! multiply against weights that were direct-cast **once** at construction into
 //! [`WeightPanels`]: 4-bit code panels plus per-block scales under MXFP4/MXINT4 weights
 //! on the AVX2 backend, the row-major `f32` matrix otherwise. Every projection runs
 //! through [`Matrix::matmul_panels`], which is bit-identical to [`Matrix::matmul`] on the
-//! `quantize_columns` weights. The seed's
-//! decode path — one full-cache [`Matrix`] materialization per tensor per layer per
-//! forward call (O(T²) over a decoded sequence) plus per-call weight re-quantization —
-//! is preserved behind [`DecodePath::SeedClone`] as a bit-identical regression baseline
-//! and as the "before" arm of the decode benchmark.
+//! `quantize_columns` weights at every row count; with the row-independence of
+//! everything else, a sequence's logits do not depend on what it was batched with.
 
 use mx_tensor::{kernels, Matrix, WeightPanels};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
-use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader, LayerKvCache};
+use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader};
 use crate::quant_config::ModelQuantConfig;
 use crate::weights::ModelWeights;
-
-/// Which implementation of the decode/prefill hot path to run. Both produce bit-identical
-/// logits; they differ only in work performed per token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DecodePath {
-    /// The serving path: borrowed `&[f32]` cache views, reusable scratch buffers, shared
-    /// per-row activation quantization, and weights direct-cast once at load time.
-    ZeroCopy,
-    /// The seed's path: owned per-call `Matrix` clones of the whole KV cache (O(T²) per
-    /// decoded sequence), per-head score/probability allocations, and weight operands
-    /// re-quantized on every projection. Kept as the regression/benchmark baseline.
-    SeedClone,
-}
 
 /// Per-layer weights after the one-time direct cast with the configured weight schemes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,8 +91,8 @@ impl TransformerModel {
         TransformerModel::with_weights(config, weights, quant)
     }
 
-    /// Builds the model from explicit weights (direct-casting them once for the zero-copy
-    /// serving path).
+    /// Builds the model from explicit weights (direct-casting them once for the forward
+    /// pass).
     #[must_use]
     pub fn with_weights(config: ModelConfig, weights: ModelWeights, quant: ModelQuantConfig) -> Self {
         let cast = CastWeights::cast(&weights, &quant);
@@ -143,26 +138,10 @@ impl TransformerModel {
     /// Panics if `tokens` is empty or contains an id outside the vocabulary.
     #[must_use]
     pub fn forward(&self, tokens: &[usize], cache: &mut KvCache) -> Matrix {
-        self.forward_with_path(tokens, cache, DecodePath::ZeroCopy)
+        self.forward_backend(tokens, cache)
     }
 
-    /// [`TransformerModel::forward`] with an explicit decode path. Both paths are
-    /// bit-identical; [`DecodePath::SeedClone`] exists only to pin that equivalence in
-    /// tests and to benchmark the seed's clone-based decode behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an id outside the vocabulary.
-    #[must_use]
-    pub fn forward_with_path(&self, tokens: &[usize], cache: &mut KvCache, path: DecodePath) -> Matrix {
-        match path {
-            DecodePath::ZeroCopy => self.forward_backend(tokens, cache),
-            DecodePath::SeedClone => self.forward_seed(tokens, cache),
-        }
-    }
-
-    /// The zero-copy forward pass over any cache backend: the `f32` [`KvCache`] (where it
-    /// equals [`DecodePath::ZeroCopy`] exactly) or a bit-packed
+    /// The forward pass over any cache backend: the `f32` [`KvCache`] or a bit-packed
     /// [`PagedKvCache`](crate::paging::PagedKvCache). Because every backend serves rows
     /// equal to `scheme.quantize_dequantize(row)` bit for bit, the logits — and therefore
     /// the generated tokens — do not depend on the backend.
@@ -189,7 +168,8 @@ impl TransformerModel {
     /// [`TransformerModel::forward_backend`] decoding cache rows through a caller-owned
     /// `scratch` — the reusable working memory a decode worker thread carries across all
     /// the sequences it steps (see
-    /// [`PagedScratch`](crate::paging::PagedScratch)).
+    /// [`PagedScratch`](crate::paging::PagedScratch)). The one-segment case of
+    /// [`TransformerModel::forward_batch_with_scratch`].
     ///
     /// # Panics
     ///
@@ -201,35 +181,56 @@ impl TransformerModel {
         cache: &mut B,
         scratch: &mut B::Scratch,
     ) -> Matrix {
-        assert!(!tokens.is_empty(), "token sequence must be non-empty");
-        let start_pos = cache.seq_len();
-        let mut x = self.embed(tokens);
+        self.forward_batch_with_scratch(&mut [(tokens, cache)], scratch)
+    }
+
+    /// One ragged batched forward over several sequences: each segment is the new
+    /// tokens of one sequence and that sequence's cache. The rows of every segment are
+    /// stacked, and the norms, activation quantization, all seven projections, SiLU, the
+    /// residual adds and the lm_head run once over the stack, so every weight panel is
+    /// decoded once per call rather than once per sequence. Per segment, against its
+    /// own cache, the pass applies RoPE (each row at its own position, continuing from
+    /// that cache's `seq_len()`), appends the new K/V rows and runs attention.
+    ///
+    /// Returns the logits of every row in segment order: segment `i`'s rows follow
+    /// those of segments `0..i`. Everything outside attention is row-independent and
+    /// [`Matrix::matmul_panels`] gives the same bits at every row count, so each
+    /// segment's rows equal its own [`TransformerModel::forward_backend_with_scratch`]
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment's tokens are empty or contain an id outside the vocabulary.
+    #[must_use]
+    pub fn forward_batch_with_scratch<B: KvBackend>(
+        &self,
+        segments: &mut [(&[usize], &mut B)],
+        scratch: &mut B::Scratch,
+    ) -> Matrix {
+        let mut spans = Vec::with_capacity(segments.len());
+        let mut rows = 0;
+        for (tokens, cache) in segments.iter() {
+            assert!(!tokens.is_empty(), "token sequence must be non-empty");
+            spans.push(RowSpan { first: rows, len: tokens.len(), start_pos: cache.seq_len() });
+            rows += tokens.len();
+        }
+        let mut x = self.embed(segments.iter().flat_map(|(tokens, _)| tokens.iter().copied()), rows);
+        let mut attn = AttnScratch::new(&self.config);
         for layer in 0..self.config.layers {
-            x = self.layer_forward_backend(layer, &x, start_pos, cache, scratch);
+            x = self.layer_forward(layer, &x, segments, &spans, scratch, &mut attn);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
         normed.quantize_rows(self.quant.lm_head.activations).matmul_panels(&self.cast.lm_head)
     }
 
-    /// The seed's clone-based forward pass (see [`DecodePath::SeedClone`]).
-    fn forward_seed(&self, tokens: &[usize], cache: &mut KvCache) -> Matrix {
-        assert!(!tokens.is_empty(), "token sequence must be non-empty");
-        let start_pos = cache.seq_len();
-        let mut x = self.embed(tokens);
-        for layer in 0..self.config.layers {
-            x = self.layer_forward_seed(layer, &x, start_pos, cache);
-        }
-        let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.matmul_quantized(&self.weights.lm_head, self.quant.lm_head)
-    }
-
     /// Token embeddings (vector op: BF16 precision like the baseline).
-    fn embed(&self, tokens: &[usize]) -> Matrix {
-        Matrix::from_fn(tokens.len(), self.config.hidden, |r, c| {
-            let t = tokens[r];
+    fn embed(&self, tokens: impl Iterator<Item = usize>, rows: usize) -> Matrix {
+        let mut x = Matrix::zeros(rows, self.config.hidden);
+        for (r, t) in tokens.enumerate() {
             assert!(t < self.config.vocab, "token id {t} out of vocabulary");
-            self.weights.embedding.get(t, c)
-        })
+            x.row_mut(r).copy_from_slice(self.weights.embedding.row(t));
+        }
+        x
     }
 
     /// Prefill convenience: runs `forward` with a fresh cache and returns `(logits, cache)`.
@@ -243,15 +244,7 @@ impl TransformerModel {
     /// Decodes a single token given an existing cache, returning its logits.
     #[must_use]
     pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        self.decode_step_with_path(token, cache, DecodePath::ZeroCopy)
-    }
-
-    /// [`TransformerModel::decode_step`] with an explicit decode path
-    /// (see [`DecodePath`]).
-    #[must_use]
-    pub fn decode_step_with_path(&self, token: usize, cache: &mut KvCache, path: DecodePath) -> Vec<f32> {
-        let logits = self.forward_with_path(&[token], cache, path);
-        logits.row(0).to_vec()
+        self.decode_step_backend(token, cache)
     }
 
     /// Decodes a single token over any cache backend
@@ -293,25 +286,26 @@ impl TransformerModel {
         out
     }
 
-    /// Zero-copy attention over any cache backend: cached keys/values are read row by row
-    /// through a [`KvLayerReader`] (borrowed slices on the `f32` backend, per-row packed
-    /// decodes on the paged backend), the cache is walked position-outer so every cached
-    /// row is loaded once per query row (not once per head), and the
-    /// score/probability/query operands go through reusable scratch buffers.
+    /// Zero-copy attention of one segment's query rows over that segment's cache: cached
+    /// keys/values are read row by row through a [`KvLayerReader`] (borrowed slices on
+    /// the `f32` backend, per-row packed decodes on the paged backend), the cache is
+    /// walked position-outer so every cached row is loaded once per query row (not once
+    /// per head), and the score/probability/query operands go through reusable scratch
+    /// buffers.
     ///
     /// Backends with fused row kernels ([`KvLayerReader::fused_key_dots`] /
     /// [`KvLayerReader::fused_value_accumulate`]) compute each position's per-head dot
     /// products and value accumulation straight from their packed storage, block by block
     /// in registers, so the full `f32` row is never materialized; backends without them
-    /// fall back to the materializing row reads below. Both routes — and
-    /// [`TransformerModel::attention_materialized`] — are bit-identical: every per-(head,
-    /// position) dot product, softmax and accumulation runs in the same order on the same
-    /// values.
+    /// fall back to the materializing row reads below. Both routes are bit-identical:
+    /// every per-(head, position) dot product, softmax and accumulation runs in the same
+    /// order on the same values.
     fn attention_zero_copy<R: KvLayerReader>(
         &self,
         reader: &mut R,
         q: &Matrix,
-        start_pos: usize,
+        span: &RowSpan,
+        buf: &mut AttnScratch,
         attn_out: &mut Matrix,
     ) {
         let cfg = &self.config;
@@ -319,19 +313,14 @@ impl TransformerModel {
         let group = cfg.heads / cfg.kv_heads;
         let geom = AttnGeometry { heads: cfg.heads, head_dim, group };
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let max_visible = start_pos + q.rows();
-        let mut q_buf = vec![0.0_f32; cfg.heads * head_dim];
-        let mut dots = vec![0.0_f32; cfg.heads];
-        let mut probs_t = vec![0.0_f32; cfg.heads];
-        let mut scores = Vec::with_capacity(cfg.heads * max_visible);
-        let mut probs = Vec::with_capacity(cfg.heads * max_visible);
-        for r in 0..q.rows() {
-            let visible = start_pos + r + 1;
+        let AttnScratch { q: q_buf, dots, probs_t, scores, probs } = buf;
+        for (i, r) in span.rows().enumerate() {
+            let visible = span.start_pos + i + 1;
             // Quantize the query row operand (it feeds a dot product against cached keys).
-            self.quant.linear.activations.quantize_dequantize_into(q.row(r), &mut q_buf);
+            self.quant.linear.activations.quantize_dequantize_into(q.row(r), q_buf);
             scores.resize(cfg.heads * visible, 0.0);
             for t in 0..visible {
-                if reader.fused_key_dots(t, &q_buf, geom, &mut dots) {
+                if reader.fused_key_dots(t, q_buf, geom, dots) {
                     for (head, &dot) in dots.iter().enumerate() {
                         scores[head * visible + t] = dot * scale;
                     }
@@ -361,7 +350,7 @@ impl TransformerModel {
                 for (head, p) in probs_t.iter_mut().enumerate() {
                     *p = probs[head * visible + t];
                 }
-                if reader.fused_value_accumulate(t, &probs_t, geom, out_row) {
+                if reader.fused_value_accumulate(t, probs_t, geom, out_row) {
                     continue;
                 }
                 let value_row = reader.value_row(t);
@@ -373,45 +362,6 @@ impl TransformerModel {
                     let qs = head * head_dim;
                     let ks = (head / group) * head_dim;
                     for (o, &vv) in out_row[qs..qs + head_dim].iter_mut().zip(&value_row[ks..ks + head_dim]) {
-                        *o += p * vv;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The seed's clone-based attention: materializes the whole cache into owned
-    /// matrices once per call and allocates per-head score/probability vectors.
-    /// Kept (and benchmarked) as the regression baseline for the zero-copy path.
-    fn attention_materialized(&self, lcache: &LayerKvCache, q: &Matrix, start_pos: usize, attn_out: &mut Matrix) {
-        let cfg = &self.config;
-        let head_dim = cfg.head_dim();
-        let group = cfg.heads / cfg.kv_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let keys = lcache.keys();
-        let values = lcache.values();
-        for r in 0..q.rows() {
-            let visible = start_pos + r + 1;
-            let q_row = self.quant.linear.activations.quantize_dequantize(q.row(r));
-            for head in 0..cfg.heads {
-                let qs = head * head_dim;
-                let ks = (head / group) * head_dim;
-                let mut scores = Vec::with_capacity(visible);
-                for t in 0..visible {
-                    let key_row = keys.row(t);
-                    let dot: f32 =
-                        q_row[qs..qs + head_dim].iter().zip(&key_row[ks..ks + head_dim]).map(|(a, b)| a * b).sum();
-                    scores.push(dot * scale);
-                }
-                kernels::softmax_inplace(&mut scores);
-                let probs = self.quant.attention_probs.quantize_dequantize(&scores);
-                let out_slice = &mut attn_out.row_mut(r)[qs..qs + head_dim];
-                for (t, &p) in probs.iter().enumerate() {
-                    if p == 0.0 {
-                        continue;
-                    }
-                    let value_row = values.row(t);
-                    for (o, &vv) in out_slice.iter_mut().zip(&value_row[ks..ks + head_dim]) {
                         *o += p * vv;
                     }
                 }
@@ -431,16 +381,16 @@ impl TransformerModel {
         out
     }
 
-    /// Applies rotary embeddings to the query/key rows in place (vector op, baseline
-    /// precision).
-    fn apply_rotary(&self, q: &mut Matrix, k: &mut Matrix, start_pos: usize) {
+    /// Applies rotary embeddings in place to one segment's query/key rows, each at its
+    /// own cache position (vector op, baseline precision).
+    fn apply_rotary(&self, q: &mut Matrix, k: &mut Matrix, span: &RowSpan) {
         let cfg = &self.config;
         if cfg.rope_theta <= 0.0 {
             return;
         }
         let head_dim = cfg.head_dim();
-        for r in 0..q.rows() {
-            let pos = start_pos + r;
+        for (i, r) in span.rows().enumerate() {
+            let pos = span.start_pos + i;
             for head in 0..cfg.heads {
                 let s = head * head_dim;
                 kernels::apply_rope(&mut q.row_mut(r)[s..s + head_dim], pos, cfg.rope_theta);
@@ -452,22 +402,23 @@ impl TransformerModel {
         }
     }
 
-    /// One transformer layer on the zero-copy path, generic over the cache backend:
-    /// the shared activation operand is quantized once per projection group and
-    /// multiplied against the pre-cast weights; cache reads go through the backend's
-    /// per-layer row reader.
-    fn layer_forward_backend<B: KvBackend>(
+    /// One transformer layer over the stacked rows of a batch, generic over the cache
+    /// backend. The norms, the shared activation operand (quantized once per projection
+    /// group), the projections against the pre-cast weights, the MLP and the residual
+    /// adds run once over every row; RoPE, the K/V append and attention run per segment
+    /// against its own cache, reading it through the backend's per-layer row reader.
+    fn layer_forward<B: KvBackend>(
         &self,
         layer: usize,
         x: &Matrix,
-        start_pos: usize,
-        cache: &mut B,
+        segments: &mut [(&[usize], &mut B)],
+        spans: &[RowSpan],
         scratch: &mut B::Scratch,
+        attn: &mut AttnScratch,
     ) -> Matrix {
         let lw = &self.weights.layers[layer];
         let cast = &self.cast.layers[layer];
         let cfg = &self.config;
-        let seq = x.rows();
 
         // --- Attention ---
         let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
@@ -477,18 +428,17 @@ impl TransformerModel {
             let a = normed.quantize_rows(self.quant.linear.activations);
             (a.matmul_panels(&cast.wq), a.matmul_panels(&cast.wk), a.matmul_panels(&cast.wv))
         };
-        self.apply_rotary(&mut q, &mut k, start_pos);
-
-        // Append the new keys/values to the cache (stored quantized).
-        for r in 0..seq {
-            cache.append(layer, k.row(r), v.row(r), self.quant.kv_cache);
+        let mut attn_out = Matrix::zeros(x.rows(), cfg.heads * cfg.head_dim());
+        for ((_, cache), span) in segments.iter_mut().zip(spans) {
+            self.apply_rotary(&mut q, &mut k, span);
+            // Append the new keys/values to the cache (stored quantized).
+            for r in span.rows() {
+                cache.append(layer, k.row(r), v.row(r), self.quant.kv_cache);
+            }
+            // Attention per query position and head, causal over this segment's cache.
+            let mut reader = cache.layer_reader(layer, scratch);
+            self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out);
         }
-
-        // Attention per query position and head, causal over the cache.
-        let mut attn_out = Matrix::zeros(seq, cfg.heads * cfg.head_dim());
-        let mut reader = cache.layer_reader(layer, scratch);
-        self.attention_zero_copy(&mut reader, &q, start_pos, &mut attn_out);
-        drop(reader);
 
         let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&cast.wo);
         let x = x.add(&attn_proj);
@@ -514,47 +464,6 @@ impl TransformerModel {
         x.add(&mlp_out)
     }
 
-    /// One transformer layer on the seed's clone-based path: weight operands re-quantized
-    /// per projection, whole-cache materialization per attention call.
-    fn layer_forward_seed(&self, layer: usize, x: &Matrix, start_pos: usize, cache: &mut KvCache) -> Matrix {
-        let lw = &self.weights.layers[layer];
-        let cfg = &self.config;
-        let seq = x.rows();
-
-        // --- Attention ---
-        let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
-        let mut q = normed.matmul_quantized(&lw.wq, self.quant.linear);
-        let mut k = normed.matmul_quantized(&lw.wk, self.quant.linear);
-        let v = normed.matmul_quantized(&lw.wv, self.quant.linear);
-        self.apply_rotary(&mut q, &mut k, start_pos);
-
-        for r in 0..seq {
-            cache.layer_mut(layer).append(k.row(r), v.row(r), self.quant.kv_cache);
-        }
-
-        let mut attn_out = Matrix::zeros(seq, cfg.heads * cfg.head_dim());
-        self.attention_materialized(cache.layer(layer), &q, start_pos, &mut attn_out);
-
-        let attn_proj = attn_out.matmul_quantized(&lw.wo, self.quant.linear);
-        let x = x.add(&attn_proj);
-
-        // --- MLP ---
-        let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
-        let project = |raw: &Matrix, activations: &Matrix| activations.matmul_quantized(raw, self.quant.linear);
-        let mlp_out = match cfg.mlp {
-            MlpKind::GatedSilu => {
-                let gate = normed.matmul_quantized(&lw.w_gate, self.quant.linear);
-                let up = normed.matmul_quantized(&lw.w_up, self.quant.linear);
-                project(&lw.w_down, &self.gated_silu_hidden(&gate, &up))
-            }
-            MlpKind::Gelu => {
-                let fc1 = project(&lw.w_gate, &normed);
-                project(&lw.w_down, &self.gelu_hidden(&fc1))
-            }
-        };
-        x.add(&mlp_out)
-    }
-
     /// Element-wise `silu(gate) * up` of the gated MLP.
     fn gated_silu_hidden(&self, gate: &Matrix, up: &Matrix) -> Matrix {
         let mut hidden = Matrix::zeros(gate.rows(), self.config.intermediate);
@@ -575,6 +484,43 @@ impl TransformerModel {
             }
         }
         hidden
+    }
+}
+
+/// Where one segment's rows sit in a batched forward's stack, and the cache position
+/// its first row continues from.
+struct RowSpan {
+    first: usize,
+    len: usize,
+    start_pos: usize,
+}
+
+impl RowSpan {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.len
+    }
+}
+
+/// Attention operands reused across every layer and segment of one forward call: the
+/// quantized query row, per-head dots and probabilities at one position, and the
+/// per-head score/probability rows (grown to the longest visible context).
+struct AttnScratch {
+    q: Vec<f32>,
+    dots: Vec<f32>,
+    probs_t: Vec<f32>,
+    scores: Vec<f32>,
+    probs: Vec<f32>,
+}
+
+impl AttnScratch {
+    fn new(cfg: &ModelConfig) -> Self {
+        AttnScratch {
+            q: vec![0.0; cfg.heads * cfg.head_dim()],
+            dots: vec![0.0; cfg.heads],
+            probs_t: vec![0.0; cfg.heads],
+            scores: Vec::new(),
+            probs: Vec::new(),
+        }
     }
 }
 
@@ -677,36 +623,6 @@ mod tests {
         let (l4, _) = fp4.prefill(&tokens);
         let (l4p, _) = fp4p.prefill(&tokens);
         assert!(lb.mse(&l4p) < lb.mse(&l4), "MX+ logits must be closer to the baseline");
-    }
-
-    #[test]
-    fn view_and_materialize_modes_are_bit_identical() {
-        // The zero-copy attention path must reproduce the clone-based seed path exactly,
-        // not approximately — same dot products, same softmax inputs, same accumulation
-        // order.
-        for quant in [
-            ModelQuantConfig::BASELINE,
-            ModelQuantConfig::uniform(QuantScheme::mxfp4()),
-            ModelQuantConfig::a_mxfp4_plus(),
-        ] {
-            let model = tiny_model(quant);
-            let prompt = [3, 1, 4, 1, 5, 9, 2, 6];
-            let mut cache_v = model.new_cache();
-            let mut cache_m = model.new_cache();
-            let lv = model.forward_with_path(&prompt, &mut cache_v, DecodePath::ZeroCopy);
-            let lm = model.forward_with_path(&prompt, &mut cache_m, DecodePath::SeedClone);
-            assert_eq!(lv, lm, "prefill logits diverge under {}", quant.name());
-            let mut next = argmax(lv.row(lv.rows() - 1));
-            for step in 0..8 {
-                let sv = model.decode_step_with_path(next, &mut cache_v, DecodePath::ZeroCopy);
-                let sm = model.decode_step_with_path(next, &mut cache_m, DecodePath::SeedClone);
-                assert_eq!(sv, sm, "decode step {step} logits diverge under {}", quant.name());
-                next = argmax(&sv);
-            }
-            for l in 0..cache_v.num_layers() {
-                assert_eq!(cache_v.layer(l), cache_m.layer(l), "cache contents diverge");
-            }
-        }
     }
 
     #[test]

@@ -60,8 +60,8 @@
 //!
 //! Because [`mx_formats::RowCodec`] round-trips bit-for-bit with
 //! `QuantScheme::quantize_dequantize` — the exact values the f32 backend stores — a
-//! decode over the paged backend is **token-identical** to the f32
-//! [`DecodePath::ZeroCopy`](crate::model::DecodePath) path, on any number of threads.
+//! decode over the paged backend is **token-identical** to the same forward over the
+//! f32 [`KvCache`](crate::kvcache::KvCache), on any number of threads.
 //! Dropping a [`PagedKvCache`] returns every page (and any unused reservation) to the
 //! pool, which is what lets the continuous-batching scheduler admit queued sequences as
 //! earlier ones finish.

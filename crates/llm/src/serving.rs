@@ -1,8 +1,11 @@
 //! A continuous-batching serving engine on top of the zero-copy decode path, driven by a
 //! pool of decode worker threads.
 //!
-//! The engine owns a queue of sequences and decodes them round-robin — one token per
-//! active sequence per scheduler step. Two cache backends are supported:
+//! The engine owns a queue of sequences and advances every active one by one token per
+//! scheduler pass, decoding them together: a worker's sequences share one batched
+//! forward ([`TransformerModel::forward_batch_with_scratch`]) whose projections run once
+//! at M = batch size while attention runs per sequence. Two cache backends are
+//! supported:
 //!
 //! * **f32-contiguous** ([`ServingEngine::new`]): every submitted sequence is admitted
 //!   up front with its own pre-reserved [`KvCache`] of dequantized rows — the accuracy /
@@ -45,14 +48,19 @@
 //! **persistent pool** of `num_threads` decode workers once per run
 //! ([`ServingEngine::with_threads`]; default = available parallelism), each carrying one
 //! reusable [`PagedScratch`] for its whole lifetime, and moves each pass's active
-//! sequences to them over channels (no per-pass thread spawns). The **coordinator**
+//! sequences to them over channels (no per-pass thread spawns), one contiguous chunk per
+//! worker. A worker's chunk is **one batched step** — the same step function the
+//! single-thread engine runs inline: each sequence prefills on first touch (its own
+//! forward) or does its stop/budget bookkeeping, then every sequence that needs a decode
+//! joins one batched forward and samples from its own logits row with its own RNG. The **coordinator**
 //! thread keeps everything that mutates shared scheduling state: admission (page
 //! reservation, priority-then-FCFS order, prefix-share planning), preemption, eviction,
 //! occupancy sampling, and retirement — returning a finished sequence's pages to the
 //! pool between passes, which is what funds mid-run admissions. Because sequences are
-//! independent, the generated streams are **token-identical for every `num_threads`**,
-//! and `num_threads = 1` runs the exact sequential submission-order loop of the
-//! single-threaded engine.
+//! independent — everything outside attention is row-independent, so a sequence's
+//! logits do not depend on its batch-mates — the generated streams are
+//! **token-identical for every `num_threads`**, and `num_threads = 1` steps every
+//! sequence in submission order as one batch.
 //!
 //! Sequences finish on their length budget or on a per-sequence stop token, each
 //! recorded as a [`FinishReason`]; next-token selection is greedy by default or seeded
@@ -72,7 +80,8 @@
 //! scheduler's per-worker step skew. *Event tracing* is opt-in
 //! ([`ServingEngine::with_telemetry`]): when enabled, the coordinator and every decode
 //! worker record lifecycle instants (submitted → admitted → first_token → preempted /
-//! restored / evicted → retired), pass spans, prefill/decode-step spans and occupancy
+//! restored / evicted → retired), pass spans, per-sequence `prefill` spans, one
+//! `decode_batch` span per batched forward (carrying its sequence count) and occupancy
 //! gauges into per-thread shards, and [`ServingEngine::take_trace`] returns the merged
 //! [`mx_telemetry::Trace`] for Chrome trace-event export. Recording never takes a lock
 //! on the step path, and a disabled hub reduces every event site to one branch —
@@ -82,11 +91,14 @@
 //!
 //! Failure is a first-class, deterministically testable input ([`crate::fault`]):
 //!
-//! * **Containment** — every worker step runs under `catch_unwind`, so a panicking
-//!   step (a seeded [`FaultPlan`] injection via [`ServingEngine::with_faults`], or a
-//!   genuine bug) costs at most that one sequence's in-flight pass, never the run. The
-//!   coordinator respawns the panicked worker at the pass boundary
-//!   ([`ServingReport::worker_restarts`]) and rolls the lost sequence back to its last
+//! * **Containment** — every step runs under `catch_unwind`: each sequence's own part
+//!   of a batched step (its injected fault, prefill or bookkeeping) under its own, and
+//!   the shared batched forward under one more. A seeded [`FaultPlan`] injection (via
+//!   [`ServingEngine::with_faults`]) therefore costs exactly one sequence's in-flight
+//!   pass, never the run; a genuine panic inside the shared forward may leave partial
+//!   K/V appends in any member's cache, so it rolls back every sequence of that batch.
+//!   The coordinator respawns the panicked worker at the pass boundary
+//!   ([`ServingReport::worker_restarts`]) and rolls each lost sequence back to its last
 //!   periodic checkpoint ([`PagedKvCache::checkpoint`], every
 //!   [`RecoveryPolicy::checkpoint_every`] passes), retrying with bounded attempts and
 //!   backoff-in-passes; replay from a bit-exact checkpoint keeps retried sequences —
@@ -113,8 +125,8 @@ use mx_formats::{QuantScheme, RowCodec};
 use mx_telemetry::{Category, Histogram, LatencySummary, QuantileSummary, Recorder, Telemetry, TelemetryConfig, Trace};
 
 use crate::fault::{FaultPlan, FaultState, InjectedFault, RecoveryPolicy};
-use crate::kvcache::{KvCache, LayerKvCache};
-use crate::model::{DecodePath, TransformerModel};
+use crate::kvcache::{KvBackend, KvCache, LayerKvCache};
+use crate::model::TransformerModel;
 use crate::paging::{PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
 use crate::sampling::{sample_token, Sampling, SeqRng};
 
@@ -349,44 +361,43 @@ impl Sequence {
         sample_token(logits, &self.sampling, &mut self.rng)
     }
 
-    /// One scheduler step of this sequence, run by a decode worker: prefill on first
-    /// touch, then stop/budget bookkeeping and one decode step. Returns the tokens this
-    /// step generated (0 or 1) and the prefill/decode forward time it spent, recording
-    /// the worker-side spans and the first-token lifecycle instant into `rec`.
-    fn step(
+    /// The per-sequence half of a batched step (see [`step_batch`]): prefill on first
+    /// touch — its own forward — or the stop/budget bookkeeping that emits the pending
+    /// token. Returns what the step produced so far and whether the sequence joins the
+    /// pass's batched decode forward, recording the prefill span and the first-token
+    /// lifecycle instant into `rec`.
+    fn begin_step(
         &mut self,
         model: &TransformerModel,
-        mode: DecodePath,
         scratch: &mut PagedScratch,
         rec: &mut Recorder,
-    ) -> StepResult {
+    ) -> (StepResult, bool) {
         if !self.prefilled {
             let span = rec.span(Category::Worker, "prefill", "seq", self.id as u64);
             let t0 = Instant::now();
             // Prefix sharing: positions already resident in shared pages are skipped —
             // the suffix forward starts at `cache.seq_len() == shared_positions`, so the
             // logits (and every later token) are bit-identical to a full prefill.
+            let suffix = &self.prompt[self.shared_positions..];
             let logits = match &mut self.cache {
-                SeqCache::F32(cache) => model.forward_with_path(&self.prompt, cache, mode),
-                SeqCache::Paged(cache) => {
-                    model.forward_backend_with_scratch(&self.prompt[self.shared_positions..], cache, scratch)
-                }
+                SeqCache::F32(cache) => model.forward_backend_with_scratch(suffix, cache, &mut ()),
+                SeqCache::Paged(cache) => model.forward_backend_with_scratch(suffix, cache, scratch),
                 _ => unreachable!("stepped sequence without a cache"),
             };
             self.next = self.sample(logits.row(logits.rows() - 1));
             self.prefilled = true;
             let prefill = t0.elapsed();
             drop(span);
-            return StepResult { tokens: 0, prefill, decode: Duration::ZERO };
+            return (StepResult { tokens: 0, prefill, tpot: Duration::ZERO }, false);
         }
         if self.stop_token == Some(self.next) {
             self.finish(FinishReason::Stop);
-            return StepResult::default();
+            return (StepResult::default(), false);
         }
         if self.generated.len() >= self.max_new_tokens {
             // Zero-budget sequences finish without emitting anything.
             self.finish(FinishReason::Length);
-            return StepResult::default();
+            return (StepResult::default(), false);
         }
         self.generated.push(self.next);
         if self.generated.len() == 1 {
@@ -394,23 +405,31 @@ impl Sequence {
             self.first_token_ns = Some(rec.now_nanos());
             rec.instant(Category::Lifecycle, "first_token", "seq", self.id as u64);
         }
-        if self.generated.len() == self.max_new_tokens {
-            // The budgeted last token needs no forward pass of its own: decoding it
-            // would only produce logits (and a cache row) that are thrown away.
+        // The budgeted last token needs no forward pass of its own: decoding it would
+        // only produce logits (and a cache row) that are thrown away.
+        let budget_spent = self.generated.len() == self.max_new_tokens;
+        if budget_spent {
             self.finish(FinishReason::Length);
-            return StepResult { tokens: 1, prefill: Duration::ZERO, decode: Duration::ZERO };
         }
-        let span = rec.span(Category::Worker, "decode_step", "seq", self.id as u64);
-        let t0 = Instant::now();
-        let logits = match &mut self.cache {
-            SeqCache::F32(cache) => model.decode_step_with_path(self.next, cache, mode),
-            SeqCache::Paged(cache) => model.decode_step_backend_with_scratch(self.next, cache, scratch),
-            _ => unreachable!("active sequence without a cache"),
-        };
-        self.next = self.sample(&logits);
-        let decode = t0.elapsed();
-        drop(span);
-        StepResult { tokens: 1, prefill: Duration::ZERO, decode }
+        (StepResult { tokens: 1, ..StepResult::default() }, !budget_spent)
+    }
+}
+
+impl SeqCache {
+    /// The f32 cache of an active f32-backend sequence.
+    fn f32_mut(&mut self) -> Option<&mut KvCache> {
+        match self {
+            SeqCache::F32(cache) => Some(cache),
+            _ => None,
+        }
+    }
+
+    /// The paged cache of an active paged-backend sequence.
+    fn paged_mut(&mut self) -> Option<&mut PagedKvCache> {
+        match self {
+            SeqCache::Paged(cache) => Some(cache),
+            _ => None,
+        }
     }
 }
 
@@ -450,12 +469,16 @@ pub struct ServingReport {
     pub generated_tokens: usize,
     /// Time spent in prefill, summed across worker threads.
     pub prefill_time: Duration,
-    /// Time spent in the decode loop, summed across worker threads (per-thread work, not
-    /// wall clock — see [`ServingReport::wall_seconds`] for the elapsed time).
+    /// Time spent in batched decode forwards, summed across worker threads: worker busy
+    /// time, to which each batched forward contributes once however many sequences it
+    /// stepped (per-thread work, not wall clock — see [`ServingReport::wall_seconds`]
+    /// for the elapsed time). Together with `prefill_time` it never exceeds
+    /// `num_threads × wall_seconds`.
     pub decode_time: Duration,
-    /// Generated tokens per second of summed decode time: the *per-worker* decode rate,
-    /// directly comparable across `num_threads` (parallelism holds it roughly constant
-    /// while the wall-clock rate scales).
+    /// Generated tokens per second of summed decode time: the *per-worker* decode rate
+    /// with each batched forward's cost amortized over its tokens, directly comparable
+    /// across `num_threads` (parallelism holds it roughly constant while the
+    /// wall-clock rate scales).
     pub decode_tokens_per_sec: f64,
     /// Wall-clock seconds of the whole [`ServingEngine::run`] call (admission, prefill,
     /// decode and retirement across all passes).
@@ -489,11 +512,15 @@ pub struct ServingReport {
     pub cache_materializations: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
-    /// tracing ([`ServingEngine::with_telemetry`]) is enabled.
+    /// tracing ([`ServingEngine::with_telemetry`]) is enabled. TPOT takes one sample per
+    /// generated token that ran a decode forward: the time of the batched forward its
+    /// step joined, which is the latency that step saw. Its count therefore equals the
+    /// summed sequence counts of the trace's `decode_batch` spans.
     pub latency: LatencySummary,
-    /// Scheduler step invocations each decode worker executed (prefill touches, decode
-    /// steps and finish bookkeeping); index `w` is worker lane `w + 1`, or the
-    /// coordinator itself on a single-threaded run. Exposes the pool's load skew.
+    /// Sequences each decode worker stepped (prefill touches, decode steps and finish
+    /// bookkeeping; every member of a batched step counts once); index `w` is worker
+    /// lane `w + 1`, or the coordinator itself on a single-threaded run. Exposes the
+    /// pool's load skew, and their sum over passes is the mean batch size.
     pub worker_decode_steps: Vec<usize>,
 }
 
@@ -682,7 +709,6 @@ impl SubmitOptions {
 pub struct ServingEngine<'m> {
     model: &'m TransformerModel,
     sequences: Vec<Sequence>,
-    mode: DecodePath,
     pool: Option<Arc<PagePool>>,
     num_threads: usize,
     /// Hash-consed prompt prefixes: chain hash of each full page of prompt positions →
@@ -706,21 +732,13 @@ pub struct ServingEngine<'m> {
 }
 
 impl<'m> ServingEngine<'m> {
-    /// Creates an engine serving `model` on the f32-contiguous backend through the
-    /// zero-copy cache path (every submission is admitted immediately).
+    /// Creates an engine serving `model` on the f32-contiguous backend (every submission
+    /// is admitted immediately).
     #[must_use]
     pub fn new(model: &'m TransformerModel) -> Self {
-        ServingEngine::with_path(model, DecodePath::ZeroCopy)
-    }
-
-    /// Creates an f32-backend engine with an explicit [`DecodePath`] (`SeedClone` is only
-    /// useful for benchmarking the pre-refactor decode path).
-    #[must_use]
-    pub fn with_path(model: &'m TransformerModel, mode: DecodePath) -> Self {
         ServingEngine {
             model,
             sequences: Vec::new(),
-            mode,
             pool: None,
             num_threads: default_threads(),
             prefix_index: HashMap::new(),
@@ -749,7 +767,6 @@ impl<'m> ServingEngine<'m> {
         ServingEngine {
             model,
             sequences: Vec::new(),
-            mode: DecodePath::ZeroCopy,
             pool: Some(pool),
             num_threads: default_threads(),
             prefix_index: HashMap::new(),
@@ -761,9 +778,10 @@ impl<'m> ServingEngine<'m> {
         }
     }
 
-    /// Sets the number of decode worker threads (builder-style). `1` reproduces the
-    /// sequential engine exactly, step for step; any value produces token-identical
-    /// output, because sequences share nothing but the page pool's allocator.
+    /// Sets the number of decode worker threads (builder-style). `1` steps every sequence
+    /// on the calling thread; any value produces token-identical output, because
+    /// sequences share nothing but the page pool's allocator and a batched forward's
+    /// rows are independent.
     ///
     /// # Panics
     ///
@@ -952,9 +970,9 @@ impl<'m> ServingEngine<'m> {
     /// whenever their worst case fits the page budget — mapping any matching prompt
     /// prefix onto shared pages and preempting strictly lower-priority running sequences
     /// under pressure — fan the active sequences out across the persistent decode worker
-    /// pool (each worker prefills newly admitted sequences on first touch and then
-    /// decodes one token per sequence per pass), sample peak occupancy, and retire
-    /// finished sequences so their pages fund queued admissions.
+    /// pool (each worker prefills newly admitted sequences on first touch and decodes one
+    /// token for each of the others in one batched forward), sample peak occupancy, and
+    /// retire finished sequences so their pages fund queued admissions.
     pub fn run(&mut self) -> ServingReport {
         self.execute(true, usize::MAX)
     }
@@ -1025,11 +1043,10 @@ impl<'m> ServingEngine<'m> {
             self.drive(None, &mut stats, admit, max_passes);
         } else {
             let model = self.model;
-            let mode = self.mode;
             let num_threads = self.num_threads;
             let telemetry = Arc::clone(&self.telemetry);
             std::thread::scope(|scope| {
-                let mut workers = WorkerPool::spawn(scope, model, mode, num_threads, &telemetry);
+                let mut workers = WorkerPool::spawn(scope, model, num_threads, &telemetry);
                 self.drive(Some(&mut workers), &mut stats, admit, max_passes);
                 // Dropping the pool's job senders here ends every worker's receive
                 // loop (including any replaced, already-disconnected incarnations);
@@ -1046,9 +1063,9 @@ impl<'m> ServingEngine<'m> {
 
     /// The coordinator loop (see [`ServingEngine::run`]). With `workers == None` the
     /// coordinator doubles as the only worker, carrying one scratch across the whole run
-    /// exactly like a pool worker would — the exact sequential engine, including the
-    /// same `catch_unwind` fault containment (minus the respawn: there is no worker
-    /// thread to replace).
+    /// and running the same [`step_batch`] a pool worker runs — including its
+    /// `catch_unwind` fault containment (minus the respawn: there is no worker thread to
+    /// replace).
     fn drive(
         &mut self,
         mut workers: Option<&mut WorkerPool<'_, '_>>,
@@ -1057,7 +1074,6 @@ impl<'m> ServingEngine<'m> {
         max_passes: usize,
     ) {
         let model = self.model;
-        let mode = self.mode;
         let policy = self.recovery.unwrap_or_default();
         // Checkpointing costs page-buffer copies, so it only runs when failure is in
         // play: an installed fault plan or an explicitly requested recovery policy.
@@ -1092,95 +1108,56 @@ impl<'m> ServingEngine<'m> {
             let progressed = !active.is_empty();
             match &mut workers {
                 None => {
-                    for &idx in &active {
-                        job_counts[0] += 1;
-                        let fault = match &mut self.faults {
-                            Some(f) => f.take_step_fault(0, job_counts[0], 1),
-                            None => None,
-                        };
-                        let mut seq = std::mem::replace(&mut self.sequences[idx], Sequence::parked());
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            act_injected_fault(fault);
-                            seq.step(model, mode, &mut coordinator_scratch, &mut rec)
-                        }));
-                        self.sequences[idx] = seq;
-                        match caught {
-                            Ok(out) => stats.absorb(0, &out),
-                            Err(_) => {
-                                // Contained exactly like a pool worker's panic; the
-                                // suspect cache is discarded by the recovery path.
-                                rec.instant(Category::Fault, "worker_panic", "worker", 0);
-                                self.recover_sequence(idx, pass, &policy, stats, &mut rec);
-                            }
-                        }
-                    }
+                    let jobs = self.take_jobs(&active, 0, 1, &mut job_counts);
+                    let reply = step_batch(model, jobs, &mut coordinator_scratch, &mut rec);
+                    self.absorb_batch(0, reply, pass, &policy, stats, &mut rec);
                 }
                 Some(pool) => {
-                    // Contiguous chunks preserve submission order within each worker.
-                    // Sequences physically move through the channels (a parked
-                    // placeholder holds their table slot), so workers own what they
-                    // step — no borrows cross threads.
+                    // Contiguous chunks preserve submission order within each worker,
+                    // and each chunk travels as one batch. Sequences physically move
+                    // through the channels (a parked placeholder holds their table
+                    // slot), so workers own what they step — no borrows cross threads.
                     let used = pool.jobs.len().min(active.len());
                     let per_worker = active.len().div_ceil(used.max(1));
                     let mut sent: Vec<Vec<usize>> = vec![Vec::new(); pool.jobs.len()];
                     let mut dead = vec![false; pool.jobs.len()];
                     for (worker, chunk) in active.chunks(per_worker.max(1)).enumerate() {
-                        for &idx in chunk {
-                            job_counts[worker] += 1;
-                            let fault = match &mut self.faults {
-                                Some(f) => f.take_step_fault(worker, job_counts[worker], num_workers),
-                                None => None,
-                            };
-                            let seq = std::mem::replace(&mut self.sequences[idx], Sequence::parked());
-                            match pool.jobs[worker].send(Job { index: idx, seq, fault }) {
-                                Ok(()) => sent[worker].push(idx),
-                                Err(mpsc::SendError(job)) => {
-                                    // The worker died between passes (it should have
-                                    // been respawned at the last boundary): the
-                                    // sequence is unharmed — put it back and let the
-                                    // respawned worker step it next pass.
-                                    self.sequences[idx] = job.seq;
-                                    dead[worker] = true;
+                        let jobs = self.take_jobs(chunk, worker, num_workers, &mut job_counts);
+                        match pool.jobs[worker].send(jobs) {
+                            Ok(()) => sent[worker] = chunk.to_vec(),
+                            Err(mpsc::SendError(jobs)) => {
+                                // The worker died between passes (it should have been
+                                // respawned at the last boundary): the sequences are
+                                // unharmed — put them back and let the respawned worker
+                                // step them next pass.
+                                for job in jobs {
+                                    self.sequences[job.index] = job.seq;
                                 }
+                                dead[worker] = true;
                             }
                         }
                     }
-                    for (worker, indices) in sent.iter().enumerate() {
-                        let mut replies = 0usize;
-                        while replies < indices.len() {
-                            match pool.results[worker].recv() {
-                                Ok(WorkerReply::Done(out)) => {
-                                    self.sequences[out.index] = out.seq;
-                                    stats.absorb(worker, &out.result);
-                                    replies += 1;
-                                }
-                                Ok(WorkerReply::Panicked { index, seq }) => {
-                                    // The step panicked inside the worker's
-                                    // catch_unwind: bookkeeping rode back intact, the
-                                    // cache is suspect and recovery discards it.
-                                    self.sequences[index] = seq;
+                    for (worker, indices) in sent.iter().enumerate().filter(|(_, indices)| !indices.is_empty()) {
+                        match pool.results[worker].recv() {
+                            Ok(reply) => {
+                                if self.absorb_batch(worker + 1, reply, pass, &policy, stats, &mut rec) {
                                     dead[worker] = true;
-                                    rec.instant(Category::Fault, "worker_panic", "worker", worker as u64 + 1);
-                                    self.recover_sequence(index, pass, &policy, stats, &mut rec);
-                                    replies += 1;
                                 }
-                                Err(_) => {
-                                    // Hard death: the worker vanished without even a
-                                    // panic reply, taking its queued sequences down
-                                    // with it (their Drop impls returned every page).
-                                    // Tombstone the parked table slots so the run
-                                    // degrades to Failed instead of hanging.
-                                    dead[worker] = true;
-                                    rec.instant(Category::Fault, "worker_panic", "worker", worker as u64 + 1);
-                                    for &idx in &indices[replies..] {
-                                        let seq = &mut self.sequences[idx];
-                                        seq.id = idx;
-                                        seq.attempts += 1;
-                                        let attempts = seq.attempts;
-                                        seq.finish(FinishReason::Failed { attempts });
-                                        rec.instant(Category::Fault, "failed", "seq", idx as u64);
-                                    }
-                                    replies = indices.len();
+                            }
+                            Err(_) => {
+                                // Hard death: the worker vanished without a reply, taking
+                                // its chunk down with it (their Drop impls returned every
+                                // page). Tombstone the parked table slots so the run
+                                // degrades to Failed instead of hanging.
+                                dead[worker] = true;
+                                rec.instant(Category::Fault, "worker_panic", "worker", worker as u64 + 1);
+                                for &idx in indices {
+                                    let seq = &mut self.sequences[idx];
+                                    seq.id = idx;
+                                    seq.attempts += 1;
+                                    let attempts = seq.attempts;
+                                    seq.finish(FinishReason::Failed { attempts });
+                                    rec.instant(Category::Fault, "failed", "seq", idx as u64);
                                 }
                             }
                         }
@@ -1239,6 +1216,57 @@ impl<'m> ServingEngine<'m> {
                 break;
             }
         }
+    }
+
+    /// Moves the sequences at table slots `indices` out into jobs for worker slot
+    /// `worker` (a parked placeholder keeps each slot), advancing that worker's job
+    /// counter once per sequence and attaching any fault the installed plan addresses
+    /// to that coordinate.
+    fn take_jobs(&mut self, indices: &[usize], worker: usize, num_workers: usize, job_counts: &mut [u64]) -> Vec<Job> {
+        indices
+            .iter()
+            .map(|&index| {
+                job_counts[worker] += 1;
+                let fault = match &mut self.faults {
+                    Some(f) => f.take_step_fault(worker, job_counts[worker], num_workers),
+                    None => None,
+                };
+                Job { index, seq: std::mem::replace(&mut self.sequences[index], Sequence::parked()), fault }
+            })
+            .collect()
+    }
+
+    /// Folds one batched step back into the engine: returns every job's sequence to its
+    /// table slot, adds the batched forward's time to the decode time once, credits each
+    /// completed step to the stepping worker, and rolls panicked sequences back through
+    /// [`ServingEngine::recover_sequence`]. `lane` is the trace lane that stepped the
+    /// batch: 0 for the coordinator stepping inline, `w + 1` for pool worker `w`.
+    /// Returns whether any job panicked.
+    fn absorb_batch(
+        &mut self,
+        lane: usize,
+        reply: BatchReply,
+        pass: usize,
+        policy: &RecoveryPolicy,
+        stats: &mut RunStats,
+        rec: &mut Recorder,
+    ) -> bool {
+        stats.decode_time += reply.decode;
+        let mut panicked = false;
+        for (job, outcome) in reply.jobs.into_iter().zip(reply.outcomes) {
+            self.sequences[job.index] = job.seq;
+            match outcome {
+                Some(step) => stats.absorb(lane.saturating_sub(1), &step),
+                None => {
+                    // Bookkeeping rode back intact; the cache is suspect and recovery
+                    // discards it.
+                    panicked = true;
+                    rec.instant(Category::Fault, "worker_panic", "worker", lane as u64);
+                    self.recover_sequence(job.index, pass, policy, stats, rec);
+                }
+            }
+        }
+        panicked
     }
 
     /// Finishes overdue sequences as [`FinishReason::DeadlineExceeded`]: past an
@@ -1782,7 +1810,8 @@ struct RunStats {
     /// Lifetime paged-admission attempt counter — the coordinate injected reservation
     /// denials are addressed by.
     admission_attempts: u64,
-    /// Decode-step forward latency samples, one per generated token that ran a forward.
+    /// Decode latency samples, one per generated token that ran a forward: the time of
+    /// the batched forward its step joined.
     tpot: Histogram,
     /// Coordinator scheduler-pass wall-time samples, one per pass.
     pass_latency: Histogram,
@@ -1791,14 +1820,14 @@ struct RunStats {
 }
 
 impl RunStats {
-    /// Folds one step's outcome into the accumulators, crediting 0-based `worker`.
+    /// Folds one sequence's step into the accumulators, crediting 0-based `worker`.
+    /// The batched forward's time reaches `decode_time` once per batch, not here.
     fn absorb(&mut self, worker: usize, out: &StepResult) {
         self.generated += out.tokens;
         self.prefill_time += out.prefill;
-        self.decode_time += out.decode;
-        if !out.decode.is_zero() {
+        if !out.tpot.is_zero() {
             // The u64 cast holds any realistic single-step latency (< 584 years).
-            self.tpot.record(out.decode.as_nanos() as u64);
+            self.tpot.record(out.tpot.as_nanos() as u64);
         }
         if let Some(steps) = self.worker_steps.get_mut(worker) {
             *steps += 1;
@@ -1806,43 +1835,32 @@ impl RunStats {
     }
 }
 
-/// What one [`Sequence::step`] call produced: tokens emitted (0 or 1) and the forward
-/// time it spent in prefill and decode.
+/// What one sequence's part of a batched step produced: tokens emitted (0 or 1), its
+/// prefill forward time, and the decode latency its step saw — the time of the batched
+/// forward it joined (zero when it joined none).
 #[derive(Debug, Clone, Copy, Default)]
 struct StepResult {
     tokens: usize,
     prefill: Duration,
-    decode: Duration,
+    tpot: Duration,
 }
 
-/// One step's result travelling back from a decode worker to the coordinator.
-struct StepOutcome {
-    index: usize,
-    seq: Sequence,
-    result: StepResult,
-}
-
-/// One dispatched unit of work: the sequence (moved by value), its table slot, and the
-/// injected fault (if any) the worker must act out before stepping.
+/// One sequence dispatched into a batched step: the sequence (moved by value), its
+/// table slot, and the injected fault (if any) to act out before stepping it.
 struct Job {
     index: usize,
     seq: Sequence,
     fault: Option<InjectedFault>,
 }
 
-/// A worker's reply to one [`Job`].
-enum WorkerReply {
-    /// The step ran to completion.
-    Done(StepOutcome),
-    /// The step panicked inside the worker's `catch_unwind`. The sequence — bookkeeping
-    /// intact, cache suspect — rides back so the coordinator can roll it back to its
-    /// last checkpoint and retry; the worker itself keeps serving its queue.
-    Panicked {
-        /// The sequence's table slot.
-        index: usize,
-        /// The surviving sequence (its cache must be treated as corrupted).
-        seq: Sequence,
-    },
+/// What one batched step hands back to the coordinator: every job (each sequence
+/// travels back), per job its [`StepResult`] or `None` where its step panicked (the
+/// sequence rides back intact, its cache suspect), and the batched decode forward's
+/// time — worker busy time, counted once for the whole batch.
+struct BatchReply {
+    jobs: Vec<Job>,
+    outcomes: Vec<Option<StepResult>>,
+    decode: Duration,
 }
 
 /// Acts out an injected fault on the executing thread, inside the step's
@@ -1856,42 +1874,127 @@ fn act_injected_fault(fault: Option<InjectedFault>) {
     }
 }
 
+/// One batched scheduler step over a chunk of jobs: the one step function of both the
+/// inline single-thread arm of the coordinator and every pool worker.
+///
+/// 1. Per job, under its own `catch_unwind`: act out its injected fault, then
+///    [`Sequence::begin_step`] — prefill on first touch, or the stop/budget bookkeeping
+///    that pushes the pending token.
+/// 2. Under one `catch_unwind`: one batched decode forward for every sequence that needs
+///    one ([`decode_batch`]), recorded as one `decode_batch` worker span carrying the
+///    batch's sequence count.
+///
+/// A panic in the first phase costs only its own job. A panic inside the shared forward
+/// may leave partial K/V appends in any member's cache, so every sequence of the batch
+/// is reported as panicked and rolled back.
+fn step_batch(
+    model: &TransformerModel,
+    mut jobs: Vec<Job>,
+    scratch: &mut PagedScratch,
+    rec: &mut Recorder,
+) -> BatchReply {
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    let mut joins = Vec::with_capacity(jobs.len());
+    for Job { seq, fault, .. } in jobs.iter_mut() {
+        // The closure borrows the sequence, so a caught panic leaves it owned and intact
+        // out here — only the step's partial cache mutation is lost, and the coordinator
+        // discards that cache anyway.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            act_injected_fault(fault.take());
+            seq.begin_step(model, scratch, rec)
+        }));
+        let (outcome, join) = match caught {
+            Ok((result, join)) => (Some(result), join),
+            Err(_) => (None, false),
+        };
+        outcomes.push(outcome);
+        joins.push(join);
+    }
+    let mut batch: Vec<&mut Sequence> =
+        jobs.iter_mut().zip(&joins).filter_map(|(job, &join)| join.then_some(&mut job.seq)).collect();
+    if batch.is_empty() {
+        return BatchReply { jobs, outcomes, decode: Duration::ZERO };
+    }
+    let span = rec.span(Category::Worker, "decode_batch", "seqs", batch.len() as u64);
+    let t0 = Instant::now();
+    let completed = catch_unwind(AssertUnwindSafe(|| decode_batch(model, &mut batch, scratch))).is_ok();
+    let decode = if completed { t0.elapsed() } else { Duration::ZERO };
+    drop(span);
+    for (outcome, _) in outcomes.iter_mut().zip(&joins).filter(|(_, &join)| join) {
+        *outcome = outcome.filter(|_| completed).map(|result| StepResult { tpot: decode, ..result });
+    }
+    BatchReply { jobs, outcomes, decode }
+}
+
+/// The batched half of a step: one [`TransformerModel::forward_batch_with_scratch`]
+/// over the pending token of every sequence in `seqs`, after which each sequence
+/// samples its next token from its own logits row with its own RNG.
+fn decode_batch(model: &TransformerModel, seqs: &mut [&mut Sequence], scratch: &mut PagedScratch) {
+    // An engine runs one backend, so one of the two calls finds no member.
+    decode_on(model, seqs, SeqCache::f32_mut, &mut ());
+    decode_on(model, seqs, SeqCache::paged_mut, scratch);
+}
+
+/// [`decode_batch`] over the members of `seqs` whose cache `cache_of` selects.
+fn decode_on<B: KvBackend>(
+    model: &TransformerModel,
+    seqs: &mut [&mut Sequence],
+    cache_of: fn(&mut SeqCache) -> Option<&mut B>,
+    scratch: &mut B::Scratch,
+) {
+    let mut members = Vec::with_capacity(seqs.len());
+    let mut segments = Vec::with_capacity(seqs.len());
+    for (i, seq) in seqs.iter_mut().enumerate() {
+        let Sequence { next, cache, .. } = &mut **seq;
+        if let Some(cache) = cache_of(cache) {
+            members.push(i);
+            segments.push((std::slice::from_ref(&*next), cache));
+        }
+    }
+    if segments.is_empty() {
+        return;
+    }
+    let logits = model.forward_batch_with_scratch(&mut segments, scratch);
+    drop(segments);
+    for (&i, row) in members.iter().zip(logits.iter_rows()) {
+        let seq = &mut *seqs[i];
+        seq.next = seq.sample(row);
+    }
+}
+
 /// Long-lived decode workers fed over channels: spawned **once per run** (not once per
 /// scheduler pass, as the earlier `std::thread::scope`-per-pass design did), each
-/// carrying one reusable [`PagedScratch`] for its whole lifetime. The coordinator moves
-/// sequences to workers by value through per-worker job channels and collects them back
-/// over per-worker result channels, so workers own what they step and nothing is
-/// borrowed across threads.
+/// carrying one reusable [`PagedScratch`] for its whole lifetime. Each pass the
+/// coordinator moves a worker's contiguous chunk of sequences to it by value as one
+/// job batch and collects them back as one [`BatchReply`] over a per-worker result
+/// channel, so workers own what they step and nothing is borrowed across threads.
 ///
-/// Every step runs under `catch_unwind`: a panicking step sends
-/// [`WorkerReply::Panicked`] (carrying the sequence back for rollback) instead of
-/// killing the thread, and the coordinator may [`WorkerPool::respawn`] any slot at a
-/// pass boundary — dropping that slot's job sender disconnects the old incarnation,
-/// which exits its loop and joins when the scope ends.
+/// Every chunk runs through [`step_batch`], whose `catch_unwind`s turn a panicking step
+/// into a `None` outcome (the sequence rides back for rollback) instead of killing the
+/// thread, and the coordinator may [`WorkerPool::respawn`] any slot at a pass boundary —
+/// dropping that slot's job sender disconnects the old incarnation, which exits its
+/// loop and joins when the scope ends.
 struct WorkerPool<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     model: &'env TransformerModel,
-    mode: DecodePath,
     telemetry: Arc<Telemetry>,
-    jobs: Vec<mpsc::Sender<Job>>,
+    jobs: Vec<mpsc::Sender<Vec<Job>>>,
     /// One result channel per worker: if a worker dies without replying, the
     /// coordinator's `recv` sees a disconnect instead of blocking forever on a shared
     /// channel held open by the surviving workers.
-    results: Vec<mpsc::Receiver<WorkerReply>>,
+    results: Vec<mpsc::Receiver<BatchReply>>,
 }
 
 impl<'scope, 'env> WorkerPool<'scope, 'env> {
     fn spawn(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         model: &'env TransformerModel,
-        mode: DecodePath,
         num_threads: usize,
         telemetry: &Arc<Telemetry>,
     ) -> WorkerPool<'scope, 'env> {
         let mut pool = WorkerPool {
             scope,
             model,
-            mode,
             telemetry: Arc::clone(telemetry),
             jobs: Vec::with_capacity(num_threads),
             results: Vec::with_capacity(num_threads),
@@ -1908,29 +2011,17 @@ impl<'scope, 'env> WorkerPool<'scope, 'env> {
     /// only after every in-flight reply has been collected, which the coordinator
     /// guarantees by respawning at pass boundaries.
     fn respawn(&mut self, worker: usize) {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let (job_tx, job_rx) = mpsc::channel::<Vec<Job>>();
         let (result_tx, result_rx) = mpsc::channel();
         let hub = Arc::clone(&self.telemetry);
         let model = self.model;
-        let mode = self.mode;
         self.scope.spawn(move || {
             let mut scratch = PagedScratch::default();
             // Worker lanes are 1-based; lane 0 is the coordinator. The shard merges
             // back into the hub when the recorder drops at loop exit.
             let mut rec = hub.recorder(worker as u32 + 1);
-            while let Ok(Job { index, mut seq, fault }) = job_rx.recv() {
-                // The closure borrows the sequence, so a caught panic leaves it owned
-                // and intact out here — only the step's partial cache mutation is lost,
-                // and the coordinator discards that cache anyway.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    act_injected_fault(fault);
-                    seq.step(model, mode, &mut scratch, &mut rec)
-                }));
-                let reply = match caught {
-                    Ok(result) => WorkerReply::Done(StepOutcome { index, seq, result }),
-                    Err(_) => WorkerReply::Panicked { index, seq },
-                };
-                if result_tx.send(reply).is_err() {
+            while let Ok(jobs) = job_rx.recv() {
+                if result_tx.send(step_batch(model, jobs, &mut scratch, &mut rec)).is_err() {
                     break;
                 }
             }
@@ -1992,8 +2083,9 @@ mod tests {
         let report = engine.run();
         assert_eq!(report.generated_tokens, 18);
         for (seq, p) in engine.sequences().iter().zip(prompts) {
-            // Interleaving sequences must not change any sequence's output: each cache is
-            // independent, so batched round-robin equals one-at-a-time generation.
+            // Batching sequences must not change any sequence's output: each cache is
+            // independent and a batched forward's rows are too, so batched decode
+            // equals one-at-a-time generation.
             assert_eq!(seq.generated, model.generate_greedy(p, 6), "sequence {}", seq.id);
             // prompt rows from prefill plus one appended row per decode; the budgeted
             // last token is sampled from the previous step's logits, not decoded itself.
@@ -2045,12 +2137,36 @@ mod tests {
         }
         let report = engine.run();
         assert_eq!(report.cache_materializations, 0);
-        // The clone-based mode, by contrast, materializes twice per layer per forward.
-        let mut legacy = ServingEngine::with_path(&model, DecodePath::SeedClone);
-        legacy.submit_with(&[1, 2], SubmitOptions::new(2));
-        let legacy_report = legacy.run();
-        assert!(legacy_report.cache_materializations > 0);
-        assert_eq!(legacy.sequences()[0].generated, engine.sequences()[0].generated[..2]);
+    }
+
+    #[test]
+    fn a_panic_inside_the_batched_forward_rolls_back_its_whole_batch() {
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        let prompts: [&[usize]; 3] = [&[1, 2, 3], &[7, 7], &[10, 20, 30, 40]];
+        // One thread steps all three sequences as one batch; two threads split them
+        // into chunks {0, 1} and {2}, so only sequence 1's batch-mate shares its fate.
+        for (threads, rolled_back) in [(1usize, vec![1, 1, 1]), (2, vec![1, 1, 0])] {
+            let mut engine = ServingEngine::paged(&model, 64).with_threads(threads);
+            for p in prompts {
+                engine.submit_with(p, SubmitOptions::new(6));
+            }
+            // Pass 0 prefills every sequence. Then a pending token outside the vocabulary
+            // trips the embedding's assert inside the next pass's shared forward: a
+            // genuine panic, not an injected one.
+            engine.run_for(1);
+            engine.sequences[1].next = model.config().vocab;
+            let report = engine.run();
+            assert_eq!(report.retries, rolled_back.iter().sum::<usize>(), "{threads} threads");
+            assert_eq!(report.worker_restarts, usize::from(threads > 1), "{threads} threads");
+            let attempts: Vec<usize> = engine.sequences().iter().map(Sequence::attempts).collect();
+            assert_eq!(attempts, rolled_back, "{threads} threads");
+            for (seq, p) in engine.sequences().iter().zip(prompts) {
+                assert_eq!(seq.generated, model.generate_greedy(p, 6), "{threads} threads: sequence {}", seq.id);
+            }
+            let pool = engine.pool().unwrap();
+            assert_eq!(pool.in_use_pages(), 0);
+            assert_eq!(pool.reserved_pages(), 0);
+        }
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!   `Rc<RefCell<..>>`-style sharing can creep back into the public API.
 
 use mx_llm::{
-    Category, DecodePath, DrainReport, Event, EventKind, FaultKind, FaultPlan, FinishReason, Histogram, KvCache,
-    LatencySummary, LayerKvCache, ModelConfig, ModelQuantConfig, MonotonicClock, PagePool, PagedKvCache,
-    PagedLayerReader, PagedScratch, PagingError, QuantileSummary, RecoveryPolicy, Sampling, Sequence, ServingEngine,
-    ServingReport, SharedPrefix, SpilledKv, SubmitOptions, Telemetry, TelemetryConfig, TestClock, Trace,
-    TransformerModel,
+    Category, DrainReport, Event, EventKind, FaultKind, FaultPlan, FinishReason, Histogram, KvCache, LatencySummary,
+    LayerKvCache, ModelConfig, ModelQuantConfig, MonotonicClock, PagePool, PagedKvCache, PagedLayerReader,
+    PagedScratch, PagingError, QuantileSummary, RecoveryPolicy, Sampling, Sequence, ServingEngine, ServingReport,
+    SharedPrefix, SpilledKv, SubmitOptions, Telemetry, TelemetryConfig, TestClock, Trace, TransformerModel,
 };
 
 fn model() -> TransformerModel {
@@ -113,24 +112,6 @@ fn paged_parallel_decode_is_token_identical_at_256_tokens() {
     assert_eq!(sequential, parallel, "paged backend diverges between 1 and 4 threads");
     for (stream, p) in sequential.iter().zip(prompts) {
         assert_eq!(stream, &model.generate_greedy(p, 64), "paged stream diverges from solo generation");
-    }
-}
-
-/// The SeedClone decode path (the pre-refactor baseline) must also be steppable by the
-/// worker pool — its caches are plain owned state like everything else.
-#[test]
-fn seed_clone_path_runs_on_the_worker_pool() {
-    let model = model();
-    let mut parallel = ServingEngine::with_path(&model, DecodePath::SeedClone).with_threads(4);
-    let mut sequential = ServingEngine::with_path(&model, DecodePath::SeedClone).with_threads(1);
-    for engine in [&mut parallel, &mut sequential] {
-        engine.submit_with(&[4, 4, 2], SubmitOptions::new(16));
-        engine.submit_with(&[11, 3], SubmitOptions::new(16));
-    }
-    parallel.run();
-    sequential.run();
-    for (a, b) in parallel.sequences().iter().zip(sequential.sequences()) {
-        assert_eq!(a.generated, b.generated, "SeedClone diverges between thread counts");
     }
 }
 

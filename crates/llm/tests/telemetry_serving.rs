@@ -8,7 +8,8 @@
 //!   schedule, it never perturbs it;
 //! * under a fixed [`TestClock`] a single-threaded run renders byte-identical Chrome
 //!   trace JSON across repeats;
-//! * [`ServingReport::worker_decode_steps`] accounts every scheduler step.
+//! * [`ServingReport::worker_decode_steps`] accounts every scheduler step, and the
+//!   `decode_batch` spans account every token that ran a decode forward.
 
 use std::sync::Arc;
 
@@ -125,5 +126,26 @@ fn worker_decode_steps_account_every_scheduler_step() {
         // add more on top.
         assert!(total >= report.generated_tokens, "{total} steps < {} tokens", report.generated_tokens);
         assert!(report.worker_decode_steps.iter().any(|&s| s > 0));
+    }
+}
+
+#[test]
+fn decode_batch_spans_account_every_decoded_token() {
+    for threads in [1, 2] {
+        let (report, trace, _) = run_traced(threads, TelemetryConfig::On);
+        let trace = trace.expect("telemetry was enabled");
+        // One decode_batch span per batched forward, carrying its sequence count; every
+        // token of a batch records the batch's forward time as its TPOT sample.
+        let batched: u64 = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Begin && e.cat == Category::Worker && e.name == "decode_batch")
+            .map(|e| e.arg)
+            .sum();
+        assert_eq!(batched, report.latency.tpot.count, "{threads} threads");
+        assert!(
+            !trace.events().iter().any(|e| e.name == "decode_step"),
+            "per-sequence decode spans are gone at {threads} threads"
+        );
     }
 }

@@ -68,7 +68,7 @@ pub struct Event {
     pub kind: EventKind,
     /// Taxonomy grouping (the trace's `cat`).
     pub cat: Category,
-    /// Event name (e.g. `"prefill"`, `"decode_step"`, `"in_use_pages"`).
+    /// Event name (e.g. `"prefill"`, `"decode_batch"`, `"in_use_pages"`).
     pub name: &'static str,
     /// Key under which `arg` renders in the trace's `args` object.
     pub arg_name: &'static str,

@@ -2,9 +2,8 @@
 //!
 //! 1. *Analytic*: the GPU model's estimated prefill/decode times and end-to-end speedups
 //!    of MX and MX+ configurations over BF16, as in the paper's Figures 11-13.
-//! 2. *Measured*: the real batched serving engine (`mxplus::llm::ServingEngine`) decoding
-//!    on the zero-copy path, reporting decode tokens/sec and KV-cache bytes per scheme,
-//!    plus the speedup of the zero-copy engine over the seed's clone-based decode path.
+//! 2. *Measured*: the real batched serving engine (`mxplus::llm::ServingEngine`),
+//!    reporting decode tokens/sec and KV-cache bytes per scheme.
 //!
 //! Run with: `cargo run --release --example serving_performance`
 
@@ -12,7 +11,6 @@ use mxplus::formats::QuantScheme;
 use mxplus::gpu::gemm::GemmConfig;
 use mxplus::gpu::inference::{InferenceModel, InferenceWorkload, PerfModelConfig};
 use mxplus::gpu::GpuSpec;
-use mxplus::llm::model::DecodePath;
 use mxplus::llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 
 fn measured_serving() {
@@ -48,24 +46,6 @@ fn measured_serving() {
             report.cache_materializations
         );
     }
-
-    // Head-to-head: the zero-copy engine vs the seed's clone-based decode path.
-    let model = TransformerModel::new(cfg, ModelQuantConfig::a_mxfp4_plus());
-    let mut fast = ServingEngine::new(&model);
-    let mut seed = ServingEngine::with_path(&model, DecodePath::SeedClone);
-    for engine in [&mut fast, &mut seed] {
-        engine.submit_with(&[1, 2, 3, 4, 5, 6, 7, 8], SubmitOptions::new(16));
-    }
-    let fast_report = fast.run();
-    let seed_report = seed.run();
-    assert_eq!(fast.sequences()[0].generated, seed.sequences()[0].generated, "paths must agree bit for bit");
-    println!(
-        "\nZero-copy engine vs seed clone-based decode (A-MXFP4+, 16 tokens): {:.0} vs {:.0} tok/s ({:.1}x)",
-        fast_report.decode_tokens_per_sec,
-        seed_report.decode_tokens_per_sec,
-        fast_report.decode_tokens_per_sec / seed_report.decode_tokens_per_sec
-    );
-    println!("Seed path materialized the KV cache {} times for those 16 tokens.", seed_report.cache_materializations);
 }
 
 fn main() {
