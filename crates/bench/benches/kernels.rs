@@ -1,6 +1,6 @@
 //! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the
-//! scalar reference at each packed bit width, the fused packed-row attention decode
-//! vs the forced-scalar materializing pipeline, and the panel GEMM over the `llama2_7b`
+//! scalar reference at each packed bit width, the paged attention decode (page decoders
+//! and the tiled walk) vs the forced-scalar pipeline, and the panel GEMM over the `llama2_7b`
 //! toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run, which keeps the
 //! row-major `f32` weights and `matmul`.
 //!
@@ -35,7 +35,7 @@ fn sample_codes(bits: u32) -> Vec<u8> {
     (0..CODES).map(|i| ((i * 2_654_435_761) >> 7) as u8 & mask).collect()
 }
 
-/// The fused-attention bench model. `forced` casts its weights under forced scalar
+/// The paged-attention bench model. `forced` casts its weights under forced scalar
 /// kernels, as a forced-scalar run does, so the reference arm multiplies row-major `f32`
 /// weights with `matmul`.
 fn bench_model(forced: bool) -> TransformerModel {
@@ -88,12 +88,12 @@ fn paged_run(model: &TransformerModel) -> (Vec<Vec<usize>>, usize) {
 
 fn fused_attention(c: &mut Criterion) {
     let (model, reference_model) = (bench_model(false), bench_model(true));
-    // The fused path must be a pure optimization: identical tokens with or without it.
+    // The page kernels must be a pure optimization: identical tokens with or without them.
     let fused = paged_run(&model);
     force_scalar(true);
     let reference = paged_run(&reference_model);
     force_scalar(false);
-    assert_eq!(fused.0, reference.0, "fused attention must not change any token");
+    assert_eq!(fused.0, reference.0, "the page kernels must not change any token");
 
     let mut group = c.benchmark_group("fused_attention");
     group.sample_size(10);
@@ -294,7 +294,7 @@ fn quantizer_entries(entries: &mut Vec<String>) {
 }
 
 /// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
-/// scalar, codes/sec), the fused-vs-materializing paged decode (tokens/sec), the
+/// scalar, codes/sec), the paged decode vs its forced-scalar pipeline (tokens/sec), the
 /// MXFP4+ block quantizer (elements/sec) and the panel GEMM (GFLOP/s).
 fn kernels_snapshot() -> String {
     let mut entries = Vec::new();

@@ -13,22 +13,25 @@
 //! including partial tail bytes. The scalar reference itself stays available two ways:
 //! programmatically via [`force_scalar`], or for a whole process via the
 //! `MX_FORCE_SCALAR_KERNELS` environment variable (any non-empty value other than `0`).
-//! Forcing scalar also disables the fused packed-row attention walk
-//! ([`crate::layout::RowCodec::walk_row_blocks`] returns `false`) and sends every MX/MX+
-//! conversion to the scalar `minifloat` codecs instead of the fast block quantizer, so
-//! one switch yields the full reference execution path end to end.
+//! Forcing scalar also routes the page decoders
+//! ([`crate::layout::RowCodec::unpack_rows_into`] and its transposed twin) through the
+//! scalar row codecs and sends every MX/MX+ conversion to the scalar `minifloat` codecs
+//! instead of the fast block quantizer, so one switch yields the full reference execution
+//! path end to end.
 //!
 //! The module also hosts the per-element-type decode lookup tables used by the block
-//! decoder and the fused attention kernel: a code is at most 8 bits, so each decoder is
-//! a pure function on 256 inputs and tabulates exactly — the table path is bit-identical
-//! to calling the decoder, just without re-deriving sign/exponent/mantissa per element.
-//! On top of them sits the one 4-bit decoder, [`decode4_into`], whose AVX2 lookup
-//! ([`avx2::Decode4`]) also decodes `mx_tensor`'s 4-bit weight panels in registers.
+//! and page decoders: a code is at most 8 bits, so each decoder is a pure function on 256
+//! inputs and tabulates exactly — the table path is bit-identical to calling the decoder,
+//! just without re-deriving sign/exponent/mantissa per element. On top of them sits the
+//! one 4-bit lookup, [`avx2::Decode4`]: it serves [`decode4_into`], the AVX2 page decoders
+//! of 4-bit MX/MX+ rows (`decode4_rows`, `decode4_rows_transposed`) and `mx_tensor`'s
+//! 4-bit weight panels.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::element::ElementType;
+use crate::layout::PackedRows;
 use crate::minifloat;
 
 /// Which implementation serves [`pack_codes_into`]/[`unpack_codes_into`] calls.
@@ -75,9 +78,9 @@ pub fn force_scalar(enabled: bool) {
 }
 
 /// Whether the scalar reference path is currently forced (via [`force_scalar`] or the
-/// `MX_FORCE_SCALAR_KERNELS` environment variable). The fused packed-row attention walk
-/// checks this and reports itself unavailable, and the block quantizer takes the scalar
-/// reference codecs, so forcing scalar exercises the complete reference pipeline.
+/// `MX_FORCE_SCALAR_KERNELS` environment variable). The page decoders then loop the
+/// scalar row codecs and the block quantizer takes the scalar reference codecs, so
+/// forcing scalar exercises the complete reference pipeline.
 #[must_use]
 pub fn scalar_forced() -> bool {
     active_backend() == KernelBackend::Scalar
@@ -664,12 +667,11 @@ pub fn bm_decode_table(element: ElementType) -> &'static [f32; 256] {
 /// out (code `i` in the low nibble of byte `i / 2` when `i` is even, the high nibble when
 /// odd), through a [`decode_table`]: `out[i] = table[code_i] * scale`.
 ///
-/// This is the one 4-bit decoder. The packed-row reads (`RowCodec::unpack_row_into` and
-/// the fused attention walk) call it, and the lookup it runs on under AVX2,
-/// [`avx2::Decode4`], also decodes the 4-bit weight panels of `mx_tensor`'s panel GEMM:
-/// two 8-lane permutes over the table's 16 entries plus a blend per 8 codes. Other
-/// backends, and the last `out.len() % 8` codes, index the table one code at a time.
-/// Both give the same bits.
+/// This is the one 4-bit block decoder. `RowCodec::unpack_row_into` calls it, and the
+/// lookup it runs on under AVX2, [`avx2::Decode4`], also serves the page decoders and
+/// the 4-bit weight panels of `mx_tensor`'s panel GEMM: two 8-lane permutes over the
+/// table's 16 entries plus a blend per 8 codes. Other backends, and the last
+/// `out.len() % 8` codes, index the table one code at a time. Both give the same bits.
 ///
 /// # Panics
 ///
@@ -692,6 +694,73 @@ pub fn decode4_into(packed: &[u8], table: &[f32; 256], scale: f32, out: &mut [f3
     }
 }
 
+/// The block layout of a codec's 4-bit MX/MX+ rows and their decode tables: what the
+/// page decoders need to know beyond the rows themselves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Blocks4 {
+    /// Elements per block (the last block of a row may be shorter).
+    block: usize,
+    /// Whether each block's scale byte is followed by an MX+ BM-index byte.
+    plus: bool,
+    /// [`decode_table`] of the element type.
+    table: &'static [f32; 256],
+    /// [`bm_decode_table`] of the element type.
+    bm_table: &'static [f32; 256],
+}
+
+impl Blocks4 {
+    /// The layout of `element` codes (4 bits wide) in blocks of `block` elements.
+    pub(crate) fn new(element: ElementType, block: usize, plus: bool) -> Self {
+        debug_assert!(element.bits() == 4 && block > 0);
+        Blocks4 { block, plus, table: decode_table(element), bm_table: bm_decode_table(element) }
+    }
+
+    /// Header bytes in front of each block's codes: the scale, then the MX+ BM index.
+    fn header(self) -> usize {
+        1 + usize::from(self.plus)
+    }
+}
+
+/// Code `i` of a block of 4-bit codes packed two per byte.
+fn code4(codes: &[u8], i: usize) -> usize {
+    usize::from((codes[i / 2] >> (4 * (i % 2))) & 0x0f)
+}
+
+/// Decodes a run of 4-bit MX/MX+ rows into `out` row-major (`out[r * len + e]`) with the
+/// AVX2 page kernel, bit-identically to unpacking each row. Returns `false`, writing
+/// nothing, when the active backend is not AVX2. The caller checks that `out` holds
+/// exactly `rows × len` values and that `rows.bytes` holds every row.
+pub(crate) fn decode4_rows(rows: PackedRows<'_>, blocks: Blocks4, out: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if active_backend() == KernelBackend::Avx2 {
+        // SAFETY: the Avx2 backend is only selected after `is_x86_feature_detected!("avx2")`
+        // succeeded in `detect()`.
+        unsafe { avx2::decode4_rows(rows, blocks, out) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (rows, blocks, out);
+    false
+}
+
+/// Decodes a run of 4-bit MX/MX+ rows into `out` element-major, positions in lanes
+/// (`out[e * lanes + r]`), with the AVX2 page kernel, bit-identically to unpacking each
+/// row. Returns `false`, writing nothing, when the active backend is not AVX2. The caller
+/// checks that `rows.rows <= lanes`, that `out` reaches lane `rows - 1` of element
+/// `len - 1`, and that `rows.bytes` holds every row.
+pub(crate) fn decode4_rows_transposed(rows: PackedRows<'_>, blocks: Blocks4, out: &mut [f32], lanes: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if active_backend() == KernelBackend::Avx2 && i32::try_from(rows.bytes.len()).is_ok() {
+        // SAFETY: the Avx2 backend is only selected after `is_x86_feature_detected!("avx2")`
+        // succeeded in `detect()`.
+        unsafe { avx2::decode4_rows_transposed(rows, blocks, out, lanes) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (rows, blocks, out, lanes);
+    false
+}
+
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     //! The AVX2 4-bit table lookup behind [`decode4_into`](super::decode4_into), public
@@ -700,6 +769,10 @@ pub mod avx2 {
     //! "avx2")]` function); anywhere else the caller must check for AVX2 first.
 
     use std::arch::x86_64::*;
+
+    use super::{code4, Blocks4};
+    use crate::layout::PackedRows;
+    use crate::scale::SharedScale;
 
     /// The first 16 entries of a decode table, held in two 8-lane registers.
     #[derive(Debug, Clone, Copy)]
@@ -735,9 +808,22 @@ pub mod avx2 {
         #[inline]
         #[must_use]
         pub fn decode8(self, word: u32) -> __m256 {
-            // Lane j holds code j in its low 4 bits (higher codes above it). The permutes
-            // read only bits 0-2; bit 3, shifted up to the sign bit, picks the half.
-            let codes = _mm256_srlv_epi32(_mm256_set1_epi32(word as i32), self.shifts);
+            // Lane j holds code j in its low 4 bits (higher codes above it).
+            self.lookup(_mm256_srlv_epi32(_mm256_set1_epi32(word as i32), self.shifts))
+        }
+
+        /// Decodes one code per lane: lane `j` is `table[codes_j & 15]`, bit for bit. Bits
+        /// above each lane's low nibble are ignored.
+        ///
+        /// # Safety
+        ///
+        /// As for [`Decode4::new`].
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        #[must_use]
+        pub(crate) fn lookup(self, codes: __m256i) -> __m256 {
+            // The permutes read only bits 0-2; bit 3, shifted up to the sign bit, picks
+            // the half.
             let lo = _mm256_permutevar8x32_ps(self.lo, codes);
             let hi = _mm256_permutevar8x32_ps(self.hi, codes);
             _mm256_blendv_ps(lo, hi, _mm256_castsi256_ps(_mm256_slli_epi32::<28>(codes)))
@@ -763,6 +849,135 @@ pub mod avx2 {
             done += 8;
         }
         done
+    }
+
+    /// The kernel of [`decode4_rows`](super::decode4_rows): row by row and block by block,
+    /// eight codes per lookup, with the tail codes and the MX+ block-max slot taken from
+    /// the tables one at a time — the operations of `RowCodec::unpack_row_into`, with
+    /// the lookup and tables set up once per run instead of once per block.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode4_rows(rows: PackedRows<'_>, blocks: Blocks4, out: &mut [f32]) {
+        let decode = Decode4::new(blocks.table);
+        let header = blocks.header();
+        for (r, out_row) in out.chunks_exact_mut(rows.len).take(rows.rows).enumerate() {
+            let row = &rows.bytes[r * rows.stride..];
+            let mut off = 0;
+            for out_block in out_row.chunks_mut(blocks.block) {
+                let n = out_block.len();
+                let codes = &row[off + header..off + header + n.div_ceil(2)];
+                let scale = SharedScale::from_bits(row[off]);
+                if scale.is_zero_block() {
+                    out_block.fill(0.0);
+                } else {
+                    let s = scale.value();
+                    let sv = _mm256_set1_ps(s);
+                    for (o, w) in out_block.chunks_exact_mut(8).zip(codes.chunks_exact(4)) {
+                        let v = _mm256_mul_ps(decode.decode8(u32::from_le_bytes([w[0], w[1], w[2], w[3]])), sv);
+                        // SAFETY: `o` is a chunk of exactly 8 `f32`s.
+                        unsafe { _mm256_storeu_ps(o.as_mut_ptr(), v) };
+                    }
+                    for (i, o) in out_block.iter_mut().enumerate().skip(n & !7) {
+                        *o = blocks.table[code4(codes, i)] * s;
+                    }
+                    // A BM index past a short tail block decodes as if absent.
+                    let bm = if blocks.plus { usize::from(row[off + 1]) } else { n };
+                    if bm < n {
+                        out_block[bm] = blocks.bm_table[code4(codes, bm)] * s;
+                    }
+                }
+                off += header + n.div_ceil(2);
+            }
+        }
+    }
+
+    /// The kernel of [`decode4_rows_transposed`](super::decode4_rows_transposed): eight rows
+    /// at a time, one per lane. Per block it gathers the eight rows' code words
+    /// (`_mm256_i32gather_epi32`), looks up one code per lane and multiplies by each
+    /// lane's own scale, so eight consecutive outputs hold one element of eight rows. An
+    /// all-zero block (scale byte 0) is masked to `+0.0` in its lane, a NaN scale makes
+    /// its lane NaN, and the tail codes and MX+ block-max slot of each lane are fixed up
+    /// from the tables, exactly as `RowCodec::unpack_row_into` decodes that row.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime, and `rows.bytes.len()` must
+    /// fit an `i32` (the gather offsets).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode4_rows_transposed(rows: PackedRows<'_>, blocks: Blocks4, out: &mut [f32], lanes: usize) {
+        let decode = Decode4::new(blocks.table);
+        let header = blocks.header();
+        let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for r0 in (0..rows.rows).step_by(8) {
+            let group = 8.min(rows.rows - r0);
+            // Lane j reads row r0 + j; lanes past the run re-read its last row and are
+            // never stored. The offsets grow with the lane and the last one is in
+            // bounds, so `row_at[7]` bounds every lane's reads below.
+            let last_at = (r0 + group - 1).checked_mul(rows.stride);
+            assert!(last_at.is_some_and(|at| at < rows.bytes.len()), "packed rows buffer too short");
+            let row_at: [usize; 8] = std::array::from_fn(|j| (r0 + j.min(group - 1)) * rows.stride);
+            let [a0, a1, a2, a3, a4, a5, a6, a7] = row_at.map(|at| at as i32);
+            let row_offsets = _mm256_setr_epi32(a0, a1, a2, a3, a4, a5, a6, a7);
+            let store_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(group as i32), lane_ids);
+            let (mut off, mut start) = (0, 0);
+            while start < rows.len {
+                let n = blocks.block.min(rows.len - start);
+                let nb = n.div_ceil(2);
+                let scales = row_at.map(|at| SharedScale::from_bits(rows.bytes[at + off]));
+                let [s0, s1, s2, s3, s4, s5, s6, s7] = scales.map(SharedScale::value);
+                let sv = _mm256_setr_ps(s0, s1, s2, s3, s4, s5, s6, s7);
+                let zero_block = _mm256_cmp_ps::<_CMP_EQ_OQ>(sv, _mm256_setzero_ps());
+                let codes_at = off + header;
+                for w in 0..n / 8 {
+                    let word_at = codes_at + 4 * w;
+                    assert!(row_at[7] + word_at + 4 <= rows.bytes.len(), "packed rows buffer too short");
+                    let index = _mm256_add_epi32(row_offsets, _mm256_set1_epi32(word_at as i32));
+                    // SAFETY: lane j reads the 4 bytes at `row_at[j] + word_at`, inside its
+                    // block's codes (`4w + 4 <= nb` as `w < n / 8`); the largest such offset
+                    // is `row_at[7]`'s, bounded by the assert above, and every offset fits an
+                    // `i32` because `rows.bytes.len()` does.
+                    let mut words = unsafe { _mm256_i32gather_epi32::<1>(rows.bytes.as_ptr().cast(), index) };
+                    for c in 0..8 {
+                        let v = _mm256_andnot_ps(zero_block, _mm256_mul_ps(decode.lookup(words), sv));
+                        store_lanes(out, (start + 8 * w + c) * lanes + r0, group, store_mask, v);
+                        words = _mm256_srli_epi32::<4>(words);
+                    }
+                }
+                for (j, (&at, scale)) in row_at.iter().zip(scales).enumerate().take(group) {
+                    let codes = &rows.bytes[at + codes_at..at + codes_at + nb];
+                    let s = scale.value();
+                    for i in n & !7..n {
+                        out[(start + i) * lanes + r0 + j] =
+                            if scale.is_zero_block() { 0.0 } else { blocks.table[code4(codes, i)] * s };
+                    }
+                    let bm = if blocks.plus { usize::from(rows.bytes[at + off + 1]) } else { n };
+                    if bm < n && !scale.is_zero_block() {
+                        out[(start + bm) * lanes + r0 + j] = blocks.bm_table[code4(codes, bm)] * s;
+                    }
+                }
+                off += header + nb;
+                start += n;
+            }
+        }
+    }
+
+    /// Stores the first `group` lanes of `v` at `out[at..at + group]` (`mask` enables
+    /// exactly those lanes).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store_lanes(out: &mut [f32], at: usize, group: usize, mask: __m256i, v: __m256) {
+        assert!(at + group <= out.len(), "transposed rows buffer too short");
+        if group == 8 {
+            // SAFETY: the assert above bounds all 8 lanes.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(at), v) };
+        } else {
+            // SAFETY: the assert above bounds the `group` lanes `mask` enables; a masked
+            // store does not access disabled lanes.
+            unsafe { _mm256_maskstore_ps(out.as_mut_ptr().add(at), mask, v) };
+        }
     }
 }
 

@@ -300,77 +300,103 @@ impl RowCodec {
         }
     }
 
-    /// Walks a packed row of `len` elements block by block, handing each block's
-    /// dequantized values to `visit(block_start, values)` from a register/stack buffer —
-    /// the read primitive behind fused packed-row attention: consumers reduce each block
-    /// on the spot (e.g. fold query·key products into per-head accumulators) and the full
-    /// `f32` row is never materialized.
+    /// Decodes a run of packed rows — one page's keys or values, say — into `out`
+    /// row-major: element `e` of row `r` lands in `out[r * rows.len + e]`. Bit-identical
+    /// to [`RowCodec::unpack_row_into`] on each row.
     ///
-    /// The values passed to `visit` are bit-identical to the corresponding slice of
-    /// [`RowCodec::unpack_row_into`]'s output, in ascending block order. Returns `false`
-    /// *without calling `visit`* when the row must take the materializing scratch path
-    /// instead: scalar kernels are forced (see [`crate::kernels::force_scalar`]) or the
-    /// codec's block size exceeds [`MAX_FUSED_BLOCK`](crate::kernels::MAX_FUSED_BLOCK).
+    /// On the AVX2 backend, 4-bit MX/MX+ rows go through one page kernel that sets up
+    /// the code lookup and tables once per call rather than once per block; every other
+    /// codec, bit width or backend (forced scalar included) loops
+    /// [`RowCodec::unpack_row_into`].
     ///
     /// # Panics
     ///
-    /// Panics if `packed.len() != self.packed_bytes(len)`.
-    pub fn walk_row_blocks<F: FnMut(usize, &[f32])>(&self, packed: &[u8], len: usize, mut visit: F) -> bool {
-        assert_eq!(packed.len(), self.packed_bytes(len), "packed row buffer size mismatch");
-        if kernels::scalar_forced() {
-            return false;
+    /// Panics if `out.len() != rows.rows * rows.len` or `rows.bytes` does not hold every
+    /// row.
+    pub fn unpack_rows_into(&self, rows: PackedRows<'_>, out: &mut [f32]) {
+        assert_eq!(out.len(), rows.rows * rows.len, "unpacked rows buffer size mismatch");
+        let row_bytes = self.checked_row_bytes(rows);
+        if out.is_empty() {
+            return;
         }
-        let mut values = [0.0f32; MAX_FUSED_BLOCK];
-        match self {
-            RowCodec::Mx(f) => {
-                if f.block_size > MAX_FUSED_BLOCK || f.block_size == 0 {
-                    return false;
-                }
-                let bits = f.element.bits();
-                let mut off = 0;
-                let mut start = 0;
-                while start < len {
-                    let n = f.block_size.min(len - start);
-                    let scale = SharedScale::from_bits(packed[off]);
-                    let nb = kernels::packed_len(n, bits);
-                    decode_block(f.element, scale, &packed[off + 1..off + 1 + nb], None, &mut values[..n]);
-                    visit(start, &values[..n]);
-                    off += 1 + nb;
-                    start += n;
-                }
-            }
-            RowCodec::MxPlus(f) => {
-                if f.block_size > MAX_FUSED_BLOCK || f.block_size == 0 {
-                    return false;
-                }
-                let bits = f.element.bits();
-                let mut off = 0;
-                let mut start = 0;
-                while start < len {
-                    let n = f.block_size.min(len - start);
-                    let scale = SharedScale::from_bits(packed[off]);
-                    let bm = usize::from(packed[off + 1]);
-                    let nb = kernels::packed_len(n, bits);
-                    decode_block(f.element, scale, &packed[off + 2..off + 2 + nb], Some(bm), &mut values[..n]);
-                    visit(start, &values[..n]);
-                    off += 2 + nb;
-                    start += n;
-                }
-            }
-            RowCodec::Dequantized(_) => {
-                let mut start = 0;
-                while start < len {
-                    let n = MAX_FUSED_BLOCK.min(len - start);
-                    for (o, bytes) in values[..n].iter_mut().zip(packed[4 * start..].chunks_exact(4)) {
-                        *o = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-                    }
-                    visit(start, &values[..n]);
-                    start += n;
-                }
-            }
+        if self.blocks4().is_some_and(|blocks| kernels::decode4_rows(rows, blocks, out)) {
+            return;
         }
-        true
+        for (r, out_row) in out.chunks_exact_mut(rows.len).enumerate() {
+            self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], out_row);
+        }
     }
+
+    /// Decodes a run of packed rows into `out` element-major with the rows in lanes:
+    /// element `e` of row `r` lands in `out[e * lanes + r]`, so one element of every row
+    /// sits in consecutive slots (a key tile whose lanes are positions). Slots of lanes
+    /// `rows.rows..lanes` are left untouched. Bit-identical to
+    /// [`RowCodec::unpack_row_into`] on each row.
+    ///
+    /// On the AVX2 backend, 4-bit MX/MX+ rows go through a page kernel that decodes eight
+    /// rows per vector, gathering their code words; every other codec, bit width or
+    /// backend (forced scalar included) loops [`RowCodec::unpack_row_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.rows > lanes`, if `out` is shorter than
+    /// `(rows.len - 1) * lanes + rows.rows` (for a non-empty run), or if `rows.bytes`
+    /// does not hold every row.
+    pub fn unpack_rows_transposed_into(&self, rows: PackedRows<'_>, out: &mut [f32], lanes: usize) {
+        assert!(rows.rows <= lanes, "more rows than lanes");
+        let row_bytes = self.checked_row_bytes(rows);
+        if rows.rows == 0 || rows.len == 0 {
+            return;
+        }
+        assert!(out.len() >= (rows.len - 1) * lanes + rows.rows, "transposed rows buffer too short");
+        if self.blocks4().is_some_and(|blocks| kernels::decode4_rows_transposed(rows, blocks, out, lanes)) {
+            return;
+        }
+        let mut row = vec![0.0f32; rows.len];
+        for r in 0..rows.rows {
+            self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], &mut row);
+            for (e, &v) in row.iter().enumerate() {
+                out[e * lanes + r] = v;
+            }
+        }
+    }
+
+    /// Bytes of one row of the run, after checking that `rows.bytes` holds them all.
+    fn checked_row_bytes(&self, rows: PackedRows<'_>) -> usize {
+        let row_bytes = self.packed_bytes(rows.len);
+        let needed = rows.rows.saturating_sub(1).checked_mul(rows.stride).and_then(|last| last.checked_add(row_bytes));
+        assert!(
+            rows.rows == 0 || needed.is_some_and(|needed| rows.bytes.len() >= needed),
+            "packed rows buffer too short"
+        );
+        row_bytes
+    }
+
+    /// The block layout of this codec's rows when the 4-bit page kernels can decode them.
+    fn blocks4(&self) -> Option<kernels::Blocks4> {
+        let (element, block, plus) = match *self {
+            RowCodec::Mx(f) => (f.element, f.block_size, false),
+            RowCodec::MxPlus(f) => (f.element, f.block_size, true),
+            RowCodec::Dequantized(_) => return None,
+        };
+        (element.bits() == 4 && block > 0).then(|| kernels::Blocks4::new(element, block, plus))
+    }
+}
+
+/// A run of packed rows of one length laid out at a fixed stride: row `r` is the
+/// [`RowCodec::packed_bytes`]`(len)` bytes at `bytes[r * stride..]`. One page's keys are
+/// such a run — one row per position slot, `stride` the slot size — and so are its
+/// values.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedRows<'a> {
+    /// The packed bytes, starting at row 0.
+    pub bytes: &'a [u8],
+    /// Bytes from the start of one row to the start of the next.
+    pub stride: usize,
+    /// Number of rows.
+    pub rows: usize,
+    /// Elements per row.
+    pub len: usize,
 }
 
 /// Quantizes each `block_size` block of `values` through the fast block quantizer and
@@ -563,58 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn walk_row_blocks_is_bit_identical_to_unpack() {
-        for scheme in [
-            QuantScheme::mxfp4(),
-            QuantScheme::mxfp6(),
-            QuantScheme::mxfp8(),
-            QuantScheme::mxint4(),
-            QuantScheme::mxint8(),
-            QuantScheme::mxfp4_plus(),
-            QuantScheme::mxfp6_plus(),
-            QuantScheme::mxfp8_plus(),
-            QuantScheme::Fp32,
-            QuantScheme::Bf16,
-        ] {
-            for len in [1usize, 31, 32, 33, 64, 100, 130] {
-                let row = sample_row(len);
-                let codec = RowCodec::for_scheme(scheme);
-                let mut packed = vec![0u8; codec.packed_bytes(len)];
-                codec.pack_row_into(&row, &mut packed);
-                let mut expected = vec![f32::NAN; len];
-                codec.unpack_row_into(&packed, &mut expected);
-                let mut walked = vec![f32::NAN; len];
-                let mut starts = Vec::new();
-                let fused = codec.walk_row_blocks(&packed, len, |start, vals| {
-                    starts.push(start);
-                    walked[start..start + vals.len()].copy_from_slice(vals);
-                });
-                assert!(fused, "{scheme} len {len} should take the fused walk");
-                let bits: Vec<u32> = walked.iter().map(|v| v.to_bits()).collect();
-                let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, expected_bits, "{scheme} len {len}");
-                assert_eq!(starts.first(), Some(&0), "{scheme} len {len}");
-                assert!(starts.windows(2).all(|w| w[0] < w[1]), "blocks must arrive in order");
-            }
-        }
-    }
-
-    #[test]
-    fn walk_row_blocks_declines_oversized_blocks() {
-        use crate::kernels::MAX_FUSED_BLOCK;
-        let scheme = QuantScheme::Mx(crate::mxfp::MxFormat::with_block_size(ElementType::E2M1, MAX_FUSED_BLOCK * 2));
-        let codec = RowCodec::for_scheme(scheme);
-        let len = MAX_FUSED_BLOCK * 2;
-        let row = sample_row(len);
-        let mut packed = vec![0u8; codec.packed_bytes(len)];
-        codec.pack_row_into(&row, &mut packed);
-        let mut called = false;
-        assert!(!codec.walk_row_blocks(&packed, len, |_, _| called = true));
-        assert!(!called);
-        // The materializing path still decodes such rows fine.
-        let mut out = vec![0.0f32; len];
-        codec.unpack_row_into(&packed, &mut out);
-        assert_eq!(out, scheme.quantize_dequantize(&row));
+    #[should_panic(expected = "packed rows buffer too short")]
+    fn page_decoders_reject_strides_past_the_buffer() {
+        // A stride whose row offsets overflow `usize` must be rejected, not wrapped into
+        // the buffer.
+        let codec = RowCodec::for_scheme(QuantScheme::mxfp4());
+        let packed = vec![0u8; 4 * codec.packed_bytes(32)];
+        let rows = PackedRows { bytes: &packed, stride: usize::MAX / 2 + 1, rows: 3, len: 32 };
+        codec.unpack_rows_transposed_into(rows, &mut [0.0; 32 * 16], 16);
     }
 
     #[test]

@@ -80,14 +80,16 @@ impl SharedScale {
 
     /// The scale factor as an `f32`: `2^exponent`, `0.0` for the zero-block code, NaN for
     /// the NaN code.
+    ///
+    /// The E8M0 byte of a normal scale is exactly the biased exponent field of the `f32`
+    /// `2^exponent` (bias 127 in both), so the byte shifted into that field *is* the scale:
+    /// no `powi`. Every block decode calls this.
     #[must_use]
     pub fn value(self) -> f32 {
-        if self.is_zero_block() {
-            0.0
-        } else if self.is_nan() {
-            f32::NAN
-        } else {
-            (2.0_f32).powi(i32::from(self.0) - E8M0_BIAS)
+        match self.0 {
+            0 => 0.0,
+            255 => f32::NAN,
+            bits => f32::from_bits(u32::from(bits) << 23),
         }
     }
 }
@@ -138,6 +140,18 @@ mod tests {
             assert_eq!(s.exponent(), Some(exp));
             assert_eq!(s.value(), (2.0_f32).powi(exp));
             assert_eq!(SharedScale::from_bits(s.to_bits()), s);
+        }
+    }
+
+    #[test]
+    fn value_equals_the_powi_expression_for_every_byte() {
+        for bits in 0..=255u8 {
+            let expected = match bits {
+                0 => 0.0_f32,
+                255 => f32::NAN,
+                b => (2.0_f32).powi(i32::from(b) - E8M0_BIAS),
+            };
+            assert_eq!(SharedScale::from_bits(bits).value().to_bits(), expected.to_bits(), "byte {bits}");
         }
     }
 

@@ -21,8 +21,9 @@
 //! while [`PagedKvCache`](crate::paging::PagedKvCache) stores rows genuinely bit-packed
 //! in pool-allocated pages — exclusively owned, or refcounted-shared with other
 //! sequences under prefix sharing (reads never care which; writes copy-on-write). Both
-//! backends feed the attention loop through a per-layer [`KvLayerReader`], so the
-//! zero-materialization invariant is backend-independent.
+//! backends feed attention through a per-layer [`KvLayerReader`], which serves cached
+//! positions a tile of [`TILE_POSITIONS`] at a time, so the zero-materialization
+//! invariant is backend-independent.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -312,46 +313,82 @@ impl KvCache {
     }
 }
 
-/// Row-level read access to one layer of a KV cache during attention.
+/// Positions per attention tile: a key tile holds this many positions side by side, one
+/// per SIMD lane of the q·k fold, and the model walks query rows in blocks of one such
+/// tile (one default page).
+pub const TILE_POSITIONS: usize = 16;
+
+/// Read access to one layer of a KV cache during attention, by row and by tile.
 ///
 /// The reader owns whatever per-read state the backend needs: the `f32` backend returns
 /// borrowed slices straight into its contiguous row storage (zero work per read), while
 /// the paged backend decodes the requested packed row into a reusable dequant scratch
-/// buffer and returns that. Either way the returned slice is only guaranteed until the
-/// next read, which is exactly the access pattern of the zero-copy attention loop
-/// (each row is consumed before the next is requested).
+/// buffer and returns that. Either way a returned row is only guaranteed until the next
+/// read.
+///
+/// Attention reads tiles: [`KvLayerReader::key_tile`] and
+/// [`KvLayerReader::value_tile`] copy up to [`TILE_POSITIONS`] positions into
+/// caller-owned buffers, so each cached row is read once per block of query rows rather
+/// than once per query row. Their provided implementations build the tiles from
+/// [`KvLayerReader::key_row`] / [`KvLayerReader::value_row`], so every backend serves
+/// tiles; a backend that can decode a run of rows in one call (the paged backend decodes
+/// each page's run straight from its packed bytes) overrides them. Either way a tile
+/// holds exactly the values the row reads return, bit for bit.
 pub trait KvLayerReader {
     /// The cached key row at position `t`.
     fn key_row(&mut self, t: usize) -> &[f32];
     /// The cached value row at position `t`.
     fn value_row(&mut self, t: usize) -> &[f32];
 
-    /// Fused query·key scores against the key row at position `t`, computed straight
-    /// from the backend's storage without materializing the row: for every query head
-    /// `h`, folds `q[h*head_dim + d] * key[kv(h)*head_dim + d]` into `dots[h]` term by
-    /// term (ascending `d`, GQA head mapping from `geom`), starting from `dots[h] = 0`.
+    /// The keys of positions `t0..t0 + n` as an element-major tile with positions in
+    /// lanes: element `e` of the key at position `t0 + j` lands in
+    /// `tile[e * TILE_POSITIONS + j]`. Lanes `n..TILE_POSITIONS` keep their contents.
     ///
-    /// Returns `false` when the backend has no fused path (the default); the caller then
-    /// reads [`KvLayerReader::key_row`] and reduces it in the materializing loop. When it
-    /// returns `true`, `dots` must be **bit-identical** to that materializing reduction —
-    /// same products, same accumulation order — so the two paths stay token-identical.
+    /// # Panics
+    ///
+    /// Panics if `n > TILE_POSITIONS`, a position is not cached, or `tile` is shorter
+    /// than `kv_dim * TILE_POSITIONS`.
+    fn key_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
+        assert!(n <= TILE_POSITIONS, "a key tile holds at most TILE_POSITIONS positions");
+        for j in 0..n {
+            for (e, &v) in self.key_row(t0 + j).iter().enumerate() {
+                tile[e * TILE_POSITIONS + j] = v;
+            }
+        }
+    }
+
+    /// The values of positions `t0..t0 + n`, row-major: element `e` of the value at
+    /// position `t0 + j` lands in `tile[j * kv_dim + e]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not cached or `tile` is shorter than `n * kv_dim`.
+    fn value_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
+        for j in 0..n {
+            let row = self.value_row(t0 + j);
+            tile[j * row.len()..(j + 1) * row.len()].copy_from_slice(row);
+        }
+    }
+
+    /// Retired per-position fused q·k read: no backend implements it and the model never
+    /// calls it, so it always returns `false` ("no fused path; read
+    /// [`KvLayerReader::key_row`] instead"). It keeps its signature only because the
+    /// serving benchmark's layer replay still calls it; ROADMAP item 1, which replaces
+    /// that replay with the engine's own phase profile, retires it.
     fn fused_key_dots(&mut self, _t: usize, _q: &[f32], _geom: AttnGeometry, _dots: &mut [f32]) -> bool {
         false
     }
 
-    /// Fused probs×V accumulation against the value row at position `t`: for every query
-    /// head `h` with `probs[h] != 0.0`, adds `probs[h] * value[kv(h)*head_dim + d]` into
-    /// `out[h*head_dim + d]` term by term (zero-prob heads are skipped exactly like the
-    /// materializing loop skips them).
-    ///
-    /// Returns `false` when the backend has no fused path (the default). When it returns
-    /// `true`, `out` must be bit-identical to the materializing accumulation.
+    /// Retired per-position fused probs×V read: always returns `false` ("read
+    /// [`KvLayerReader::value_row`] instead"). Kept for the serving benchmark's layer
+    /// replay, like [`KvLayerReader::fused_key_dots`].
     fn fused_value_accumulate(&mut self, _t: usize, _probs: &[f32], _geom: AttnGeometry, _out: &mut [f32]) -> bool {
         false
     }
 }
 
-/// Attention head geometry handed to the fused [`KvLayerReader`] fast paths.
+/// Attention head geometry of the retired [`KvLayerReader::fused_key_dots`] /
+/// [`KvLayerReader::fused_value_accumulate`] signatures.
 ///
 /// `heads` query heads of `head_dim` elements each read KV rows of
 /// `(heads / group) * head_dim` elements; query head `h` attends to KV head
@@ -385,8 +422,8 @@ pub trait KvBackend {
     /// the *caller* — in the threaded serving engine, by the worker thread — rather than
     /// the cache, so one scratch serves every sequence a worker steps and the caches
     /// themselves stay free of read-side mutable state. `()` for backends whose reads
-    /// borrow storage directly (the f32 [`KvCache`]); a buffer pair for the paged backend
-    /// ([`PagedScratch`](crate::paging::PagedScratch)).
+    /// borrow storage directly (the f32 [`KvCache`]); a row-buffer pair plus decode
+    /// counters for the paged backend ([`PagedScratch`](crate::paging::PagedScratch)).
     type Scratch: Default + Send + std::fmt::Debug;
 
     /// Number of layers.
@@ -398,7 +435,7 @@ pub trait KvBackend {
     /// Appends one position's key and value rows to `layer`, quantized with `scheme`.
     fn append(&mut self, layer: usize, key: &[f32], value: &[f32], scheme: QuantScheme);
 
-    /// A row reader over `layer`'s cached positions, decoding through `scratch`.
+    /// A row and tile reader over `layer`'s cached positions, decoding through `scratch`.
     fn layer_reader<'a>(&'a mut self, layer: usize, scratch: &'a mut Self::Scratch) -> Self::Layer<'a>;
 
     /// Full-tensor materializations served so far (0 on every hot path).

@@ -11,9 +11,15 @@
 //! ([`TransformerModel::forward_backend_with_scratch`] and friends) are its one-segment
 //! case.
 //!
-//! Attention reads cached keys/values through borrowed row slices or packed-row decodes
-//! ([`crate::kvcache::KvLayerReader`]) — zero full-cache copies per token — and runs its
-//! score/probability operands through reusable scratch buffers. The projections
+//! Attention walks each segment's query rows in blocks of [`TILE_POSITIONS`] and its
+//! cache a tile of [`TILE_POSITIONS`] positions at a time
+//! ([`crate::kvcache::KvLayerReader::key_tile`]): each K and V tile is read once per
+//! (segment, layer, row block) — on the paged backend, one page-decoder call per page
+//! run — and serves every row of the block and every head of a GQA group. The q·k fold
+//! keeps the tile's positions in SIMD lanes. Zero full-cache copies per token, and the
+//! score/probability scratch is bounded by one row block. RoPE rotates through a
+//! `(sin, cos)` table built once per forward from frequencies computed once per model.
+//! The projections
 //! multiply against weights that were direct-cast **once** at construction into
 //! [`WeightPanels`]: 4-bit code panels plus per-block scales under MXFP4/MXINT4 weights
 //! on the AVX2 backend, the row-major `f32` matrix otherwise. Every projection runs
@@ -25,7 +31,7 @@ use mx_tensor::{kernels, Matrix, WeightPanels};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
-use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader};
+use crate::kvcache::{KvBackend, KvCache, KvLayerReader, TILE_POSITIONS};
 use crate::quant_config::ModelQuantConfig;
 use crate::weights::ModelWeights;
 
@@ -81,6 +87,8 @@ pub struct TransformerModel {
     weights: ModelWeights,
     quant: ModelQuantConfig,
     cast: CastWeights,
+    /// The `head_dim / 2` rotary frequencies ([`kernels::rope_freqs`]); empty without RoPE.
+    rope_freqs: Vec<f32>,
 }
 
 impl TransformerModel {
@@ -96,7 +104,12 @@ impl TransformerModel {
     #[must_use]
     pub fn with_weights(config: ModelConfig, weights: ModelWeights, quant: ModelQuantConfig) -> Self {
         let cast = CastWeights::cast(&weights, &quant);
-        TransformerModel { config, weights, quant, cast }
+        let rope_freqs = if config.rope_theta > 0.0 {
+            kernels::rope_freqs(config.head_dim(), config.rope_theta)
+        } else {
+            Vec::new()
+        };
+        TransformerModel { config, weights, quant, cast, rope_freqs }
     }
 
     /// The model configuration.
@@ -215,12 +228,28 @@ impl TransformerModel {
             rows += tokens.len();
         }
         let mut x = self.embed(segments.iter().flat_map(|(tokens, _)| tokens.iter().copied()), rows);
+        let batch = BatchRows { rope: self.rope_table(&spans, rows), spans };
         let mut attn = AttnScratch::new(&self.config);
         for layer in 0..self.config.layers {
-            x = self.layer_forward(layer, &x, segments, &spans, scratch, &mut attn);
+            x = self.layer_forward(layer, &x, segments, &batch, scratch, &mut attn);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
         normed.quantize_rows(self.quant.lm_head.activations).matmul_panels(&self.cast.lm_head)
+    }
+
+    /// The RoPE table of one forward: row `r` holds the `(sin, cos)` of every rotary
+    /// frequency at stacked row `r`'s position. Every head of every layer rotates
+    /// through it.
+    fn rope_table(&self, spans: &[RowSpan], rows: usize) -> Vec<(f32, f32)> {
+        let half = self.rope_freqs.len();
+        let mut table = vec![(0.0, 0.0); rows * half];
+        for span in spans {
+            for (i, r) in span.rows().enumerate() {
+                let row = &mut table[r * half..(r + 1) * half];
+                kernels::rope_sin_cos_into(span.start_pos + i, &self.rope_freqs, row);
+            }
+        }
+        table
     }
 
     /// Token embeddings (vector op: BF16 precision like the baseline).
@@ -286,20 +315,28 @@ impl TransformerModel {
         out
     }
 
-    /// Zero-copy attention of one segment's query rows over that segment's cache: cached
-    /// keys/values are read row by row through a [`KvLayerReader`] (borrowed slices on
-    /// the `f32` backend, per-row packed decodes on the paged backend), the cache is
-    /// walked position-outer so every cached row is loaded once per query row (not once
-    /// per head), and the score/probability/query operands go through reusable scratch
-    /// buffers.
+    /// Zero-copy attention of one segment's query rows over that segment's cache, one
+    /// block of [`ROW_BLOCK`] query rows at a time, in three steps per block:
     ///
-    /// Backends with fused row kernels ([`KvLayerReader::fused_key_dots`] /
-    /// [`KvLayerReader::fused_value_accumulate`]) compute each position's per-head dot
-    /// products and value accumulation straight from their packed storage, block by block
-    /// in registers, so the full `f32` row is never materialized; backends without them
-    /// fall back to the materializing row reads below. Both routes are bit-identical:
-    /// every per-(head, position) dot product, softmax and accumulation runs in the same
-    /// order on the same values.
+    /// 1. **q·k.** For each tile of [`TILE_POSITIONS`] cached positions the block's rows
+    ///    see, read the key tile once ([`KvLayerReader::key_tile`]: positions in lanes)
+    ///    and fold every row's every head against it ([`fold_key_tile`]). Each lane adds
+    ///    `q[d]·k[d]` in ascending `d` from `0.0`, exactly the per-position fold
+    ///    [`kernels::dot_acc_seq`] computes.
+    /// 2. **Softmax**, then the block quantize of the probability operand, per (row,
+    ///    head) over that row's visible positions. Both need every score of the row
+    ///    first: the probabilities are block-quantized along positions, so an online
+    ///    softmax would change the bits.
+    /// 3. **probs×V.** For each tile, read the value tile once
+    ///    ([`KvLayerReader::value_tile`]) and accumulate it into every row's output in
+    ///    ascending position order per output element, skipping exact-zero
+    ///    probabilities.
+    ///
+    /// Every score, probability and output element therefore sees the same operations
+    /// in the same order as a per-position walk over [`KvLayerReader::key_row`] /
+    /// [`KvLayerReader::value_row`], so the tiled walk cannot change a token. An `M`-row
+    /// prefill reads each cached row at most `⌈M / ROW_BLOCK⌉` times per layer, not once
+    /// per query row, and the score scratch holds `ROW_BLOCK × heads × visible` values.
     fn attention_zero_copy<R: KvLayerReader>(
         &self,
         reader: &mut R,
@@ -309,60 +346,62 @@ impl TransformerModel {
         attn_out: &mut Matrix,
     ) {
         let cfg = &self.config;
-        let head_dim = cfg.head_dim();
-        let group = cfg.heads / cfg.kv_heads;
-        let geom = AttnGeometry { heads: cfg.heads, head_dim, group };
+        let (heads, head_dim) = (cfg.heads, cfg.head_dim());
+        let group = heads / cfg.kv_heads;
+        let (q_dim, kv_dim) = (heads * head_dim, cfg.kv_heads * head_dim);
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let AttnScratch { q: q_buf, dots, probs_t, scores, probs } = buf;
-        for (i, r) in span.rows().enumerate() {
-            let visible = span.start_pos + i + 1;
-            // Quantize the query row operand (it feeds a dot product against cached keys).
-            self.quant.linear.activations.quantize_dequantize_into(q.row(r), q_buf);
-            scores.resize(cfg.heads * visible, 0.0);
-            for t in 0..visible {
-                if reader.fused_key_dots(t, q_buf, geom, dots) {
-                    for (head, &dot) in dots.iter().enumerate() {
-                        scores[head * visible + t] = dot * scale;
+        let AttnScratch { q: q_buf, scores, probs, key_tile, value_tile } = buf;
+        for first in (0..span.len).step_by(ROW_BLOCK) {
+            let rows = ROW_BLOCK.min(span.len - first);
+            // Row `i` of the block sees positions `0..visible(i)`; the last row sees the
+            // most, `width`.
+            let visible = |i: usize| span.start_pos + first + i + 1;
+            let width = visible(rows - 1);
+            let tiles = || (0..width).step_by(TILE_POSITIONS).map(move |t0| (t0, TILE_POSITIONS.min(width - t0)));
+            // Quantize the query rows (each feeds dot products against cached keys).
+            for (i, q_row) in q_buf.chunks_exact_mut(q_dim).take(rows).enumerate() {
+                self.quant.linear.activations.quantize_dequantize_into(q.row(span.first + first + i), q_row);
+            }
+            scores.resize(rows * heads * width, 0.0);
+            for (t0, n) in tiles() {
+                reader.key_tile(t0, n, key_tile);
+                for i in (0..rows).filter(|&i| visible(i) > t0) {
+                    let lanes = TILE_POSITIONS.min(visible(i) - t0);
+                    for (h, q_head) in q_buf[i * q_dim..(i + 1) * q_dim].chunks_exact(head_dim).enumerate() {
+                        let keys = (h / group) * head_dim * TILE_POSITIONS;
+                        let dots = fold_key_tile(q_head, &key_tile[keys..keys + head_dim * TILE_POSITIONS]);
+                        let at = (i * heads + h) * width + t0;
+                        for (s, dot) in scores[at..at + lanes].iter_mut().zip(dots) {
+                            *s = dot * scale;
+                        }
                     }
-                    continue;
-                }
-                let key_row = reader.key_row(t);
-                for head in 0..cfg.heads {
-                    let qs = head * head_dim;
-                    let ks = (head / group) * head_dim;
-                    let dot: f32 =
-                        q_buf[qs..qs + head_dim].iter().zip(&key_row[ks..ks + head_dim]).map(|(a, b)| a * b).sum();
-                    scores[head * visible + t] = dot * scale;
                 }
             }
             // The probability operand of the probs x V matmul is also a dot-product
             // operand; quantize it with the activation scheme.
-            probs.resize(cfg.heads * visible, 0.0);
-            for head in 0..cfg.heads {
-                let s = &mut scores[head * visible..(head + 1) * visible];
-                kernels::softmax_inplace(s);
-                self.quant
-                    .attention_probs
-                    .quantize_dequantize_into(s, &mut probs[head * visible..(head + 1) * visible]);
+            probs.resize(rows * heads * width, 0.0);
+            for i in 0..rows {
+                for h in 0..heads {
+                    let at = (i * heads + h) * width;
+                    let s = &mut scores[at..at + visible(i)];
+                    kernels::softmax_inplace(s);
+                    self.quant.attention_probs.quantize_dequantize_into(s, &mut probs[at..at + visible(i)]);
+                }
             }
-            let out_row = attn_out.row_mut(r);
-            for t in 0..visible {
-                for (head, p) in probs_t.iter_mut().enumerate() {
-                    *p = probs[head * visible + t];
-                }
-                if reader.fused_value_accumulate(t, probs_t, geom, out_row) {
-                    continue;
-                }
-                let value_row = reader.value_row(t);
-                for head in 0..cfg.heads {
-                    let p = probs[head * visible + t];
-                    if p == 0.0 {
-                        continue;
-                    }
-                    let qs = head * head_dim;
-                    let ks = (head / group) * head_dim;
-                    for (o, &vv) in out_row[qs..qs + head_dim].iter_mut().zip(&value_row[ks..ks + head_dim]) {
-                        *o += p * vv;
+            for (t0, n) in tiles() {
+                reader.value_tile(t0, n, value_tile);
+                for i in (0..rows).filter(|&i| visible(i) > t0) {
+                    let lanes = TILE_POSITIONS.min(visible(i) - t0);
+                    let out_row = attn_out.row_mut(span.first + first + i);
+                    for (j, value) in value_tile.chunks_exact(kv_dim).take(lanes).enumerate() {
+                        for (h, out) in out_row.chunks_exact_mut(head_dim).enumerate() {
+                            let p = probs[(i * heads + h) * width + t0 + j];
+                            if p == 0.0 {
+                                continue;
+                            }
+                            let kv = (h / group) * head_dim;
+                            kernels::axpy_seq(out, p, &value[kv..kv + head_dim]);
+                        }
                     }
                 }
             }
@@ -382,22 +421,18 @@ impl TransformerModel {
     }
 
     /// Applies rotary embeddings in place to one segment's query/key rows, each at its
-    /// own cache position (vector op, baseline precision).
-    fn apply_rotary(&self, q: &mut Matrix, k: &mut Matrix, span: &RowSpan) {
-        let cfg = &self.config;
-        if cfg.rope_theta <= 0.0 {
+    /// own cache position, through the forward's RoPE table (vector op, baseline
+    /// precision).
+    fn apply_rotary(&self, q: &mut Matrix, k: &mut Matrix, span: &RowSpan, rope: &[(f32, f32)]) {
+        let half = self.rope_freqs.len();
+        if half == 0 {
             return;
         }
-        let head_dim = cfg.head_dim();
-        for (i, r) in span.rows().enumerate() {
-            let pos = span.start_pos + i;
-            for head in 0..cfg.heads {
-                let s = head * head_dim;
-                kernels::apply_rope(&mut q.row_mut(r)[s..s + head_dim], pos, cfg.rope_theta);
-            }
-            for kv_head in 0..cfg.kv_heads {
-                let s = kv_head * head_dim;
-                kernels::apply_rope(&mut k.row_mut(r)[s..s + head_dim], pos, cfg.rope_theta);
+        let head_dim = self.config.head_dim();
+        for r in span.rows() {
+            let sin_cos = &rope[r * half..(r + 1) * half];
+            for head in q.row_mut(r).chunks_exact_mut(head_dim).chain(k.row_mut(r).chunks_exact_mut(head_dim)) {
+                kernels::rope_rotate(head, sin_cos);
             }
         }
     }
@@ -412,7 +447,7 @@ impl TransformerModel {
         layer: usize,
         x: &Matrix,
         segments: &mut [(&[usize], &mut B)],
-        spans: &[RowSpan],
+        batch: &BatchRows,
         scratch: &mut B::Scratch,
         attn: &mut AttnScratch,
     ) -> Matrix {
@@ -429,13 +464,13 @@ impl TransformerModel {
             (a.matmul_panels(&cast.wq), a.matmul_panels(&cast.wk), a.matmul_panels(&cast.wv))
         };
         let mut attn_out = Matrix::zeros(x.rows(), cfg.heads * cfg.head_dim());
-        for ((_, cache), span) in segments.iter_mut().zip(spans) {
-            self.apply_rotary(&mut q, &mut k, span);
+        for ((_, cache), span) in segments.iter_mut().zip(&batch.spans) {
+            self.apply_rotary(&mut q, &mut k, span, &batch.rope);
             // Append the new keys/values to the cache (stored quantized).
             for r in span.rows() {
                 cache.append(layer, k.row(r), v.row(r), self.quant.kv_cache);
             }
-            // Attention per query position and head, causal over this segment's cache.
+            // Attention of this segment's rows, causal over its cache.
             let mut reader = cache.layer_reader(layer, scratch);
             self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out);
         }
@@ -501,25 +536,53 @@ impl RowSpan {
     }
 }
 
-/// Attention operands reused across every layer and segment of one forward call: the
-/// quantized query row, per-head dots and probabilities at one position, and the
-/// per-head score/probability rows (grown to the longest visible context).
+/// The rows of one batched forward: where each segment's rows sit in the stack, and the
+/// RoPE table of every row ([`TransformerModel::rope_table`]).
+struct BatchRows {
+    spans: Vec<RowSpan>,
+    rope: Vec<(f32, f32)>,
+}
+
+/// Query rows attended together: one page of positions ([`TILE_POSITIONS`]). A block
+/// reads each K/V tile once for all its rows, and bounds the score scratch at
+/// `ROW_BLOCK × heads × visible`.
+const ROW_BLOCK: usize = TILE_POSITIONS;
+
+/// q·k of one query head against a key tile, one position per lane: lane `j` folds
+/// `q[d] * keys[d * TILE_POSITIONS + j]` in ascending `d` from `0.0`, a multiply then an
+/// add — the operation sequence of [`kernels::dot_acc_seq`] — so every lane equals the
+/// per-position fold bit for bit. The lanes are independent accumulators, which is what
+/// lets an optimized build keep them in SIMD registers.
+fn fold_key_tile(q: &[f32], keys: &[f32]) -> [f32; TILE_POSITIONS] {
+    let mut acc = [0.0f32; TILE_POSITIONS];
+    for (&qd, k) in q.iter().zip(keys.chunks_exact(TILE_POSITIONS)) {
+        for (a, &kd) in acc.iter_mut().zip(k) {
+            *a += qd * kd;
+        }
+    }
+    acc
+}
+
+/// Attention operands reused across every layer and segment of one forward call: one
+/// row block's quantized query rows and its per-(row, head) score/probability rows
+/// (grown to the widest visible context), and one key and one value tile.
 struct AttnScratch {
     q: Vec<f32>,
-    dots: Vec<f32>,
-    probs_t: Vec<f32>,
     scores: Vec<f32>,
     probs: Vec<f32>,
+    key_tile: Vec<f32>,
+    value_tile: Vec<f32>,
 }
 
 impl AttnScratch {
     fn new(cfg: &ModelConfig) -> Self {
+        let kv_dim = cfg.kv_heads * cfg.head_dim();
         AttnScratch {
-            q: vec![0.0; cfg.heads * cfg.head_dim()],
-            dots: vec![0.0; cfg.heads],
-            probs_t: vec![0.0; cfg.heads],
+            q: vec![0.0; ROW_BLOCK * cfg.heads * cfg.head_dim()],
             scores: Vec::new(),
             probs: Vec::new(),
+            key_tile: vec![0.0; kv_dim * TILE_POSITIONS],
+            value_tile: vec![0.0; kv_dim * TILE_POSITIONS],
         }
     }
 }

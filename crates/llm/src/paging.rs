@@ -13,9 +13,11 @@
 //!   ([`PagePool::resident_bytes`]) is a **measured** number, not scheme math.
 //! * [`PagedKvCache`] — one sequence's cache: a per-layer page table mapping position
 //!   `t → (table[t / page_positions], t % page_positions)`. Appends quantize-and-pack
-//!   straight into the slot; reads decode one row at a time into a caller-provided
-//!   [`PagedScratch`] and serve it to the zero-copy attention loop through
-//!   [`KvLayerReader`], so no full-cache tensor is ever materialized.
+//!   straight into the slot. Attention reads tiles through [`KvLayerReader`]: each run
+//!   of a tile's positions that lies in one page is decoded by one
+//!   [`RowCodec`] page-decoder call straight from the page buffer into the caller's
+//!   tile, so no full-cache tensor is ever materialized. Single-row reads decode into a
+//!   caller-provided [`PagedScratch`].
 //!
 //! ## Ownership model: exclusive tail pages, refcounted shared pages
 //!
@@ -56,7 +58,7 @@
 //! behind their refcount, so concurrent readers need no locking either. The per-row
 //! dequant scratch lives in a [`PagedScratch`] owned by the *worker thread* rather than
 //! the cache, so a thread serving many resident sequences carries exactly one pair of
-//! scratch buffers.
+//! row buffers.
 //!
 //! Because [`mx_formats::RowCodec`] round-trips bit-for-bit with
 //! `QuantScheme::quantize_dequantize` — the exact values the f32 backend stores — a
@@ -68,10 +70,9 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use mx_formats::{QuantScheme, RowCodec};
+use mx_formats::{PackedRows, QuantScheme, RowCodec};
 
-use crate::kvcache::{AttnGeometry, KvBackend, KvLayerReader};
-use mx_tensor::kernels;
+use crate::kvcache::{KvBackend, KvLayerReader, TILE_POSITIONS};
 
 /// Default number of position slots per page (the paged-attention block size).
 pub const DEFAULT_PAGE_POSITIONS: usize = 16;
@@ -475,34 +476,37 @@ impl PagePool {
     }
 }
 
-/// Per-worker dequant scratch the paged backend's layer readers decode rows into.
+/// Per-worker read state of the paged backend's layer readers: the buffers single-row
+/// reads decode into, and counters of what every read decoded.
 ///
 /// Splitting the scratch out of [`PagedKvCache`] (where it used to live) is what lets a
 /// decode worker thread carry **one** pair of buffers across however many resident
 /// sequences it steps, instead of every cache owning its own; it is plain owned data, so
-/// each worker simply constructs its own (`PagedScratch::default()`).
+/// each worker simply constructs its own (`PagedScratch::default()`). Attention's tile
+/// reads decode straight into the caller's tiles and only count here.
 #[derive(Debug, Default)]
 pub struct PagedScratch {
     /// Reusable dequant scratch the layer readers decode key rows into.
     key: Vec<f32>,
     /// Reusable dequant scratch the layer readers decode value rows into.
     value: Vec<f32>,
-    /// Rows served through the fused packed-row fast path (decoded block-by-block in
-    /// registers, never landing in `key`/`value`).
-    fused_rows: usize,
-    /// Rows decoded into the `key`/`value` buffers (the materializing fallback path).
+    /// Rows decoded into key/value tiles (one page run per decoder call).
+    tile_rows: usize,
+    /// Rows decoded into the `key`/`value` buffers by single-row reads.
     scratch_rows: usize,
 }
 
 impl PagedScratch {
-    /// Rows served through the fused packed-row fast path since construction.
+    /// Rows decoded into attention tiles since construction, keys and values together.
+    /// A forward decodes each cached row once per block of query rows that sees it.
     #[must_use]
-    pub fn fused_rows(&self) -> usize {
-        self.fused_rows
+    pub fn tile_rows(&self) -> usize {
+        self.tile_rows
     }
 
-    /// Rows decoded into the f32 scratch buffers (the materializing path) since
-    /// construction. Zero when every read went through the fused kernels.
+    /// Rows decoded into the f32 scratch buffers by single-row reads
+    /// ([`KvLayerReader::key_row`] / [`KvLayerReader::value_row`]) since construction.
+    /// Zero after any number of forwards: attention reads only tiles.
     #[must_use]
     pub fn scratch_rows(&self) -> usize {
         self.scratch_rows
@@ -1027,9 +1031,10 @@ where
     );
 }
 
-/// Per-layer row reader of a [`PagedKvCache`]: resolves positions through the page table
-/// and decodes the packed slot into the worker's [`PagedScratch`] buffers. Never touches
-/// the pool lock — the pages it reads are exclusively owned by the cache it borrows.
+/// Per-layer reader of a [`PagedKvCache`]: resolves positions through the page table and
+/// decodes packed slots — single rows into the worker's [`PagedScratch`] buffers, tiles
+/// one page run at a time straight into the caller's buffer. Never touches the pool lock
+/// — the pages it reads are exclusively owned by the cache it borrows, or sealed.
 #[derive(Debug)]
 pub struct PagedLayerReader<'a> {
     table: &'a [PageRef],
@@ -1051,6 +1056,26 @@ fn packed_slot(table: &[PageRef], page_positions: usize, row_bytes: usize, len: 
     &table[t / page_positions].buf()[start..start + slot_bytes]
 }
 
+impl PagedLayerReader<'_> {
+    /// Calls `decode(run, j)` for each run of positions `t0..t0 + n` that lies in one
+    /// page, in ascending order: `run` holds the run's packed key rows (or value rows,
+    /// `values == true`) at the page's slot stride, and `j` is its first position's offset
+    /// from `t0`.
+    fn page_runs(&self, t0: usize, n: usize, values: bool, mut decode: impl FnMut(PackedRows<'_>, usize)) {
+        assert!(t0 + n <= self.len, "position out of bounds");
+        let slot_bytes = 2 * self.row_bytes;
+        let mut t = t0;
+        while t < t0 + n {
+            let slot = t % self.page_positions;
+            let rows = (self.page_positions - slot).min(t0 + n - t);
+            let start = slot * slot_bytes + if values { self.row_bytes } else { 0 };
+            let bytes = &self.table[t / self.page_positions].buf()[start..];
+            decode(PackedRows { bytes, stride: slot_bytes, rows, len: self.kv_dim }, t - t0);
+            t += rows;
+        }
+    }
+}
+
 impl KvLayerReader for PagedLayerReader<'_> {
     fn key_row(&mut self, t: usize) -> &[f32] {
         // Decode through the scratch buffer: one row lives at a time, nothing larger than
@@ -1068,80 +1093,19 @@ impl KvLayerReader for PagedLayerReader<'_> {
         &self.scratch.value
     }
 
-    fn fused_key_dots(&mut self, t: usize, q: &[f32], geom: AttnGeometry, dots: &mut [f32]) -> bool {
-        let slot = packed_slot(self.table, self.page_positions, self.row_bytes, self.len, t);
-        dots.fill(0.0);
-        let fused = self.codec.walk_row_blocks(&slot[..self.row_bytes], self.kv_dim, |start, vals| {
-            scatter_key_dots(q, geom, start, vals, dots);
+    fn key_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
+        assert!(n <= TILE_POSITIONS, "a key tile holds at most TILE_POSITIONS positions");
+        let codec = self.codec;
+        self.page_runs(t0, n, false, |run, j| codec.unpack_rows_transposed_into(run, &mut tile[j..], TILE_POSITIONS));
+        self.scratch.tile_rows += n;
+    }
+
+    fn value_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
+        let (codec, kv_dim) = (self.codec, self.kv_dim);
+        self.page_runs(t0, n, true, |run, j| {
+            codec.unpack_rows_into(run, &mut tile[j * kv_dim..(j + run.rows) * kv_dim]);
         });
-        if fused {
-            self.scratch.fused_rows += 1;
-        }
-        fused
-    }
-
-    fn fused_value_accumulate(&mut self, t: usize, probs: &[f32], geom: AttnGeometry, out: &mut [f32]) -> bool {
-        let slot = packed_slot(self.table, self.page_positions, self.row_bytes, self.len, t);
-        let fused = self.codec.walk_row_blocks(&slot[self.row_bytes..], self.kv_dim, |start, vals| {
-            scatter_value_accumulate(probs, geom, start, vals, out);
-        });
-        if fused {
-            self.scratch.fused_rows += 1;
-        }
-        fused
-    }
-}
-
-/// Folds one dequantized key-row block into the per-head dot accumulators.
-///
-/// Bit-exactness contract: blocks arrive in ascending element order and each run covers
-/// ascending `d` within its head, so every `dots[h]` sees exactly the term sequence the
-/// materializing loop's `zip(...).map(...).sum()` produces — same products, same order.
-fn scatter_key_dots(q: &[f32], geom: AttnGeometry, start: usize, vals: &[f32], dots: &mut [f32]) {
-    let mut j = 0usize;
-    while j < vals.len() {
-        let i = start + j;
-        let kv_head = i / geom.head_dim;
-        let d0 = i % geom.head_dim;
-        let run = (geom.head_dim - d0).min(vals.len() - j);
-        let block = &vals[j..j + run];
-        for g in 0..geom.group {
-            let h = kv_head * geom.group + g;
-            if h >= dots.len() {
-                break;
-            }
-            let qs = h * geom.head_dim + d0;
-            kernels::dot_acc_seq(&mut dots[h], &q[qs..qs + run], block);
-        }
-        j += run;
-    }
-}
-
-/// Adds one dequantized value-row block, weighted by the per-head probabilities, into the
-/// output row. Heads with probability exactly `0.0` are skipped, mirroring the
-/// materializing loop's sparse-softmax skip; element updates are independent, so only
-/// the per-position ordering (which the caller preserves) affects the bits.
-fn scatter_value_accumulate(probs: &[f32], geom: AttnGeometry, start: usize, vals: &[f32], out: &mut [f32]) {
-    let mut j = 0usize;
-    while j < vals.len() {
-        let i = start + j;
-        let kv_head = i / geom.head_dim;
-        let d0 = i % geom.head_dim;
-        let run = (geom.head_dim - d0).min(vals.len() - j);
-        let block = &vals[j..j + run];
-        for g in 0..geom.group {
-            let h = kv_head * geom.group + g;
-            if h >= probs.len() {
-                break;
-            }
-            let p = probs[h];
-            if p == 0.0 {
-                continue;
-            }
-            let os = h * geom.head_dim + d0;
-            kernels::axpy_seq(&mut out[os..os + run], p, block);
-        }
-        j += run;
+        self.scratch.tile_rows += n;
     }
 }
 

@@ -1,27 +1,29 @@
-//! Acceptance tests for the fused packed-row attention path: query·key dots and
-//! probability×value accumulation computed directly from packed MX rows must be
-//! **bit-identical** to the materialize-then-dot reference, at the reader level and
-//! end-to-end through the serving engine at 1, 2 and 4 threads. End to end, the fast
-//! block quantizer must also match the forced-scalar reference pipeline token for token.
+//! Acceptance tests for the page-tiled attention over the packed KV cache: tiles decoded
+//! a page run at a time must hold exactly the rows the per-position reads return, the
+//! tiled folds must equal the per-position materializing folds **bit for bit**, and the
+//! paged backend must stay token-identical to the f32 backend end to end through the
+//! serving engine at 1, 2 and 4 threads. End to end, the fast kernels must also match the
+//! forced-scalar reference pipeline token for token, and a prefill must decode each
+//! cached row once per block of query rows.
 //!
-//! Every test here serializes on one mutex: the forced-scalar switch is process-global,
-//! and the engagement assertions (`fused_rows > 0`) would race against a concurrently
-//! forced-scalar test otherwise.
+//! Every test that flips the process-global forced-scalar switch serializes on one
+//! mutex. The decode count does not depend on it.
 
 use std::sync::Mutex;
 
 use mx_formats::kernels::force_scalar;
 use mx_formats::layout::RowCodec;
 use mx_formats::QuantScheme;
-use mx_llm::kvcache::{AttnGeometry, KvBackend, KvLayerReader};
+use mx_llm::kvcache::{KvBackend, KvLayerReader, TILE_POSITIONS};
 use mx_llm::{
-    ModelConfig, ModelQuantConfig, PagePool, PagedKvCache, PagedScratch, ServingEngine, SubmitOptions, TransformerModel,
+    LayerKvCache, ModelConfig, ModelQuantConfig, PagePool, PagedKvCache, PagedScratch, ServingEngine, SubmitOptions,
+    TransformerModel,
 };
 
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
-/// GQA-shaped tiny model (4 query heads over 2 KV heads) so the fused scatter's
-/// head-group replication is exercised, not just the trivial `group == 1` layout.
+/// GQA-shaped tiny model (4 query heads over 2 KV heads) so the tiled fold's
+/// head-group mapping is exercised, not just the trivial `group == 1` layout.
 fn gqa_model() -> TransformerModel {
     gqa_model_with(ModelQuantConfig::a_mxfp4_plus())
 }
@@ -49,8 +51,8 @@ fn run_f32(model: &TransformerModel, threads: usize) -> Vec<Vec<usize>> {
     engine.sequences().iter().map(|s| s.generated.clone()).collect()
 }
 
-/// Fused paged attention is token-identical to the f32 zero-copy path at every
-/// thread count, and invariant across thread counts.
+/// Tiled attention over packed pages is token-identical to the same walk over the f32
+/// backend at every thread count, and invariant across thread counts.
 #[test]
 fn fused_paged_decode_matches_f32_at_1_2_and_4_threads() {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -64,8 +66,8 @@ fn fused_paged_decode_matches_f32_at_1_2_and_4_threads() {
 
 /// Forcing the scalar kernels changes no token: it selects the reference block
 /// quantizer for the weight cast (the reference model is built while forced), the
-/// activation and attention operands and the KV pack, and disables the fused block
-/// walk, routing attention through the materializing `key_row`/`value_row` reference.
+/// activation and attention operands and the KV pack, and routes every tile decode
+/// through the scalar row codecs instead of the page kernels.
 /// Beyond A-MXFP4+, uniform MXFP8+ and MXINT8+ pin the quantizer's E4M3-saturation and
 /// integer-rounding arms token for token.
 #[test]
@@ -97,86 +99,148 @@ fn sample_row(kv_dim: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Reader-level pin: the fused methods engage on the paged backend, produce exactly the
-/// same dots/accumulations as the materializing reference (same sequential fold order),
-/// and never decode a full row into the scratch buffers.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Reader-level pin of the tiled walk, on a GQA layout (4 query heads over 2 KV heads)
+/// with pages of 16 and of 5 positions (tiles then straddle pages), under MX, MX+, 6-bit
+/// and `Dequantized` rows, dispatched and forced scalar:
+/// - every key and value tile equals the per-position row reads, bit for bit, on the
+///   paged backend (page-decoder overrides) and the f32 backend (provided methods);
+/// - scores folded from key tiles with positions in lanes, and outputs accumulated from
+///   value tiles, equal the per-position materializing folds, bit for bit.
 #[test]
-fn fused_reader_is_bit_identical_and_never_materializes() {
+fn tiled_reader_is_bit_identical_to_row_reads() {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let scheme = QuantScheme::mxfp6();
-    let geom = AttnGeometry { heads: 4, head_dim: 8, group: 2 };
-    let kv_dim = (geom.heads / geom.group) * geom.head_dim;
-    let pool = PagePool::for_kv_rows(16, 4, RowCodec::for_scheme(scheme), kv_dim).shared();
-    let mut cache = PagedKvCache::new(&pool, 1, kv_dim, scheme, 16).unwrap();
-    let steps = 11;
-    for t in 0..steps {
-        KvBackend::append(&mut cache, 0, &sample_row(kv_dim, t), &sample_row(kv_dim, t + 500), scheme);
-    }
-    let q: Vec<f32> = sample_row(geom.heads * geom.head_dim, 9000);
-    let probs: Vec<f32> = (0..geom.heads).map(|h| 0.03 + 0.11 * h as f32).collect();
-
-    // Reference pass: materialize each row, then fold per head in ascending element
-    // order — the exact operation sequence the fused path promises to reproduce.
-    let mut ref_scratch = PagedScratch::default();
-    let mut ref_dots = vec![vec![0.0f32; geom.heads]; steps];
-    let mut ref_out = vec![0.0f32; geom.heads * geom.head_dim];
-    {
-        let mut reader = cache.layer_reader(0, &mut ref_scratch);
-        for (t, dots_row) in ref_dots.iter_mut().enumerate() {
-            let key = reader.key_row(t).to_vec();
-            for h in 0..geom.heads {
-                let kv = (h / geom.group) * geom.head_dim;
-                let mut acc = 0.0f32;
-                for d in 0..geom.head_dim {
-                    acc += q[h * geom.head_dim + d] * key[kv + d];
-                }
-                dots_row[h] = acc;
+    let (heads, group, head_dim) = (4usize, 2usize, 8usize);
+    let kv_dim = (heads / group) * head_dim;
+    let steps = 37;
+    for scheme in [QuantScheme::mxfp4(), QuantScheme::mxfp4_plus(), QuantScheme::mxfp6(), QuantScheme::Bf16] {
+        for page_positions in [16usize, 5] {
+            let pool = PagePool::for_kv_rows(64, page_positions, RowCodec::for_scheme(scheme), kv_dim).shared();
+            let mut paged = PagedKvCache::new(&pool, 1, kv_dim, scheme, steps).unwrap();
+            let mut flat = LayerKvCache::new(kv_dim);
+            for t in 0..steps {
+                let (k, v) = (sample_row(kv_dim, t), sample_row(kv_dim, t + 500));
+                KvBackend::append(&mut paged, 0, &k, &v, scheme);
+                flat.append(&k, &v, scheme);
             }
-            let value = reader.value_row(t).to_vec();
-            for h in 0..geom.heads {
-                let p = probs[h];
-                if p == 0.0 {
-                    continue;
+            let q = sample_row(heads * head_dim, 9000);
+            // Some exact-zero probabilities exercise the skip.
+            let probs: Vec<f32> =
+                (0..heads * steps).map(|i| if i % 7 == 3 { 0.0 } else { 0.01 + (i % 11) as f32 * 0.013 }).collect();
+            for forced in [false, true] {
+                force_scalar(forced);
+                let case = format!("{scheme} pages of {page_positions} forced {forced}");
+                // The per-position reference: row reads, then sequential folds.
+                let mut ref_scores = vec![0.0f32; heads * steps];
+                let mut ref_out = vec![0.0f32; heads * head_dim];
+                let mut ref_scratch = PagedScratch::default();
+                let mut reader = paged.layer_reader(0, &mut ref_scratch);
+                for t in 0..steps {
+                    let key = reader.key_row(t).to_vec();
+                    assert_eq!(bits(&key), bits(flat.key_row(t)), "{case}: key row {t}");
+                    for h in 0..heads {
+                        let kv = (h / group) * head_dim;
+                        let mut acc = 0.0f32;
+                        for d in 0..head_dim {
+                            acc += q[h * head_dim + d] * key[kv + d];
+                        }
+                        ref_scores[h * steps + t] = acc;
+                    }
+                    let value = reader.value_row(t).to_vec();
+                    for h in 0..heads {
+                        let p = probs[h * steps + t];
+                        if p == 0.0 {
+                            continue;
+                        }
+                        let kv = (h / group) * head_dim;
+                        for d in 0..head_dim {
+                            ref_out[h * head_dim + d] += p * value[kv + d];
+                        }
+                    }
                 }
-                let kv = (h / geom.group) * geom.head_dim;
-                for d in 0..geom.head_dim {
-                    ref_out[h * geom.head_dim + d] += p * value[kv + d];
+                assert_eq!(ref_scratch.scratch_rows(), 2 * steps, "{case}");
+                assert_eq!(ref_scratch.tile_rows(), 0, "{case}");
+
+                // The tiled walk, over both backends' tile reads.
+                let mut scratch = PagedScratch::default();
+                let mut paged_reader = paged.layer_reader(0, &mut scratch);
+                let mut flat_reader = &flat;
+                let mut scores = vec![0.0f32; heads * steps];
+                let mut out = vec![0.0f32; heads * head_dim];
+                let mut key_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
+                let mut value_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
+                let mut flat_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
+                for t0 in (0..steps).step_by(TILE_POSITIONS) {
+                    let n = TILE_POSITIONS.min(steps - t0);
+                    paged_reader.key_tile(t0, n, &mut key_tile);
+                    flat_reader.key_tile(t0, n, &mut flat_tile);
+                    for j in 0..n {
+                        let row: Vec<f32> = (0..kv_dim).map(|e| key_tile[e * TILE_POSITIONS + j]).collect();
+                        let flat_row: Vec<f32> = (0..kv_dim).map(|e| flat_tile[e * TILE_POSITIONS + j]).collect();
+                        assert_eq!(bits(&row), bits(flat.key_row(t0 + j)), "{case}: key tile position {}", t0 + j);
+                        assert_eq!(bits(&flat_row), bits(&row), "{case}: f32 key tile position {}", t0 + j);
+                    }
+                    for h in 0..heads {
+                        let kv = (h / group) * head_dim;
+                        let mut acc = [0.0f32; TILE_POSITIONS];
+                        for d in 0..head_dim {
+                            for (j, a) in acc.iter_mut().enumerate() {
+                                *a += q[h * head_dim + d] * key_tile[(kv + d) * TILE_POSITIONS + j];
+                            }
+                        }
+                        scores[h * steps + t0..h * steps + t0 + n].copy_from_slice(&acc[..n]);
+                    }
+                    paged_reader.value_tile(t0, n, &mut value_tile);
+                    flat_reader.value_tile(t0, n, &mut flat_tile);
+                    assert_eq!(
+                        bits(&flat_tile[..n * kv_dim]),
+                        bits(&value_tile[..n * kv_dim]),
+                        "{case}: value tile {t0}"
+                    );
+                    for (j, value) in value_tile.chunks_exact(kv_dim).take(n).enumerate() {
+                        assert_eq!(bits(value), bits(flat.value_row(t0 + j)), "{case}: value tile position {}", t0 + j);
+                        for h in 0..heads {
+                            let p = probs[h * steps + t0 + j];
+                            if p == 0.0 {
+                                continue;
+                            }
+                            let kv = (h / group) * head_dim;
+                            for d in 0..head_dim {
+                                out[h * head_dim + d] += p * value[kv + d];
+                            }
+                        }
+                    }
                 }
+                force_scalar(false);
+                assert_eq!(bits(&scores), bits(&ref_scores), "{case}: tiled scores diverge");
+                assert_eq!(bits(&out), bits(&ref_out), "{case}: tiled outputs diverge");
+                assert_eq!(scratch.tile_rows(), 2 * steps, "{case}");
+                assert_eq!(scratch.scratch_rows(), 0, "{case}: tile reads must not decode single rows");
             }
         }
     }
-    assert_eq!(ref_scratch.scratch_rows(), 2 * steps);
-    assert_eq!(ref_scratch.fused_rows(), 0);
+}
 
-    // Fused pass: same numbers, bit for bit, with zero scratch materializations.
+/// A 256-token prefill on the paged backend walks its query rows in blocks of 16 and
+/// reads each block's visible positions once, keys and values: block `b` reads
+/// `16 (b + 1)` rows of each, so a layer decodes `2 × 16 × (1 + … + 16) = 4,352` rows —
+/// against `2 × (1 + … + 256) = 65,792` for a walk that reads every visible row once per
+/// query row.
+#[test]
+fn prefill_decodes_each_cached_row_once_per_row_block() {
+    let model = gqa_model();
+    let cfg = model.config().clone();
+    let kv_dim = cfg.head_dim() * cfg.kv_heads;
+    let scheme = model.quant().kv_cache;
+    let prompt: Vec<usize> = (0..256).map(|i| (i * 7 + 3) % cfg.vocab).collect();
+    let pool = PagePool::for_kv_rows(cfg.layers * 16, 16, RowCodec::for_scheme(scheme), kv_dim).shared();
+    let mut cache = PagedKvCache::new(&pool, cfg.layers, kv_dim, scheme, prompt.len()).unwrap();
     let mut scratch = PagedScratch::default();
-    let mut out = vec![0.0f32; geom.heads * geom.head_dim];
-    {
-        let mut reader = cache.layer_reader(0, &mut scratch);
-        let mut dots = vec![0.0f32; geom.heads];
-        for (t, ref_row) in ref_dots.iter().enumerate() {
-            assert!(reader.fused_key_dots(t, &q, geom, &mut dots), "fused key path must engage");
-            let got: Vec<u32> = dots.iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> = ref_row.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "key dots diverge at position {t}");
-            assert!(reader.fused_value_accumulate(t, &probs, geom, &mut out), "fused value path must engage");
-        }
-    }
-    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-    let want: Vec<u32> = ref_out.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want, "value accumulation diverges");
-    assert_eq!(scratch.fused_rows(), 2 * steps);
-    assert_eq!(scratch.scratch_rows(), 0, "fused path must never materialize a row into scratch");
-
-    // Under forced-scalar kernels the fused walk declines, falling back to the
-    // reference — one switch flips the whole pipeline to reference mode.
-    force_scalar(true);
-    let mut forced_scratch = PagedScratch::default();
-    {
-        let mut reader = cache.layer_reader(0, &mut forced_scratch);
-        let mut dots = vec![0.0f32; geom.heads];
-        assert!(!reader.fused_key_dots(0, &q, geom, &mut dots), "forced scalar must disable the fused path");
-    }
-    force_scalar(false);
-    assert_eq!(forced_scratch.fused_rows(), 0);
+    let _ = model.forward_backend_with_scratch(&prompt, &mut cache, &mut scratch);
+    assert_eq!(scratch.tile_rows(), cfg.layers * 2 * 16 * 136);
+    assert_eq!(scratch.tile_rows(), cfg.layers * 4_352);
+    assert_eq!(scratch.scratch_rows(), 0);
 }

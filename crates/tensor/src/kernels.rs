@@ -7,13 +7,12 @@
 /// Folds `a[i] * b[i]` into `acc` one term at a time in index order, over
 /// `min(a.len(), b.len())` terms.
 ///
-/// This is the attention dot-product primitive shared by the materializing and the fused
-/// packed-row paths: because f32 addition is not associative, both paths must accumulate
-/// in the *same* order to stay token-identical, and this kernel pins that order — a
-/// sequential left fold, exactly what `iter().zip(b).map(|(x, y)| x * y).sum::<f32>()`
-/// computes. The fused path calls it once per dequantized block with a pre-seeded
-/// accumulator, which is arithmetically the same sequence of operations as one call over
-/// the whole row.
+/// This is the attention dot-product reference: because f32 addition is not
+/// associative, every q·k fold must accumulate in the *same* order to stay
+/// token-identical, and this kernel pins that order — a sequential left fold, exactly
+/// what `iter().zip(b).map(|(x, y)| x * y).sum::<f32>()` computes. The model's tiled fold
+/// runs this operation sequence in every lane; calling it over consecutive chunks with a
+/// carried accumulator is the same sequence as one call over the whole row.
 #[inline]
 pub fn dot_acc_seq(acc: &mut f32, a: &[f32], b: &[f32]) {
     for (x, y) in a.iter().zip(b) {
@@ -142,21 +141,52 @@ pub fn kl_divergence_logits(reference: &[f32], other: &[f32]) -> f64 {
         .max(0.0)
 }
 
-/// Rotary position embedding applied in place to a query/key head of even dimension.
+/// Rotary position embedding applied in place to a query/key head of even dimension:
+/// [`rope_freqs`], then [`rope_sin_cos_into`] at `position`, then [`rope_rotate`].
+///
+/// A model rotates many heads at each position, and every head at every position through
+/// the same frequencies, so it calls the three steps itself: frequencies once per model,
+/// one `(sin, cos)` row per position per forward, and a rotation per head. The bits are
+/// the same either way.
 ///
 /// # Panics
 ///
 /// Panics if `head.len()` is odd.
 pub fn apply_rope(head: &mut [f32], position: usize, theta: f32) {
     assert!(head.len().is_multiple_of(2), "RoPE head dimension must be even");
-    let half = head.len() / 2;
-    for i in 0..half {
-        let freq = theta.powf(-2.0 * i as f32 / head.len() as f32);
-        let angle = position as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let (a, b) = (head[i], head[i + half]);
-        head[i] = a * cos - b * sin;
-        head[i + half] = a * sin + b * cos;
+    let freqs = rope_freqs(head.len(), theta);
+    let mut sin_cos = vec![(0.0, 0.0); freqs.len()];
+    rope_sin_cos_into(position, &freqs, &mut sin_cos);
+    rope_rotate(head, &sin_cos);
+}
+
+/// The `head_dim / 2` rotary frequencies of a head: `theta^(-2i / head_dim)` for pair `i`.
+#[must_use]
+pub fn rope_freqs(head_dim: usize, theta: f32) -> Vec<f32> {
+    (0..head_dim / 2).map(|i| theta.powf(-2.0 * i as f32 / head_dim as f32)).collect()
+}
+
+/// One row of a RoPE table: `out[i]` is the `(sin, cos)` of `position * freqs[i]`.
+pub fn rope_sin_cos_into(position: usize, freqs: &[f32], out: &mut [(f32, f32)]) {
+    for (o, &freq) in out.iter_mut().zip(freqs) {
+        *o = (position as f32 * freq).sin_cos();
+    }
+}
+
+/// Rotates pair `(head[i], head[i + half])` of a head by the angle whose `(sin, cos)` is
+/// `sin_cos[i]`, for every pair.
+///
+/// # Panics
+///
+/// Panics if `head.len()` is odd or `sin_cos` holds fewer than `head.len() / 2` pairs.
+pub fn rope_rotate(head: &mut [f32], sin_cos: &[(f32, f32)]) {
+    assert!(head.len().is_multiple_of(2), "RoPE head dimension must be even");
+    let (lo, hi) = head.split_at_mut(head.len() / 2);
+    assert!(sin_cos.len() >= lo.len(), "RoPE table row shorter than half the head");
+    for ((a, b), &(sin, cos)) in lo.iter_mut().zip(hi).zip(sin_cos) {
+        let (x, y) = (*a, *b);
+        *a = x * cos - y * sin;
+        *b = x * sin + y * cos;
     }
 }
 
@@ -237,6 +267,43 @@ mod tests {
         // A bigger perturbation yields a bigger divergence.
         let c = [2.0_f32, -3.0, -1.0, 4.0];
         assert!(kl_divergence_logits(&a, &c) > kl);
+    }
+
+    /// The reference rotation: the frequency and `(sin, cos)` of every pair derived
+    /// inline, pair by pair.
+    fn rope_inline(head: &mut [f32], position: usize, theta: f32) {
+        let half = head.len() / 2;
+        for i in 0..half {
+            let freq = theta.powf(-2.0 * i as f32 / head.len() as f32);
+            let angle = position as f32 * freq;
+            let (sin, cos) = angle.sin_cos();
+            let (a, b) = (head[i], head[i + half]);
+            head[i] = a * cos - b * sin;
+            head[i + half] = a * sin + b * cos;
+        }
+    }
+
+    #[test]
+    fn rope_table_rotation_is_bit_identical_to_the_inline_rotation() {
+        for theta in [10_000.0_f32, 500_000.0] {
+            for head_dim in [8usize, 32, 64, 128] {
+                let freqs = rope_freqs(head_dim, theta);
+                let mut sin_cos = vec![(0.0, 0.0); head_dim / 2];
+                let base: Vec<f32> = (0..head_dim).map(|i| (i as f32 * 0.61 - 3.0).sin() * 2.5).collect();
+                for position in 0..2048 {
+                    rope_sin_cos_into(position, &freqs, &mut sin_cos);
+                    let mut want = base.clone();
+                    rope_inline(&mut want, position, theta);
+                    let mut table = base.clone();
+                    rope_rotate(&mut table, &sin_cos);
+                    let mut applied = base.clone();
+                    apply_rope(&mut applied, position, theta);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                    assert_eq!(bits(&table), bits(&want), "theta {theta} head_dim {head_dim} position {position}");
+                    assert_eq!(bits(&applied), bits(&want), "theta {theta} head_dim {head_dim} position {position}");
+                }
+            }
+        }
     }
 
     #[test]
