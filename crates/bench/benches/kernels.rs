@@ -1,6 +1,6 @@
 //! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the
-//! scalar reference at each packed bit width, the paged attention decode (page decoders
-//! and the tiled walk) vs the forced-scalar pipeline, and the panel GEMM over the `llama2_7b`
+//! scalar reference at each packed bit width, the paged attention decode (the fused 4-bit
+//! page kernels) vs the forced-scalar pipeline, and the panel GEMM over the `llama2_7b`
 //! toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run, which keeps the
 //! row-major `f32` weights and `matmul`.
 //!

@@ -301,13 +301,8 @@ impl RowCodec {
     }
 
     /// Decodes a run of packed rows — one page's keys or values, say — into `out`
-    /// row-major: element `e` of row `r` lands in `out[r * rows.len + e]`. Bit-identical
-    /// to [`RowCodec::unpack_row_into`] on each row.
-    ///
-    /// On the AVX2 backend, 4-bit MX/MX+ rows go through one page kernel that sets up
-    /// the code lookup and tables once per call rather than once per block; every other
-    /// codec, bit width or backend (forced scalar included) loops
-    /// [`RowCodec::unpack_row_into`].
+    /// row-major: element `e` of row `r` lands in `out[r * rows.len + e]`, exactly as
+    /// [`RowCodec::unpack_row_into`] decodes each row.
     ///
     /// # Panics
     ///
@@ -319,9 +314,6 @@ impl RowCodec {
         if out.is_empty() {
             return;
         }
-        if self.blocks4().is_some_and(|blocks| kernels::decode4_rows(rows, blocks, out)) {
-            return;
-        }
         for (r, out_row) in out.chunks_exact_mut(rows.len).enumerate() {
             self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], out_row);
         }
@@ -330,12 +322,8 @@ impl RowCodec {
     /// Decodes a run of packed rows into `out` element-major with the rows in lanes:
     /// element `e` of row `r` lands in `out[e * lanes + r]`, so one element of every row
     /// sits in consecutive slots (a key tile whose lanes are positions). Slots of lanes
-    /// `rows.rows..lanes` are left untouched. Bit-identical to
-    /// [`RowCodec::unpack_row_into`] on each row.
-    ///
-    /// On the AVX2 backend, 4-bit MX/MX+ rows go through a page kernel that decodes eight
-    /// rows per vector, gathering their code words; every other codec, bit width or
-    /// backend (forced scalar included) loops [`RowCodec::unpack_row_into`].
+    /// `rows.rows..lanes` are left untouched. Each row decodes exactly as
+    /// [`RowCodec::unpack_row_into`] decodes it.
     ///
     /// # Panics
     ///
@@ -349,9 +337,6 @@ impl RowCodec {
             return;
         }
         assert!(out.len() >= (rows.len - 1) * lanes + rows.rows, "transposed rows buffer too short");
-        if self.blocks4().is_some_and(|blocks| kernels::decode4_rows_transposed(rows, blocks, out, lanes)) {
-            return;
-        }
         let mut row = vec![0.0f32; rows.len];
         for r in 0..rows.rows {
             self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], &mut row);
@@ -359,6 +344,79 @@ impl RowCodec {
                 out[e * lanes + r] = v;
             }
         }
+    }
+
+    /// q·k of a block of query rows against a run of packed key rows, by the fused AVX2
+    /// page kernel, which decodes the 4-bit codes in registers straight into the fold.
+    /// `q` holds `q.len() / (geom.heads × geom.head_dim)` query rows of `geom.heads`
+    /// heads. For query row `i`, head `h` and run row `r`, the kernel sets
+    /// `dots[(i × geom.heads + h) × lanes + r]` to `q[(i × heads + h) × head_dim + d] ×
+    /// key_r[(h / group) × head_dim + d]` folded over `d` in ascending order from +0.0, a
+    /// multiply then an add, where `key_r` is row `r` as [`RowCodec::unpack_row_into`]
+    /// decodes it. That is bit for bit the fold over decoded rows. Other slots of `dots`
+    /// are left untouched.
+    ///
+    /// Returns `false`, writing nothing, unless the kernel takes the rows: 4-bit MX or
+    /// MX+ elements in blocks of a multiple of 8, a `head_dim` that is a multiple of 8,
+    /// and the AVX2 backend (so never under [`kernels::force_scalar`]). The caller then
+    /// decodes the rows and folds them itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom` does not describe rows of `rows.len` elements, if `rows.rows >
+    /// lanes`, if `q` is not whole query rows, if `dots` is too short for the slots
+    /// above, or if `rows.bytes` does not hold every row.
+    pub fn key_dots(
+        &self,
+        rows: PackedRows<'_>,
+        geom: AttnGeometry,
+        q: &[f32],
+        dots: &mut [f32],
+        lanes: usize,
+    ) -> bool {
+        let q_rows = geom.check(rows, q.len(), lanes);
+        let Some(blocks) = self.fused4(geom) else {
+            return false;
+        };
+        self.checked_row_bytes(rows);
+        assert!(geom.fits(q_rows, rows.rows, lanes, dots.len()), "dots buffer too short");
+        kernels::key_dots4(rows, blocks, geom, q, dots, lanes)
+    }
+
+    /// probs×V of a block of probability rows over a run of packed value rows, by the
+    /// fused AVX2 page kernel, which decodes the 4-bit codes in registers straight into
+    /// the sum. `out` holds `out.len() / (geom.heads × geom.head_dim)` output rows of
+    /// `geom.heads` heads. For each output row `i` and head `h`, and each run row `r` in
+    /// ascending order whose probability `p = probs[(i × geom.heads + h) × lanes + r]`
+    /// is not zero, the kernel adds `p × value_r[(h / group) × head_dim + e]` into
+    /// `out[(i × heads + h) × head_dim + e]`, a multiply then an add, where `value_r` is
+    /// row `r` as [`RowCodec::unpack_row_into`] decodes it. That is bit for bit the same
+    /// accumulation over decoded rows, as long as no element of `out` is −0.0 (as holds
+    /// for accumulators that start at +0.0).
+    ///
+    /// Returns `false`, writing nothing, unless the kernel takes the rows (see
+    /// [`RowCodec::key_dots`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom` does not describe rows of `rows.len` elements, if `rows.rows >
+    /// lanes`, if `out` is not whole output rows, if `probs` is too short for the slots
+    /// above, or if `rows.bytes` does not hold every row.
+    pub fn value_accumulate(
+        &self,
+        rows: PackedRows<'_>,
+        geom: AttnGeometry,
+        probs: &[f32],
+        lanes: usize,
+        out: &mut [f32],
+    ) -> bool {
+        let out_rows = geom.check(rows, out.len(), lanes);
+        let Some(blocks) = self.fused4(geom) else {
+            return false;
+        };
+        self.checked_row_bytes(rows);
+        assert!(geom.fits(out_rows, rows.rows, lanes, probs.len()), "probs buffer too short");
+        kernels::value_accumulate4(rows, blocks, geom, probs, lanes, out)
     }
 
     /// Bytes of one row of the run, after checking that `rows.bytes` holds them all.
@@ -372,14 +430,56 @@ impl RowCodec {
         row_bytes
     }
 
-    /// The block layout of this codec's rows when the 4-bit page kernels can decode them.
-    fn blocks4(&self) -> Option<kernels::Blocks4> {
+    /// The block layout of this codec's rows when the fused 4-bit attention kernels take
+    /// them under `geom`: 4-bit MX/MX+ elements with an integer lookup, blocks of a
+    /// multiple of 8 and heads of a multiple of 8, so every group of 8 elements lies in
+    /// one block and one head.
+    fn fused4(&self, geom: AttnGeometry) -> Option<kernels::Blocks4> {
         let (element, block, plus) = match *self {
             RowCodec::Mx(f) => (f.element, f.block_size, false),
             RowCodec::MxPlus(f) => (f.element, f.block_size, true),
             RowCodec::Dequantized(_) => return None,
         };
-        (element.bits() == 4 && block > 0).then(|| kernels::Blocks4::new(element, block, plus))
+        let takes = element.bits() == 4 && block > 0 && block.is_multiple_of(8) && geom.head_dim.is_multiple_of(8);
+        takes.then(|| kernels::Blocks4::new(element, block, plus)).flatten()
+    }
+}
+
+/// Attention head geometry over KV rows: `heads` query heads of `head_dim` elements each
+/// read KV rows of `(heads / group) * head_dim` elements, and query head `h` attends to
+/// KV head `h / group` (grouped-query attention; `group == 1` is classic multi-head).
+/// [`RowCodec::key_dots`] and [`RowCodec::value_accumulate`] take it, and so do the
+/// attention reads of `mx_llm`'s KV cache readers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttnGeometry {
+    /// Number of query heads.
+    pub heads: usize,
+    /// Elements per head.
+    pub head_dim: usize,
+    /// Query heads per KV head (GQA group size, ≥ 1).
+    pub group: usize,
+}
+
+impl AttnGeometry {
+    /// Checks that the geometry describes `rows` and a `rows.rows`-lane tile, and that
+    /// `len` values are whole query rows; returns how many.
+    fn check(self, rows: PackedRows<'_>, len: usize, lanes: usize) -> usize {
+        let row = self.heads * self.head_dim;
+        assert!(
+            self.group > 0
+                && self.heads.is_multiple_of(self.group)
+                && rows.len == self.heads / self.group * self.head_dim,
+            "attention geometry does not match the rows"
+        );
+        assert!(rows.rows <= lanes, "more rows than lanes");
+        assert!(row > 0 && len.is_multiple_of(row), "buffer is not whole query rows");
+        len / row
+    }
+
+    /// Whether a buffer of `len` values holds slot `(i × heads + h) × lanes + r` for every
+    /// query row `i < q_rows`, head `h` and run row `r < rows`.
+    fn fits(self, q_rows: usize, rows: usize, lanes: usize, len: usize) -> bool {
+        q_rows == 0 || rows == 0 || len >= (q_rows * self.heads - 1) * lanes + rows
     }
 }
 
@@ -418,7 +518,7 @@ fn pack_blocks(element: ElementType, block_size: usize, plus: bool, values: &[f3
 
 /// Bytes of a row of `len` elements split into `block_size` blocks, each paying
 /// `header_bytes` of header plus its byte-padded packed codes.
-fn row_block_bytes(len: usize, block_size: usize, bits: u32, header_bytes: usize) -> usize {
+pub(crate) fn row_block_bytes(len: usize, block_size: usize, bits: u32, header_bytes: usize) -> usize {
     let full = len / block_size;
     let tail = len % block_size;
     let mut bytes = full * (header_bytes + (block_size * bits as usize).div_ceil(8));

@@ -76,7 +76,7 @@ pub use bf16::Bf16;
 pub use block::{MxBlock, BLOCK_SIZE};
 pub use element::ElementType;
 pub use error::FormatError;
-pub use layout::{PackedRows, RowCodec};
+pub use layout::{AttnGeometry, PackedRows, RowCodec};
 pub use mxfp::MxFormat;
 pub use mxplus::MxPlusBlock;
 pub use quantize::QuantScheme;

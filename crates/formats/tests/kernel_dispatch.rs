@@ -4,8 +4,7 @@
 //! block sizes around the fused-kernel limit — the fast block quantizer against the
 //! reference codecs and the `RowCodec` round trip under both dispatch modes, on
 //! edge-case rows (raw bit patterns, grid points and midpoints, the MX+ flush boundary,
-//! values near `f32::MAX`), and the two page decoders against `unpack_row_into` on
-//! strided runs of rows with hostile block headers.
+//! values near `f32::MAX`).
 //!
 //! The forced-scalar cases flip a process-global switch, so everything that toggles it
 //! runs under one mutex; concurrently running tests see identical *outputs* either way
@@ -19,7 +18,7 @@ use mx_formats::kernels::{
     self, active_backend, force_scalar, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into,
     unpack_codes_into_scalar, KernelBackend, MAX_FUSED_BLOCK,
 };
-use mx_formats::layout::{PackedRows, RowCodec};
+use mx_formats::layout::RowCodec;
 use mx_formats::mxplus::MxPlusFormat;
 use mx_formats::scale::MIN_SHARED_EXP;
 use mx_formats::{ElementType, MxFormat, QuantScheme};
@@ -245,128 +244,6 @@ proptest! {
         prop_assert_eq!(&auto_unpacked, &auto_qdq, "packed round trip must equal fake quantization: {}", case);
         prop_assert_eq!(&forced_unpacked, &auto_qdq, "{}", case);
     }
-}
-
-/// The header offset (its scale byte, then the MX+ BM-index byte) and element count of
-/// every block of a packed row of `len` elements.
-fn block_headers(element: ElementType, block: usize, plus: bool, len: usize) -> Vec<(usize, usize)> {
-    let mut headers = Vec::new();
-    let (mut off, mut start) = (0, 0);
-    while start < len {
-        let n = block.min(len - start);
-        headers.push((off, n));
-        off += 1 + usize::from(plus) + packed_len(n, element.bits());
-        start += n;
-    }
-    headers
-}
-
-/// Element widths the page decoders see: 4-bit (the AVX2 kernels), 6-bit and 8-bit (the
-/// row-codec loop), as MX and MX+ with FP and INT elements.
-const PAGE_CASTS: [(ElementType, bool); 10] = [
-    (ElementType::E2M1, false),
-    (ElementType::E2M1, true),
-    (ElementType::Int4, false),
-    (ElementType::Int4, true),
-    (ElementType::E3M2, false),
-    (ElementType::E2M3, true),
-    (ElementType::E4M3, false),
-    (ElementType::E4M3, true),
-    (ElementType::Int8, false),
-    (ElementType::Int8, true),
-];
-
-/// Lanes of the transposed decode (the attention key tile's width).
-const LANES: usize = 16;
-
-/// A slot that no decoder may write.
-const UNTOUCHED: u32 = 0x7fa5_a5a5;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
-
-    #[test]
-    fn page_decoders_equal_unpack_row_into(
-        seed in 0u64..1_000_000,
-        cast_idx in 0usize..PAGE_CASTS.len(),
-        block in prop_oneof![Just(32usize), Just(16usize), Just(8usize), Just(MAX_FUSED_BLOCK + 1)],
-        len in prop_oneof![1usize..=9, 28usize..=40, 60usize..=72],
-        rows in 1usize..=16,
-        pad in 0usize..=9,
-        lane0 in 0usize..=15,
-        kind in 0usize..5,
-    ) {
-        let (element, plus) = PAGE_CASTS[cast_idx];
-        let scheme = if plus {
-            QuantScheme::MxPlus(MxPlusFormat { element, block_size: block })
-        } else {
-            QuantScheme::Mx(MxFormat::with_block_size(element, block))
-        };
-        let codec = RowCodec::for_scheme(scheme);
-        let row_bytes = codec.packed_bytes(len);
-        let stride = row_bytes + pad;
-        let lane0 = lane0.min(LANES - rows);
-        // A page run: each row packed at its slot, junk in the padding between slots,
-        // then hostile headers — all-zero blocks, NaN scales and BM indices at every
-        // slot and past a short tail block.
-        let mut noise = codes_for(8, (rows - 1) * stride + row_bytes, seed);
-        for r in 0..rows {
-            let row = edge_row(kind, element, block, len, seed.wrapping_add(r as u64 * 7919));
-            codec.pack_row_into(&row, &mut noise[r * stride..r * stride + row_bytes]);
-            for (b, &(off, n)) in block_headers(element, block, plus, len).iter().enumerate() {
-                let pick = (seed as usize).wrapping_add(r * 31 + b * 7) % 11;
-                let at = r * stride + off;
-                match pick {
-                    0 => noise[at] = 0,
-                    1 => noise[at] = 255,
-                    _ => {}
-                }
-                if plus && pick >= 5 {
-                    noise[at + 1] = ((seed as usize).wrapping_add(r * 13 + b) % (n + 3)) as u8;
-                }
-            }
-        }
-        let page = PackedRows { bytes: &noise, stride, rows, len };
-        let (auto, forced) = {
-            let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let auto = decode_page(codec, page, lane0);
-            force_scalar(true);
-            let forced = decode_page(codec, page, lane0);
-            force_scalar(false);
-            (auto, forced)
-        };
-        for (forced, (expected, row_major, tile)) in [(false, auto), (true, forced)] {
-            let case = format!("{scheme} block {block} len {len} rows {rows} pad {pad} lane0 {lane0} forced {forced}");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            prop_assert_eq!(bits(&row_major), bits(&expected), "row-major: {}", case);
-            for e in 0..len {
-                for lane in 0..LANES {
-                    let want = if (lane0..lane0 + rows).contains(&lane) {
-                        expected[(lane - lane0) * len + e].to_bits()
-                    } else {
-                        UNTOUCHED
-                    };
-                    prop_assert_eq!(tile[e * LANES + lane].to_bits(), want, "transposed e {} lane {}: {}", e, lane, case);
-                }
-            }
-        }
-    }
-}
-
-/// A page run decoded three ways: row by row with `unpack_row_into` (the reference),
-/// row-major with `unpack_rows_into`, and into a `LANES`-wide transposed tile at lane
-/// offset `lane0` with `unpack_rows_transposed_into` (every other slot `UNTOUCHED`).
-fn decode_page(codec: RowCodec, page: PackedRows<'_>, lane0: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let row_bytes = codec.packed_bytes(page.len);
-    let mut expected = vec![0.0f32; page.rows * page.len];
-    for (r, out) in expected.chunks_exact_mut(page.len).enumerate() {
-        codec.unpack_row_into(&page.bytes[r * page.stride..r * page.stride + row_bytes], out);
-    }
-    let mut row_major = vec![f32::from_bits(UNTOUCHED); page.rows * page.len];
-    codec.unpack_rows_into(page, &mut row_major);
-    let mut tile = vec![f32::from_bits(UNTOUCHED); page.len * LANES];
-    codec.unpack_rows_transposed_into(page, &mut tile[lane0..], LANES);
-    (expected, row_major, tile)
 }
 
 #[test]

@@ -21,14 +21,19 @@
 //! while [`PagedKvCache`](crate::paging::PagedKvCache) stores rows genuinely bit-packed
 //! in pool-allocated pages — exclusively owned, or refcounted-shared with other
 //! sequences under prefix sharing (reads never care which; writes copy-on-write). Both
-//! backends feed attention through a per-layer [`KvLayerReader`], which serves cached
-//! positions a tile of [`TILE_POSITIONS`] at a time, so the zero-materialization
-//! invariant is backend-independent.
+//! backends feed attention through a per-layer [`KvLayerReader`], which folds q·k and
+//! accumulates probs×V over a tile of [`TILE_POSITIONS`] cached positions at a time for
+//! a block of query rows ([`KvLayerReader::key_dots`] /
+//! [`KvLayerReader::value_accumulate`], shaped by an [`AttnGeometry`]), so the
+//! zero-materialization invariant is backend-independent. Their provided bodies decode
+//! the tile and fold it; the paged backend overrides them with fused page kernels that
+//! fold 4-bit codes straight from the page, bit for bit the same.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+pub use mx_formats::AttnGeometry;
 use mx_formats::QuantScheme;
-use mx_tensor::{Matrix, MatrixView};
+use mx_tensor::{kernels, Matrix, MatrixView};
 use serde::{Deserialize, Serialize};
 
 /// The KV cache of one attention layer: keys and values appended token by token.
@@ -326,14 +331,15 @@ pub const TILE_POSITIONS: usize = 16;
 /// buffer and returns that. Either way a returned row is only guaranteed until the next
 /// read.
 ///
-/// Attention reads tiles: [`KvLayerReader::key_tile`] and
-/// [`KvLayerReader::value_tile`] copy up to [`TILE_POSITIONS`] positions into
-/// caller-owned buffers, so each cached row is read once per block of query rows rather
-/// than once per query row. Their provided implementations build the tiles from
-/// [`KvLayerReader::key_row`] / [`KvLayerReader::value_row`], so every backend serves
-/// tiles; a backend that can decode a run of rows in one call (the paged backend decodes
-/// each page's run straight from its packed bytes) overrides them. Either way a tile
-/// holds exactly the values the row reads return, bit for bit.
+/// Attention reads tiles of up to [`TILE_POSITIONS`] positions for a block of up to
+/// [`TILE_POSITIONS`] query rows, through two methods: [`KvLayerReader::key_dots`]
+/// (q·k) and [`KvLayerReader::value_accumulate`] (probs×V). Their provided bodies copy
+/// the tile into a caller-owned buffer ([`KvLayerReader::key_tile`] /
+/// [`KvLayerReader::value_tile`], themselves built on [`KvLayerReader::key_row`] /
+/// [`KvLayerReader::value_row`]) and fold it, so every backend serves attention. A
+/// backend that can fold packed rows directly (the paged backend's fused 4-bit page
+/// kernels) overrides them. Either way every dot and every output element sees the same
+/// operations in the same order, bit for bit.
 pub trait KvLayerReader {
     /// The cached key row at position `t`.
     fn key_row(&mut self, t: usize) -> &[f32];
@@ -370,6 +376,50 @@ pub trait KvLayerReader {
         }
     }
 
+    /// q·k of a block of query rows against the keys of positions `t0..t0 + n`. `q`
+    /// holds whole query rows of `geom.heads × geom.head_dim` (already quantized). For
+    /// row `i`, head `h` and lane `j < n`, slot `(i * geom.heads + h) * TILE_POSITIONS +
+    /// j` of `dots` becomes `q·k` of that head against the key at `t0 + j`, folded from
+    /// +0.0 in ascending element order, a multiply then an add (the provided body's
+    /// `fold_key_tile`). `tile` is working memory of at least `kv_dim * TILE_POSITIONS`
+    /// values; what it holds afterwards is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > TILE_POSITIONS`, a position is not cached, or a buffer is too
+    /// short.
+    fn key_dots(&mut self, t0: usize, n: usize, q: &[f32], geom: AttnGeometry, tile: &mut [f32], dots: &mut [f32]) {
+        self.key_tile(t0, n, tile);
+        fold_key_tile(q, geom, tile, n, dots);
+    }
+
+    /// Adds probs×V over positions `t0..t0 + n` into a block of output rows. `out` holds
+    /// whole rows of `geom.heads × geom.head_dim`; for row `i` and head `h`, each lane
+    /// `j < n` in ascending order whose probability `p = probs[(i * geom.heads + h) *
+    /// TILE_POSITIONS + j]` is not zero adds `p × value` of that head's KV head at
+    /// `t0 + j` into the row's head slice, a multiply then an add per element
+    /// (the provided body's `accumulate_value_tile`). A lane a row cannot see holds probability 0, so the
+    /// zero skip also applies the causal mask. `tile` is working memory of at least
+    /// `kv_dim * TILE_POSITIONS` values; what it holds afterwards is unspecified. No
+    /// element of `out` may be −0.0 (accumulators start at +0.0), so a backend may
+    /// decode a zero as either sign.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not cached or a buffer is too short.
+    fn value_accumulate(
+        &mut self,
+        t0: usize,
+        n: usize,
+        probs: &[f32],
+        geom: AttnGeometry,
+        tile: &mut [f32],
+        out: &mut [f32],
+    ) {
+        self.value_tile(t0, n, tile);
+        accumulate_value_tile(probs, geom, tile, n, out);
+    }
+
     /// Retired per-position fused q·k read: no backend implements it and the model never
     /// calls it, so it always returns `false` ("no fused path; read
     /// [`KvLayerReader::key_row`] instead"). It keeps its signature only because the
@@ -387,20 +437,50 @@ pub trait KvLayerReader {
     }
 }
 
-/// Attention head geometry of the retired [`KvLayerReader::fused_key_dots`] /
-/// [`KvLayerReader::fused_value_accumulate`] signatures.
-///
-/// `heads` query heads of `head_dim` elements each read KV rows of
-/// `(heads / group) * head_dim` elements; query head `h` attends to KV head
-/// `h / group` (grouped-query attention; `group == 1` is classic multi-head).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttnGeometry {
-    /// Number of query heads.
-    pub heads: usize,
-    /// Elements per head.
-    pub head_dim: usize,
-    /// Query heads per KV head (GQA group size, ≥ 1).
-    pub group: usize,
+/// q·k of every query row's every head against the first `n` lanes of a key tile
+/// (positions in lanes, [`KvLayerReader::key_tile`]'s layout): lane `j` of head `h` of
+/// row `i` lands in `dots[(i * geom.heads + h) * TILE_POSITIONS + j]`. Each lane folds
+/// `q[d] * key[d]` in ascending `d` from `0.0`, a multiply then an add — the operation
+/// sequence of [`kernels::dot_acc_seq`] — so every lane equals the per-position fold bit
+/// for bit. The lanes are independent accumulators, which is what lets an optimized
+/// build keep them in SIMD registers.
+pub(crate) fn fold_key_tile(q: &[f32], geom: AttnGeometry, tile: &[f32], n: usize, dots: &mut [f32]) {
+    let AttnGeometry { heads, head_dim, group } = geom;
+    for (i, q_row) in q.chunks_exact(heads * head_dim).enumerate() {
+        for (h, q_head) in q_row.chunks_exact(head_dim).enumerate() {
+            let keys = &tile[(h / group) * head_dim * TILE_POSITIONS..][..head_dim * TILE_POSITIONS];
+            let mut acc = [0.0f32; TILE_POSITIONS];
+            for (&qd, k) in q_head.iter().zip(keys.chunks_exact(TILE_POSITIONS)) {
+                for (a, &kd) in acc.iter_mut().zip(k) {
+                    *a += qd * kd;
+                }
+            }
+            let at = (i * heads + h) * TILE_POSITIONS;
+            dots[at..at + n].copy_from_slice(&acc[..n]);
+        }
+    }
+}
+
+/// probs×V of `n` value rows (row-major, [`KvLayerReader::value_tile`]'s layout) into
+/// whole output rows: for each row `i`, position `j < n` in ascending order and head `h`
+/// whose probability `probs[(i * geom.heads + h) * TILE_POSITIONS + j]` is not zero,
+/// [`kernels::axpy_seq`] adds `p × value` into the row's head slice. Each output element
+/// therefore accumulates its positions in ascending order.
+pub(crate) fn accumulate_value_tile(probs: &[f32], geom: AttnGeometry, tile: &[f32], n: usize, out: &mut [f32]) {
+    let AttnGeometry { heads, head_dim, group } = geom;
+    let kv_dim = heads / group * head_dim;
+    for (i, out_row) in out.chunks_exact_mut(heads * head_dim).enumerate() {
+        for (j, value) in tile.chunks_exact(kv_dim).take(n).enumerate() {
+            for (h, out) in out_row.chunks_exact_mut(head_dim).enumerate() {
+                let p = probs[(i * heads + h) * TILE_POSITIONS + j];
+                if p == 0.0 {
+                    continue;
+                }
+                let kv = (h / group) * head_dim;
+                kernels::axpy_seq(out, p, &value[kv..kv + head_dim]);
+            }
+        }
+    }
 }
 
 /// A KV-cache backend the transformer's zero-copy decode path can run over.

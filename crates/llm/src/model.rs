@@ -12,18 +12,19 @@
 //! case.
 //!
 //! Attention walks each segment's query rows in blocks of [`TILE_POSITIONS`] and its
-//! cache a tile of [`TILE_POSITIONS`] positions at a time
-//! ([`crate::kvcache::KvLayerReader::key_tile`]): each K and V tile is read once per
-//! (segment, layer, row block) — on the paged backend, one page-decoder call per page
-//! run — and serves every row of the block and every head of a GQA group. The q·k fold
-//! keeps the tile's positions in SIMD lanes. Zero full-cache copies per token, and the
-//! score/probability scratch is bounded by one row block. RoPE rotates through a
-//! `(sin, cos)` table built once per forward from frequencies computed once per model.
-//! The projections
-//! multiply against weights that were direct-cast **once** at construction into
-//! [`WeightPanels`]: 4-bit code panels plus per-block scales under MXFP4/MXINT4 weights
-//! on the AVX2 backend, the row-major `f32` matrix otherwise. Every projection runs
-//! through [`Matrix::matmul_panels`], which is bit-identical to [`Matrix::matmul`] on the
+//! cache a tile of [`TILE_POSITIONS`] positions at a time, through the reader's one q·k
+//! and one probs×V call per tile ([`crate::kvcache::KvLayerReader::key_dots`] /
+//! [`crate::kvcache::KvLayerReader::value_accumulate`]): each K and V tile is read once
+//! per (segment, layer, row block) — on the paged backend by one fused page-kernel call
+//! per page run, which folds the 4-bit codes in registers — and serves every row of the
+//! block and every head of a GQA group. The q·k fold keeps the tile's positions in SIMD
+//! lanes. Zero full-cache copies per token, and the score/probability scratch is bounded
+//! by one row block. RoPE rotates through a `(sin, cos)` table built once per forward
+//! from frequencies computed once per model. The projections multiply against weights
+//! that were direct-cast **once** at construction into [`WeightPanels`]: 4-bit code
+//! panels plus per-block scales under MXFP4/MXINT4 weights on the AVX2 backend, the
+//! row-major `f32` matrix otherwise. Every projection runs through
+//! [`Matrix::matmul_panels`], which is bit-identical to [`Matrix::matmul`] on the
 //! `quantize_columns` weights at every row count; with the row-independence of
 //! everything else, a sequence's logits do not depend on what it was batched with.
 
@@ -31,7 +32,7 @@ use mx_tensor::{kernels, Matrix, WeightPanels};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
-use crate::kvcache::{KvBackend, KvCache, KvLayerReader, TILE_POSITIONS};
+use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader, TILE_POSITIONS};
 use crate::quant_config::ModelQuantConfig;
 use crate::weights::ModelWeights;
 
@@ -319,18 +320,17 @@ impl TransformerModel {
     /// block of [`ROW_BLOCK`] query rows at a time, in three steps per block:
     ///
     /// 1. **q·k.** For each tile of [`TILE_POSITIONS`] cached positions the block's rows
-    ///    see, read the key tile once ([`KvLayerReader::key_tile`]: positions in lanes)
-    ///    and fold every row's every head against it ([`fold_key_tile`]). Each lane adds
-    ///    `q[d]·k[d]` in ascending `d` from `0.0`, exactly the per-position fold
-    ///    [`kernels::dot_acc_seq`] computes.
+    ///    see, one [`KvLayerReader::key_dots`] call folds every row that sees the tile,
+    ///    every head, against its keys. Each dot adds `q[d]·k[d]` in ascending `d` from
+    ///    `0.0`, exactly the per-position fold [`kernels::dot_acc_seq`] computes.
     /// 2. **Softmax**, then the block quantize of the probability operand, per (row,
     ///    head) over that row's visible positions. Both need every score of the row
     ///    first: the probabilities are block-quantized along positions, so an online
     ///    softmax would change the bits.
-    /// 3. **probs×V.** For each tile, read the value tile once
-    ///    ([`KvLayerReader::value_tile`]) and accumulate it into every row's output in
-    ///    ascending position order per output element, skipping exact-zero
-    ///    probabilities.
+    /// 3. **probs×V.** For each tile, one [`KvLayerReader::value_accumulate`] call adds
+    ///    the tile's values into every row's output in ascending position order per
+    ///    output element, skipping exact-zero probabilities. The probability tile holds
+    ///    0 in the lanes a row cannot see, so the skip also applies the causal mask.
     ///
     /// Every score, probability and output element therefore sees the same operations
     /// in the same order as a per-position walk over [`KvLayerReader::key_row`] /
@@ -347,16 +347,17 @@ impl TransformerModel {
     ) {
         let cfg = &self.config;
         let (heads, head_dim) = (cfg.heads, cfg.head_dim());
-        let group = heads / cfg.kv_heads;
-        let (q_dim, kv_dim) = (heads * head_dim, cfg.kv_heads * head_dim);
+        let geom = AttnGeometry { heads, head_dim, group: heads / cfg.kv_heads };
+        let q_dim = heads * head_dim;
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let AttnScratch { q: q_buf, scores, probs, key_tile, value_tile } = buf;
+        let AttnScratch { q: q_buf, scores, probs, lanes, tile } = buf;
         for first in (0..span.len).step_by(ROW_BLOCK) {
             let rows = ROW_BLOCK.min(span.len - first);
             // Row `i` of the block sees positions `0..visible(i)`; the last row sees the
-            // most, `width`.
+            // most, `width`. The rows that see tile `t0` are `first_seeing(t0)..rows`.
             let visible = |i: usize| span.start_pos + first + i + 1;
             let width = visible(rows - 1);
+            let first_seeing = |t0: usize| t0.saturating_sub(span.start_pos + first);
             let tiles = || (0..width).step_by(TILE_POSITIONS).map(move |t0| (t0, TILE_POSITIONS.min(width - t0)));
             // Quantize the query rows (each feeds dot products against cached keys).
             for (i, q_row) in q_buf.chunks_exact_mut(q_dim).take(rows).enumerate() {
@@ -364,14 +365,14 @@ impl TransformerModel {
             }
             scores.resize(rows * heads * width, 0.0);
             for (t0, n) in tiles() {
-                reader.key_tile(t0, n, key_tile);
-                for i in (0..rows).filter(|&i| visible(i) > t0) {
-                    let lanes = TILE_POSITIONS.min(visible(i) - t0);
-                    for (h, q_head) in q_buf[i * q_dim..(i + 1) * q_dim].chunks_exact(head_dim).enumerate() {
-                        let keys = (h / group) * head_dim * TILE_POSITIONS;
-                        let dots = fold_key_tile(q_head, &key_tile[keys..keys + head_dim * TILE_POSITIONS]);
+                let i0 = first_seeing(t0);
+                let dots = &mut lanes[..(rows - i0) * heads * TILE_POSITIONS];
+                reader.key_dots(t0, n, &q_buf[i0 * q_dim..rows * q_dim], geom, tile, dots);
+                for (i, row_dots) in (i0..rows).zip(dots.chunks_exact(heads * TILE_POSITIONS)) {
+                    let seen = TILE_POSITIONS.min(visible(i) - t0);
+                    for (h, head_dots) in row_dots.chunks_exact(TILE_POSITIONS).enumerate() {
                         let at = (i * heads + h) * width + t0;
-                        for (s, dot) in scores[at..at + lanes].iter_mut().zip(dots) {
+                        for (s, dot) in scores[at..at + seen].iter_mut().zip(head_dots) {
                             *s = dot * scale;
                         }
                     }
@@ -389,21 +390,19 @@ impl TransformerModel {
                 }
             }
             for (t0, n) in tiles() {
-                reader.value_tile(t0, n, value_tile);
-                for i in (0..rows).filter(|&i| visible(i) > t0) {
-                    let lanes = TILE_POSITIONS.min(visible(i) - t0);
-                    let out_row = attn_out.row_mut(span.first + first + i);
-                    for (j, value) in value_tile.chunks_exact(kv_dim).take(lanes).enumerate() {
-                        for (h, out) in out_row.chunks_exact_mut(head_dim).enumerate() {
-                            let p = probs[(i * heads + h) * width + t0 + j];
-                            if p == 0.0 {
-                                continue;
-                            }
-                            let kv = (h / group) * head_dim;
-                            kernels::axpy_seq(out, p, &value[kv..kv + head_dim]);
-                        }
+                let i0 = first_seeing(t0);
+                let tile_probs = &mut lanes[..(rows - i0) * heads * TILE_POSITIONS];
+                for (i, row_probs) in (i0..rows).zip(tile_probs.chunks_exact_mut(heads * TILE_POSITIONS)) {
+                    let seen = TILE_POSITIONS.min(visible(i) - t0);
+                    for (h, head_probs) in row_probs.chunks_exact_mut(TILE_POSITIONS).enumerate() {
+                        let at = (i * heads + h) * width + t0;
+                        head_probs[..seen].copy_from_slice(&probs[at..at + seen]);
+                        head_probs[seen..].fill(0.0);
                     }
                 }
+                let out_rows = span.first + first + i0..span.first + first + rows;
+                let out = &mut attn_out.data_mut()[out_rows.start * q_dim..out_rows.end * q_dim];
+                reader.value_accumulate(t0, n, tile_probs, geom, tile, out);
             }
         }
     }
@@ -548,30 +547,16 @@ struct BatchRows {
 /// `ROW_BLOCK × heads × visible`.
 const ROW_BLOCK: usize = TILE_POSITIONS;
 
-/// q·k of one query head against a key tile, one position per lane: lane `j` folds
-/// `q[d] * keys[d * TILE_POSITIONS + j]` in ascending `d` from `0.0`, a multiply then an
-/// add — the operation sequence of [`kernels::dot_acc_seq`] — so every lane equals the
-/// per-position fold bit for bit. The lanes are independent accumulators, which is what
-/// lets an optimized build keep them in SIMD registers.
-fn fold_key_tile(q: &[f32], keys: &[f32]) -> [f32; TILE_POSITIONS] {
-    let mut acc = [0.0f32; TILE_POSITIONS];
-    for (&qd, k) in q.iter().zip(keys.chunks_exact(TILE_POSITIONS)) {
-        for (a, &kd) in acc.iter_mut().zip(k) {
-            *a += qd * kd;
-        }
-    }
-    acc
-}
-
 /// Attention operands reused across every layer and segment of one forward call: one
 /// row block's quantized query rows and its per-(row, head) score/probability rows
-/// (grown to the widest visible context), and one key and one value tile.
+/// (grown to the widest visible context), one tile's per-(row, head) lanes (its dots,
+/// then its probabilities) and the working memory of a reader's tile path.
 struct AttnScratch {
     q: Vec<f32>,
     scores: Vec<f32>,
     probs: Vec<f32>,
-    key_tile: Vec<f32>,
-    value_tile: Vec<f32>,
+    lanes: Vec<f32>,
+    tile: Vec<f32>,
 }
 
 impl AttnScratch {
@@ -581,8 +566,8 @@ impl AttnScratch {
             q: vec![0.0; ROW_BLOCK * cfg.heads * cfg.head_dim()],
             scores: Vec::new(),
             probs: Vec::new(),
-            key_tile: vec![0.0; kv_dim * TILE_POSITIONS],
-            value_tile: vec![0.0; kv_dim * TILE_POSITIONS],
+            lanes: vec![0.0; ROW_BLOCK * cfg.heads * TILE_POSITIONS],
+            tile: vec![0.0; kv_dim * TILE_POSITIONS],
         }
     }
 }

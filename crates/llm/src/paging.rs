@@ -13,11 +13,13 @@
 //!   ([`PagePool::resident_bytes`]) is a **measured** number, not scheme math.
 //! * [`PagedKvCache`] — one sequence's cache: a per-layer page table mapping position
 //!   `t → (table[t / page_positions], t % page_positions)`. Appends quantize-and-pack
-//!   straight into the slot. Attention reads tiles through [`KvLayerReader`]: each run
-//!   of a tile's positions that lies in one page is decoded by one
-//!   [`RowCodec`] page-decoder call straight from the page buffer into the caller's
-//!   tile, so no full-cache tensor is ever materialized. Single-row reads decode into a
-//!   caller-provided [`PagedScratch`].
+//!   straight into the slot. Attention folds tiles through [`KvLayerReader`]: each run
+//!   of a tile's positions that lies in one page goes to one fused [`RowCodec`] page
+//!   kernel call (`key_dots` / `value_accumulate`), which folds 4-bit MX/MX+ codes
+//!   straight from the page buffer into q·k and probs×V; a codec, shape or backend the
+//!   kernels do not take decodes the run into the caller's tile and folds it exactly
+//!   as the reader trait's provided path does. No full-cache tensor is ever
+//!   materialized. Single-row reads decode into a caller-provided [`PagedScratch`].
 //!
 //! ## Ownership model: exclusive tail pages, refcounted shared pages
 //!
@@ -72,7 +74,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use mx_formats::{PackedRows, QuantScheme, RowCodec};
 
-use crate::kvcache::{KvBackend, KvLayerReader, TILE_POSITIONS};
+use crate::kvcache::{accumulate_value_tile, fold_key_tile, AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS};
 
 /// Default number of position slots per page (the paged-attention block size).
 pub const DEFAULT_PAGE_POSITIONS: usize = 16;
@@ -490,15 +492,17 @@ pub struct PagedScratch {
     key: Vec<f32>,
     /// Reusable dequant scratch the layer readers decode value rows into.
     value: Vec<f32>,
-    /// Rows decoded into key/value tiles (one page run per decoder call).
+    /// Rows attention decoded: into key/value tiles, or in registers by the fused page
+    /// kernels (one page run per call).
     tile_rows: usize,
     /// Rows decoded into the `key`/`value` buffers by single-row reads.
     scratch_rows: usize,
 }
 
 impl PagedScratch {
-    /// Rows decoded into attention tiles since construction, keys and values together.
-    /// A forward decodes each cached row once per block of query rows that sees it.
+    /// Rows attention decoded since construction, keys and values together, whether into
+    /// tiles or in registers by the fused page kernels. A forward decodes each cached
+    /// row once per block of query rows that sees it.
     #[must_use]
     pub fn tile_rows(&self) -> usize {
         self.tile_rows
@@ -1032,9 +1036,10 @@ where
 }
 
 /// Per-layer reader of a [`PagedKvCache`]: resolves positions through the page table and
-/// decodes packed slots — single rows into the worker's [`PagedScratch`] buffers, tiles
-/// one page run at a time straight into the caller's buffer. Never touches the pool lock
-/// — the pages it reads are exclusively owned by the cache it borrows, or sealed.
+/// reads packed slots — single rows into the worker's [`PagedScratch`] buffers, tiles one
+/// page run at a time straight into the caller's buffer, and attention's q·k and probs×V
+/// one fused page-kernel call per page run. Never touches the pool lock — the pages it
+/// reads are exclusively owned by the cache it borrows, or sealed.
 #[derive(Debug)]
 pub struct PagedLayerReader<'a> {
     table: &'a [PageRef],
@@ -1104,6 +1109,38 @@ impl KvLayerReader for PagedLayerReader<'_> {
         let (codec, kv_dim) = (self.codec, self.kv_dim);
         self.page_runs(t0, n, true, |run, j| {
             codec.unpack_rows_into(run, &mut tile[j * kv_dim..(j + run.rows) * kv_dim]);
+        });
+        self.scratch.tile_rows += n;
+    }
+
+    fn key_dots(&mut self, t0: usize, n: usize, q: &[f32], geom: AttnGeometry, tile: &mut [f32], dots: &mut [f32]) {
+        assert!(n <= TILE_POSITIONS, "a key tile holds at most TILE_POSITIONS positions");
+        let codec = self.codec;
+        self.page_runs(t0, n, false, |run, j| {
+            if !codec.key_dots(run, geom, q, &mut dots[j..], TILE_POSITIONS) {
+                codec.unpack_rows_transposed_into(run, tile, TILE_POSITIONS);
+                fold_key_tile(q, geom, tile, run.rows, &mut dots[j..]);
+            }
+        });
+        self.scratch.tile_rows += n;
+    }
+
+    fn value_accumulate(
+        &mut self,
+        t0: usize,
+        n: usize,
+        probs: &[f32],
+        geom: AttnGeometry,
+        tile: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (codec, kv_dim) = (self.codec, self.kv_dim);
+        self.page_runs(t0, n, true, |run, j| {
+            if !codec.value_accumulate(run, geom, &probs[j..], TILE_POSITIONS, out) {
+                let rows = &mut tile[..run.rows * kv_dim];
+                codec.unpack_rows_into(run, rows);
+                accumulate_value_tile(&probs[j..], geom, rows, run.rows, out);
+            }
         });
         self.scratch.tile_rows += n;
     }

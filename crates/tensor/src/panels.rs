@@ -14,24 +14,30 @@
 //! [`mx_formats::kernels::active_backend`]); every other backend keeps the matrix too,
 //! since `matmul` over `f32` weights outruns a portable loop that decodes every weight
 //! on every call. Over code panels the GEMM chooses its kernel from M alone:
-//! - **M = 1:** each row of codes is decoded in registers by the shared 4-bit decoder
-//!   ([`mx_formats::kernels::decode4_into`]'s permute lookup) and multiplied by its
-//!   scales, into four 8-lane accumulators per panel.
-//! - **M > 1:** each panel is decoded once into an `f32` slab that stays in L1/L2, then
-//!   a 6×16 register tile runs over it, so each loaded weight vector feeds 6 rows.
+//! - **M = 1:** each 16-byte row of codes (32 weights) is decoded in registers by one
+//!   integer lookup ([`mx_formats::kernels::avx2::IntLookup4`]: `pshufb` to the table's
+//!   entries times `2^m` as `i8`, widened to `f32`) and multiplied by its scales, which
+//!   carry the `2^-m` from once per block, into four 8-lane accumulators per panel.
+//! - **M > 1:** each panel is decoded the same way once into an `f32` slab that stays in
+//!   L1/L2, then a 6×16 register tile runs over it, so each loaded weight vector feeds 6
+//!   rows.
 //!
 //! Under [`mx_formats::kernels::force_scalar`], code panels are decoded back to the
 //! row-major matrix and multiplied by [`Matrix::matmul`].
 //!
 //! Every kernel is bit-identical to `a.matmul(&w.quantize_columns(scheme))`. Each output
 //! accumulates `a[i][p] * w[p][j]` starting from +0.0, in ascending `p`, as a multiply and
-//! then an add, never a fused multiply-add. Each weight decodes to exactly the value
-//! `quantize_columns` produces: `table[code] * scale`, the packed-row contract of
-//! [`mx_formats::RowCodec`]. [`Matrix::matmul`] skips terms with `a == 0`. A decoded
-//! weight is finite (4-bit MX elements have no Inf or NaN, and the scale of a finite
-//! block is finite), so such a term is ±0, and adding ±0 to an accumulator that started
-//! at +0.0 changes nothing, because that accumulator is never −0. So the skip does not
-//! show.
+//! then an add, never a fused multiply-add. Each weight decodes to the value
+//! `quantize_columns` produces, `table[code] * scale` (the packed-row contract of
+//! [`mx_formats::RowCodec`]): the looked-up integer is `table[code] × 2^m` and the
+//! scale a power of two (or 0), so `int × (scale × 2^-m)` is the same exact real and
+//! rounds alike, subnormal results included. Only the sign of a zero weight can differ
+//! (E2M1's −0.0 decodes to +0.0). [`Matrix::matmul`] skips terms with `a == 0`. A
+//! decoded weight is finite (4-bit MX elements have no Inf or NaN, and the scale of a
+//! finite block is finite), so a skipped term, like a term with a zero weight of either
+//! sign, is ±0, and adding ±0 to an accumulator that started at +0.0 changes nothing,
+//! because that accumulator is never −0. So neither the skip nor the sign of a zero
+//! weight shows.
 
 use mx_formats::kernels as format_kernels;
 use mx_formats::{ElementType, MxFormat, QuantScheme};
@@ -66,7 +72,7 @@ enum Store {
 /// One panel of 4-bit codes: `k` rows of 16 bytes and its scales.
 #[derive(Clone, Copy)]
 struct Panel<'a> {
-    table: &'static [f32; 256],
+    element: ElementType,
     block_size: usize,
     codes: &'a [u8],
     scales: &'a [f32],
@@ -111,7 +117,7 @@ impl WeightPanels {
             let scale_len = k.div_ceil(block_size) * PANEL;
             (0..self.cols.div_ceil(PANEL)).map(move |i| {
                 let panel = Panel {
-                    table: format_kernels::decode_table(element),
+                    element,
                     block_size,
                     codes: &codes[i * k * HALF..(i + 1) * k * HALF],
                     scales: &scales[i * scale_len..(i + 1) * scale_len],
@@ -126,11 +132,12 @@ impl WeightPanels {
     fn decoded(&self) -> Matrix {
         let mut wq = Matrix::zeros(self.rows, self.cols);
         for (col0, width, panel) in self.panels() {
+            let table = format_kernels::decode_table(panel.element);
             for (p, row_codes) in panel.codes.chunks_exact(HALF).enumerate() {
                 let scales = &panel.scales[p / panel.block_size * PANEL..];
                 for (j, out) in wq.row_mut(p)[col0..col0 + width].iter_mut().enumerate() {
                     let code = (row_codes[j / 2] >> (4 * (j % 2))) & 0x0f;
-                    *out = panel.table[usize::from(code)] * scales[j];
+                    *out = table[usize::from(code)] * scales[j];
                 }
             }
         }
@@ -191,12 +198,11 @@ impl Matrix {
         #[cfg(target_arch = "x86_64")]
         if code_panels_run() {
             let mut out = Matrix::zeros(self.rows(), w.cols);
-            if self.rows() > 0 && w.rows > 0 {
-                // SAFETY: the Avx2 backend is only selected after AVX2 was detected at
-                // runtime.
-                unsafe { avx2::product(self, w, &mut out) };
+            // SAFETY: the Avx2 backend is only selected after AVX2 was detected at
+            // runtime.
+            if self.rows() == 0 || w.rows == 0 || unsafe { avx2::product(self, w, &mut out) } {
+                return out;
             }
-            return out;
         }
         self.matmul(&w.decoded())
     }
@@ -208,7 +214,7 @@ mod avx2 {
 
     use std::arch::x86_64::*;
 
-    use mx_formats::kernels::avx2::Decode4;
+    use mx_formats::kernels::avx2::IntLookup4;
 
     use super::{Panel, WeightPanels, HALF, PANEL};
     use crate::matrix::Matrix;
@@ -217,25 +223,29 @@ mod avx2 {
     const TILE_ROWS: usize = 6;
 
     /// `out = a · w`, panel by panel, for code panels `w`, an `a` with at least one column
-    /// and an `out` of `a.rows() × w.cols()`.
+    /// and an `out` of `a.rows() × w.cols()`. Returns `false` if the panels' element type
+    /// has no integer lookup, which a cast never stores.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn product(a: &Matrix, w: &WeightPanels, out: &mut Matrix) {
+    pub(super) unsafe fn product(a: &Matrix, w: &WeightPanels, out: &mut Matrix) -> bool {
         let (m, k) = a.shape();
         let mut slab = if m > 1 { vec![0.0f32; k * PANEL] } else { Vec::new() };
         for (col0, width, panel) in w.panels() {
-            let decode = Decode4::new(panel.table);
+            let Some(lookup) = IntLookup4::new(panel.element) else {
+                return false;
+            };
             if m == 1 {
-                let acc = row_codes4(a.row(0), decode, panel);
+                let acc = row_codes4(a.row(0), lookup, panel);
                 out.row_mut(0)[col0..col0 + width].copy_from_slice(&acc[..width]);
             } else {
-                decode_panel(decode, panel, &mut slab);
+                decode_panel(lookup, panel, &mut slab);
                 tiles(a, &slab, out, col0, width);
             }
         }
+        true
     }
 
     /// Loads 8 lanes from `values[at..at + 8]`.
@@ -247,12 +257,19 @@ mod avx2 {
         unsafe { _mm256_loadu_ps(values.as_ptr().add(at)) }
     }
 
-    /// The 8 codes of word `g` of a 16-byte code row, decoded and times their scales.
+    /// The 32 codes of a 16-byte code row, decoded by one integer lookup and times their
+    /// scales (which already include the lookup's step).
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn decode_word(decode: Decode4, row: &[u8], g: usize, scales: &[__m256; 4]) -> __m256 {
-        let word = u32::from_le_bytes([row[4 * g], row[4 * g + 1], row[4 * g + 2], row[4 * g + 3]]);
-        _mm256_mul_ps(decode.decode8(word), scales[g])
+    fn decode_row(lookup: IntLookup4, row: &[u8], scales: &[__m256; 4]) -> [__m256; 4] {
+        assert!(row.len() >= HALF);
+        // SAFETY: the assert above bounds the 16-byte load.
+        let bytes = unsafe { _mm_loadu_si128(row.as_ptr().cast()) };
+        let mut w = lookup.decode32(bytes);
+        for (w, &s) in w.iter_mut().zip(scales) {
+            *w = _mm256_mul_ps(*w, s);
+        }
+        w
     }
 
     /// The code blocks of a panel, each with its 32 column scales.
@@ -260,27 +277,33 @@ mod avx2 {
         panel.codes.chunks(panel.block_size * HALF).zip(panel.scales.chunks_exact(PANEL))
     }
 
-    /// One block's 32 column scales, in four vectors.
+    /// One block's 32 column scales times the lookup's step (exact: both are powers of
+    /// two, or the scale is 0), in four vectors.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn load_scales(s: &[f32]) -> [__m256; 4] {
-        [load8(s, 0), load8(s, 8), load8(s, 16), load8(s, 24)]
+    fn load_scales(s: &[f32], lookup: IntLookup4) -> [__m256; 4] {
+        let step = _mm256_set1_ps(lookup.step());
+        let mut scales = [load8(s, 0), load8(s, 8), load8(s, 16), load8(s, 24)];
+        for v in &mut scales {
+            *v = _mm256_mul_ps(*v, step);
+        }
+        scales
     }
 
     /// One activation row times a code panel, decoded in registers. A zero activation
     /// adds ±0 to every accumulator, which changes nothing, so its row is skipped.
     #[target_feature(enable = "avx2")]
-    fn row_codes4(a: &[f32], decode: Decode4, panel: Panel<'_>) -> [f32; PANEL] {
+    fn row_codes4(a: &[f32], lookup: IntLookup4, panel: Panel<'_>) -> [f32; PANEL] {
         let mut acc = [_mm256_setzero_ps(); 4];
         for (a_block, (code_block, scales)) in a.chunks(panel.block_size).zip(code_blocks(panel)) {
-            let scales = load_scales(scales);
+            let scales = load_scales(scales, lookup);
             for (&x, row) in a_block.iter().zip(code_block.chunks_exact(HALF)) {
                 if x == 0.0 {
                     continue;
                 }
                 let x = _mm256_set1_ps(x);
-                for (g, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x, decode_word(decode, row, g, &scales)));
+                for (acc, w) in acc.iter_mut().zip(decode_row(lookup, row, &scales)) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x, w));
                 }
             }
         }
@@ -294,14 +317,14 @@ mod avx2 {
 
     /// Decodes a code panel into `slab` (`k` rows of 32), each value `table[code] * scale`.
     #[target_feature(enable = "avx2")]
-    fn decode_panel(decode: Decode4, panel: Panel<'_>, slab: &mut [f32]) {
+    fn decode_panel(lookup: IntLookup4, panel: Panel<'_>, slab: &mut [f32]) {
         let slab_blocks = slab.chunks_mut(panel.block_size * PANEL);
         for ((code_block, scales), slab_block) in code_blocks(panel).zip(slab_blocks) {
-            let scales = load_scales(scales);
+            let scales = load_scales(scales, lookup);
             for (row, out) in code_block.chunks_exact(HALF).zip(slab_block.chunks_exact_mut(PANEL)) {
-                for (g, o) in out.chunks_exact_mut(8).enumerate() {
+                for (o, w) in out.chunks_exact_mut(8).zip(decode_row(lookup, row, &scales)) {
                     // SAFETY: `o` is a chunk of exactly 8 `f32`s.
-                    unsafe { _mm256_storeu_ps(o.as_mut_ptr(), decode_word(decode, row, g, &scales)) };
+                    unsafe { _mm256_storeu_ps(o.as_mut_ptr(), w) };
                 }
             }
         }

@@ -211,3 +211,55 @@ proptest! {
         }
     }
 }
+
+/// Weights whose 32-row blocks sit at the scale edges of a finite weight, by turns: values
+/// near 1e-38 (the smallest scales, so decoded weights and their products are subnormal),
+/// near 3e38 (the largest, so sums overflow), subnormal inputs, and ordinary values.
+fn edge_weights(k: usize, n: usize, seed: u64) -> Matrix {
+    Matrix::from_fn(k, n, |r, c| {
+        let u = unit(seed ^ 2, r * n + c);
+        match (r / 32 + c + seed as usize) % 4 {
+            0 => u * 1e-38,
+            1 => u * 3e38,
+            2 => u * 1e-40,
+            _ => 0.1 * u,
+        }
+    })
+}
+
+/// Activations with subnormals, exact zeros and −0.0 among ordinary values.
+fn edge_activations(m: usize, k: usize, seed: u64) -> Matrix {
+    Matrix::from_fn(m, k, |r, c| {
+        let u = unit(seed ^ 4, r * k + c);
+        match (r * k + c) % 5 {
+            0 => u * 1e-40,
+            1 => 0.0,
+            2 => -0.0,
+            _ => u,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The panel GEMM's integer lookup stays bit-identical to `matmul` where its
+    /// exactness argument is tightest: 4-bit weights whose block scales are near the
+    /// smallest and largest a finite weight gets, times subnormal activations, for
+    /// M ∈ 1..=8 ∪ {32}.
+    #[test]
+    fn panel_gemm_is_bit_identical_at_the_scale_edges(
+        m in (0usize..9).prop_map(|i| if i < 8 { i + 1 } else { 32 }),
+        k in (0usize..3).prop_map(|i| [32, 64, 100][i]),
+        n in (0usize..4).prop_map(|i| [1, 17, 33, 64][i]),
+        int4 in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let scheme = if int4 == 1 { QuantScheme::mxint4() } else { QuantScheme::mxfp4() };
+        let [products @ .., reference] =
+            panel_products(&edge_activations(m, k, seed), &edge_weights(k, n, seed), scheme);
+        for (path, product) in PANEL_PATHS.iter().zip(&products) {
+            prop_assert!(*product == reference, "{} m {} k {} n {}: {} panel GEMM differs", scheme, m, k, n, path);
+        }
+    }
+}
