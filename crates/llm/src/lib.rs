@@ -47,7 +47,7 @@ pub use paging::{
 };
 pub use quant_config::ModelQuantConfig;
 pub use sampling::{Sampling, SamplingPolicy, SeqRng};
-pub use serving::{DrainReport, FinishReason, Sequence, ServingEngine, ServingReport, SubmitOptions};
+pub use serving::{DrainReport, FinishReason, Sequence, ServingEngine, ServingReport, SubmitOptions, PREFILL_BUDGET};
 // Telemetry types that appear in the serving API surface (reports, tracing config),
 // re-exported so engine users need no direct mx-telemetry dependency.
 pub use mx_telemetry::{

@@ -9,7 +9,11 @@
 //! every weight panel once. RoPE, the K/V append and attention run per segment against
 //! its own cache. Single-sequence prefill and decode
 //! ([`TransformerModel::forward_backend_with_scratch`] and friends) are its one-segment
-//! case.
+//! case. Every entry point returns the logits of every row, except the serving
+//! engine's `forward_batch_logits_with_scratch`. It takes the rows it samples (one per
+//! decode segment, the last of a prompt chunk that completes its prompt), and through
+//! the same layer loop only those rows attend in the last layer and go on to the final
+//! norm and the lm_head; every row still appends its K/V.
 //!
 //! Attention walks each segment's query rows in blocks of [`TILE_POSITIONS`] and its
 //! cache a tile of [`TILE_POSITIONS`] positions at a time, through the reader's one q·k
@@ -221,6 +225,45 @@ impl TransformerModel {
         segments: &mut [(&[usize], &mut B)],
         scratch: &mut B::Scratch,
     ) -> Matrix {
+        self.forward_segments(segments, None, scratch)
+    }
+
+    /// [`TransformerModel::forward_batch_with_scratch`] that computes logits only for
+    /// the stacked rows `logit_rows` — the serving engine's forward, which samples one
+    /// row per decode segment and the last row of each prompt chunk that completes its
+    /// prompt. Every segment still appends the K/V rows of all its tokens in every
+    /// layer, and every layer but the last runs over every row. In the last layer only
+    /// the selected rows attend, and only they go on through the output projection, the
+    /// MLP, the final norm and the lm_head.
+    ///
+    /// Returns one logits row per entry of `logit_rows`, in that order. Everything past
+    /// attention is row-independent, and a row's attention reads the same cached rows
+    /// in the same order whatever rows attend with it, so each row equals the same
+    /// stacked row of [`TransformerModel::forward_batch_with_scratch`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment's tokens are empty or contain an id outside the vocabulary,
+    /// or if an entry of `logit_rows` is not a row of the stack.
+    #[must_use]
+    pub(crate) fn forward_batch_logits_with_scratch<B: KvBackend>(
+        &self,
+        segments: &mut [(&[usize], &mut B)],
+        logit_rows: &[usize],
+        scratch: &mut B::Scratch,
+    ) -> Matrix {
+        self.forward_segments(segments, Some(logit_rows), scratch)
+    }
+
+    /// The one forward: the layers over the stacked rows of `segments`, the last of them
+    /// keeping only the rows `logit_rows` selects (every row when `None`), then the
+    /// final norm and the lm_head over those rows.
+    fn forward_segments<B: KvBackend>(
+        &self,
+        segments: &mut [(&[usize], &mut B)],
+        logit_rows: Option<&[usize]>,
+        scratch: &mut B::Scratch,
+    ) -> Matrix {
         let mut spans = Vec::with_capacity(segments.len());
         let mut rows = 0;
         for (tokens, cache) in segments.iter() {
@@ -229,7 +272,7 @@ impl TransformerModel {
             rows += tokens.len();
         }
         let mut x = self.embed(segments.iter().flat_map(|(tokens, _)| tokens.iter().copied()), rows);
-        let batch = BatchRows { rope: self.rope_table(&spans, rows), spans };
+        let batch = BatchRows { rope: self.rope_table(&spans, rows), spans, logit_rows };
         let mut attn = AttnScratch::new(&self.config);
         for layer in 0..self.config.layers {
             x = self.layer_forward(layer, &x, segments, &batch, scratch, &mut attn);
@@ -441,6 +484,11 @@ impl TransformerModel {
     /// group), the projections against the pre-cast weights, the MLP and the residual
     /// adds run once over every row; RoPE, the K/V append and attention run per segment
     /// against its own cache, reading it through the backend's per-layer row reader.
+    ///
+    /// In the last layer of a forward with [`BatchRows::logit_rows`], every row still
+    /// appends its K/V rows, but only the selected rows attend (each as a one-row span
+    /// at its own position) and go on past attention; the returned matrix holds those
+    /// rows, in that order.
     fn layer_forward<B: KvBackend>(
         &self,
         layer: usize,
@@ -453,6 +501,7 @@ impl TransformerModel {
         let lw = &self.weights.layers[layer];
         let cast = &self.cast.layers[layer];
         let cfg = &self.config;
+        let keep = batch.logit_rows.filter(|_| layer + 1 == cfg.layers);
 
         // --- Attention ---
         let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
@@ -471,8 +520,25 @@ impl TransformerModel {
             }
             // Attention of this segment's rows, causal over its cache.
             let mut reader = cache.layer_reader(layer, scratch);
-            self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out);
+            match keep {
+                None => self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out),
+                Some(rows) => {
+                    for &r in rows.iter().filter(|r| span.rows().contains(r)) {
+                        let row = RowSpan { first: r, len: 1, start_pos: span.start_pos + (r - span.first) };
+                        self.attention_zero_copy(&mut reader, &q, &row, attn, &mut attn_out);
+                    }
+                }
+            }
         }
+        // Past attention every operation is row-independent: rows nobody keeps stop here.
+        let kept;
+        let (x, attn_out) = match keep {
+            None => (x, attn_out),
+            Some(rows) => {
+                kept = select_rows(x, rows);
+                (&kept, select_rows(&attn_out, rows))
+            }
+        };
 
         let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&cast.wo);
         let x = x.add(&attn_proj);
@@ -535,11 +601,13 @@ impl RowSpan {
     }
 }
 
-/// The rows of one batched forward: where each segment's rows sit in the stack, and the
-/// RoPE table of every row ([`TransformerModel::rope_table`]).
-struct BatchRows {
+/// The rows of one batched forward: where each segment's rows sit in the stack, the
+/// RoPE table of every row ([`TransformerModel::rope_table`]), and the rows whose logits
+/// it returns (every row when `None`).
+struct BatchRows<'a> {
     spans: Vec<RowSpan>,
     rope: Vec<(f32, f32)>,
+    logit_rows: Option<&'a [usize]>,
 }
 
 /// Query rows attended together: one page of positions ([`TILE_POSITIONS`]). A block
@@ -570,6 +638,11 @@ impl AttnScratch {
             tile: vec![0.0; kv_dim * TILE_POSITIONS],
         }
     }
+}
+
+/// The rows `rows` of `m`, in that order.
+fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+    Matrix::from_vec(rows.len(), m.cols(), rows.iter().flat_map(|&r| m.row(r)).copied().collect())
 }
 
 /// Index of the maximum element (first occurrence on ties).
@@ -702,6 +775,42 @@ mod tests {
             }
             assert_eq!(paged.seq_len(), flat.seq_len());
             assert_eq!(crate::kvcache::KvBackend::materializations(&paged), 0);
+        }
+    }
+
+    #[test]
+    fn selected_logit_rows_equal_the_same_rows_of_the_full_forward() {
+        // A decode row at a short context, a prefill chunk continuing a cache and a fresh
+        // prefill: the rows handed to the lm_head carry exactly the bits of the same
+        // stacked rows of the every-row forward, and both runs append the same cache.
+        for quant in [ModelQuantConfig::a_mxfp4_plus(), ModelQuantConfig::BASELINE] {
+            let model = tiny_model(quant);
+            let caches = || {
+                let (_, short) = model.prefill(&[4, 8, 15]);
+                let (_, long) = model.prefill(&[16, 23, 42, 4, 8]);
+                [short, long, model.new_cache()]
+            };
+            let new: [&[usize]; 3] = [&[7], &[1, 2, 3, 4, 5, 6], &[9, 10, 11, 12]];
+            let (mut full_caches, mut picked_caches) = (caches(), caches());
+            let mut segments: Vec<(&[usize], &mut KvCache)> = new.into_iter().zip(full_caches.iter_mut()).collect();
+            let full = model.forward_batch_with_scratch(&mut segments, &mut ());
+            // Each segment's last row, a middle row of the chunk and the fresh prefill's
+            // first row, out of stack order.
+            let rows = [0, 3, 6, 10, 7];
+            let mut segments: Vec<(&[usize], &mut KvCache)> = new.into_iter().zip(picked_caches.iter_mut()).collect();
+            let picked = model.forward_batch_logits_with_scratch(&mut segments, &rows, &mut ());
+            assert_eq!(picked.rows(), rows.len());
+            for (i, &r) in rows.iter().enumerate() {
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(picked.row(i)), bits(full.row(r)), "{}: stacked row {r}", quant.name());
+            }
+            for (a, b) in full_caches.iter_mut().zip(picked_caches.iter_mut()) {
+                assert_eq!(model.decode_step(3, a), model.decode_step(3, b), "{}: appended rows", quant.name());
+            }
+            let (_, mut cache) = model.prefill(&[1, 2]);
+            let none = model.forward_batch_logits_with_scratch(&mut [(&[3, 4][..], &mut cache)], &[], &mut ());
+            assert_eq!(none.shape(), (0, model.config().vocab));
+            assert_eq!(cache.seq_len(), 4, "a chunk nobody samples still appends its rows");
         }
     }
 

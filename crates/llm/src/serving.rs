@@ -1,11 +1,13 @@
 //! A continuous-batching serving engine on top of the zero-copy decode path, driven by a
 //! pool of decode worker threads.
 //!
-//! The engine owns a queue of sequences and advances every active one by one token per
-//! scheduler pass, decoding them together: a worker's sequences share one batched
-//! forward ([`TransformerModel::forward_batch_with_scratch`]) whose projections run once
-//! at M = batch size while attention runs per sequence. Two cache backends are
-//! supported:
+//! The engine owns a queue of sequences and advances every active one per scheduler
+//! pass, decoding them together: a worker's sequences share one batched forward
+//! ([`TransformerModel::forward_batch_with_scratch`]) whose projections run once
+//! over every row while attention runs per sequence. A decoding sequence feeds it one
+//! row; a prefilling one feeds the next chunk of its prompt, under a budget of
+//! [`PREFILL_BUDGET`] prompt rows per forward, so a long prompt no longer stalls the
+//! decodes of its pass. Two cache backends are supported:
 //!
 //! * **f32-contiguous** ([`ServingEngine::new`]): every submitted sequence is admitted
 //!   up front with its own pre-reserved [`KvCache`] of dequantized rows — the accuracy /
@@ -41,8 +43,9 @@
 //!
 //! ## Threading model
 //!
-//! Within a scheduler step, per-sequence work (prefill on first touch, then one decode
-//! step per pass) is embarrassingly parallel: every sequence exclusively owns its cache
+//! Within a scheduler step, per-sequence work (a prompt chunk per pass until the prompt
+//! is cached, then one decode step per pass) is embarrassingly parallel: every sequence
+//! exclusively owns its cache
 //! pages (shared prefix pages are immutable behind their refcount) and its sampler
 //! state, and the model weights are read-only. [`ServingEngine::run`] therefore spawns a
 //! **persistent pool** of `num_threads` decode workers once per run
@@ -50,17 +53,24 @@
 //! reusable [`PagedScratch`] for its whole lifetime, and moves each pass's active
 //! sequences to them over channels (no per-pass thread spawns), one contiguous chunk per
 //! worker. A worker's chunk is **one batched step** — the same step function the
-//! single-thread engine runs inline: each sequence prefills on first touch (its own
-//! forward) or does its stop/budget bookkeeping, then every sequence that needs a decode
-//! joins one batched forward and samples from its own logits row with its own RNG. The **coordinator**
+//! single-thread engine runs inline: each prefilling sequence, in submission order, is
+//! granted the next chunk of its prompt from what is left of the worker's
+//! [`PREFILL_BUDGET`] (one granted nothing waits a pass), each prefilled one does its
+//! stop/budget bookkeeping, and then every decode row and prompt chunk joins one batched
+//! forward. Prefill continues from the cache's own length, so a chunk needs no state of
+//! its own. Only the rows that get sampled reach the lm_head: each decode row, sampled
+//! with its sequence's own RNG, and the last row of a chunk that completes its prompt,
+//! from which the first token is sampled. The **coordinator**
 //! thread keeps everything that mutates shared scheduling state: admission (page
 //! reservation, priority-then-FCFS order, prefix-share planning), preemption, eviction,
 //! occupancy sampling, and retirement — returning a finished sequence's pages to the
 //! pool between passes, which is what funds mid-run admissions. Because sequences are
 //! independent — everything outside attention is row-independent, so a sequence's
-//! logits do not depend on its batch-mates — the generated streams are
-//! **token-identical for every `num_threads`**, and `num_threads = 1` steps every
-//! sequence in submission order as one batch.
+//! logits do not depend on its batch-mates, and a chunk's attention reads the earlier
+//! chunks back from the cache exactly as a whole prefill reads its own rows — the
+//! generated streams are **token-identical for every `num_threads`** and do not depend
+//! on where the chunk boundaries fall; `num_threads = 1` steps every sequence in
+//! submission order as one batch.
 //!
 //! Sequences finish on their length budget or on a per-sequence stop token, each
 //! recorded as a [`FinishReason`]; next-token selection is greedy by default or seeded
@@ -80,9 +90,9 @@
 //! scheduler's per-worker step skew. *Event tracing* is opt-in
 //! ([`ServingEngine::with_telemetry`]): when enabled, the coordinator and every decode
 //! worker record lifecycle instants (submitted → admitted → first_token → preempted /
-//! restored / evicted → retired), pass spans, per-sequence `prefill` spans, one
-//! `decode_batch` span per batched forward (carrying its sequence count) and occupancy
-//! gauges into per-thread shards, and [`ServingEngine::take_trace`] returns the merged
+//! restored / evicted → retired), pass spans, one `forward` span per batched forward
+//! (carrying its decode sequence count, with one `prefill_chunk` instant naming each
+//! sequence whose prompt chunk rode it) and occupancy gauges into per-thread shards, and [`ServingEngine::take_trace`] returns the merged
 //! [`mx_telemetry::Trace`] for Chrome trace-event export. Recording never takes a lock
 //! on the step path, and a disabled hub reduces every event site to one branch —
 //! generated tokens are identical with telemetry on or off.
@@ -92,11 +102,14 @@
 //! Failure is a first-class, deterministically testable input ([`crate::fault`]):
 //!
 //! * **Containment** — every step runs under `catch_unwind`: each sequence's own part
-//!   of a batched step (its injected fault, prefill or bookkeeping) under its own, and
-//!   the shared batched forward under one more. A seeded [`FaultPlan`] injection (via
-//!   [`ServingEngine::with_faults`]) therefore costs exactly one sequence's in-flight
-//!   pass, never the run; a genuine panic inside the shared forward may leave partial
-//!   K/V appends in any member's cache, so it rolls back every sequence of that batch.
+//!   of a batched step (its injected fault and bookkeeping) under its own, and the
+//!   shared batched forward — decode rows and prompt chunks alike — under one more. A
+//!   seeded [`FaultPlan`] injection (via [`ServingEngine::with_faults`]) therefore costs
+//!   exactly one sequence's in-flight pass, never the run; a genuine panic inside the
+//!   shared forward may leave partial K/V appends in any member's cache, so it rolls
+//!   back every sequence of that batch, prefilling members included. Prompt ids outside
+//!   the vocabulary are refused at [`ServingEngine::submit_with`], so a prompt cannot
+//!   cause one.
 //!   The coordinator respawns the panicked worker at the pass boundary
 //!   ([`ServingReport::worker_restarts`]) and rolls each lost sequence back to its last
 //!   periodic checkpoint ([`PagedKvCache::checkpoint`], every
@@ -129,6 +142,13 @@ use crate::kvcache::{KvBackend, KvCache, LayerKvCache};
 use crate::model::TransformerModel;
 use crate::paging::{PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
 use crate::sampling::{sample_token, Sampling, SeqRng};
+
+/// Prompt rows one batched forward carries at most: each pass, every sequence still
+/// prefilling takes the next chunk of its prompt from what is left of this budget, in
+/// submission order, and one granted no rows waits for a later pass. Decode rows never
+/// wait for it. Each worker's forward gets the whole budget. 64 rows are four
+/// 16-position pages.
+pub const PREFILL_BUDGET: usize = 64;
 
 /// Why a sequence stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +240,9 @@ pub struct Sequence {
     finish: Option<FinishReason>,
     cache: SeqCache,
     next: usize,
+    /// Whether the whole prompt is cached and `next` holds the first sampled token;
+    /// until then each pass adds the next chunk of the prompt, continuing from the
+    /// cache's own length.
     prefilled: bool,
     /// Hub-clock reading when the submission first became visible to the scheduler.
     submitted_ns: Option<u64>,
@@ -361,43 +384,24 @@ impl Sequence {
         sample_token(logits, &self.sampling, &mut self.rng)
     }
 
-    /// The per-sequence half of a batched step (see [`step_batch`]): prefill on first
-    /// touch — its own forward — or the stop/budget bookkeeping that emits the pending
-    /// token. Returns what the step produced so far and whether the sequence joins the
-    /// pass's batched decode forward, recording the prefill span and the first-token
-    /// lifecycle instant into `rec`.
-    fn begin_step(
-        &mut self,
-        model: &TransformerModel,
-        scratch: &mut PagedScratch,
-        rec: &mut Recorder,
-    ) -> (StepResult, bool) {
+    /// The per-sequence half of a batched step (see [`step_batch`]); it runs no forward.
+    /// A sequence still prefilling asks for the rest of its prompt, the positions past
+    /// its cache's length, of which [`step_batch`] grants a chunk under the forward's
+    /// [`PREFILL_BUDGET`]. A prefilled one does the stop/budget bookkeeping that emits
+    /// its pending token (recording the first-token lifecycle instant into `rec`) and
+    /// asks for one decode row, unless that token spent its budget.
+    fn begin_step(&mut self, rec: &mut Recorder) -> (StepResult, Rows) {
         if !self.prefilled {
-            let span = rec.span(Category::Worker, "prefill", "seq", self.id as u64);
-            let t0 = Instant::now();
-            // Prefix sharing: positions already resident in shared pages are skipped —
-            // the suffix forward starts at `cache.seq_len() == shared_positions`, so the
-            // logits (and every later token) are bit-identical to a full prefill.
-            let suffix = &self.prompt[self.shared_positions..];
-            let logits = match &mut self.cache {
-                SeqCache::F32(cache) => model.forward_backend_with_scratch(suffix, cache, &mut ()),
-                SeqCache::Paged(cache) => model.forward_backend_with_scratch(suffix, cache, scratch),
-                _ => unreachable!("stepped sequence without a cache"),
-            };
-            self.next = self.sample(logits.row(logits.rows() - 1));
-            self.prefilled = true;
-            let prefill = t0.elapsed();
-            drop(span);
-            return (StepResult { tokens: 0, prefill, tpot: Duration::ZERO }, false);
+            return (StepResult::default(), Rows::Prompt(self.prompt.len() - self.cached_positions()));
         }
         if self.stop_token == Some(self.next) {
             self.finish(FinishReason::Stop);
-            return (StepResult::default(), false);
+            return (StepResult::default(), Rows::Nothing);
         }
         if self.generated.len() >= self.max_new_tokens {
             // Zero-budget sequences finish without emitting anything.
             self.finish(FinishReason::Length);
-            return (StepResult::default(), false);
+            return (StepResult::default(), Rows::Nothing);
         }
         self.generated.push(self.next);
         if self.generated.len() == 1 {
@@ -411,7 +415,7 @@ impl Sequence {
         if budget_spent {
             self.finish(FinishReason::Length);
         }
-        (StepResult { tokens: 1, ..StepResult::default() }, !budget_spent)
+        (StepResult { tokens: 1, ..StepResult::default() }, if budget_spent { Rows::Nothing } else { Rows::Decode })
     }
 }
 
@@ -467,13 +471,15 @@ pub struct ServingReport {
     pub prompt_tokens: usize,
     /// Total tokens generated by the decode loop.
     pub generated_tokens: usize,
-    /// Time spent in prefill, summed across worker threads.
+    /// The prompt rows' share of the batched forwards' time, summed across worker
+    /// threads: each forward's time is split between prefill and decode by the rows it
+    /// carried (prompt rows against decode rows).
     pub prefill_time: Duration,
-    /// Time spent in batched decode forwards, summed across worker threads: worker busy
-    /// time, to which each batched forward contributes once however many sequences it
-    /// stepped (per-thread work, not wall clock — see [`ServingReport::wall_seconds`]
-    /// for the elapsed time). Together with `prefill_time` it never exceeds
-    /// `num_threads × wall_seconds`.
+    /// The decode rows' share of the batched forwards' time, summed across worker
+    /// threads. With `prefill_time` it sums to worker busy time, to which each batched
+    /// forward contributes once however many sequences it stepped (per-thread work, not
+    /// wall clock — see [`ServingReport::wall_seconds`] for the elapsed time), so the
+    /// two never exceed `num_threads × wall_seconds`.
     pub decode_time: Duration,
     /// Generated tokens per second of summed decode time: the *per-worker* decode rate
     /// with each batched forward's cost amortized over its tokens, directly comparable
@@ -513,12 +519,14 @@ pub struct ServingReport {
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
     /// tracing ([`ServingEngine::with_telemetry`]) is enabled. TPOT takes one sample per
-    /// generated token that ran a decode forward: the time of the batched forward its
-    /// step joined, which is the latency that step saw. Its count therefore equals the
-    /// summed sequence counts of the trace's `decode_batch` spans.
+    /// generated token that ran a decode forward: the time of the whole batched forward
+    /// its step joined, prompt chunks included, which is the latency that step saw. Its
+    /// count therefore equals the summed decode sequence counts of the trace's
+    /// `forward` spans.
     pub latency: LatencySummary,
-    /// Sequences each decode worker stepped (prefill touches, decode steps and finish
-    /// bookkeeping; every member of a batched step counts once); index `w` is worker
+    /// Sequences each decode worker stepped (prompt chunks, decode steps and finish
+    /// bookkeeping; every member of a batched step counts once, and a prefilling
+    /// sequence the budget granted no rows does not count); index `w` is worker
     /// lane `w + 1`, or the coordinator itself on a single-threaded run. Exposes the
     /// pool's load skew, and their sum over passes is the mean batch size.
     pub worker_decode_steps: Vec<usize>,
@@ -878,9 +886,13 @@ impl<'m> ServingEngine<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if the prompt is empty.
+    /// Panics if the prompt is empty or holds a token id outside the model's vocabulary.
+    /// Such an id would otherwise panic inside the batched forward its prefill shares,
+    /// and roll back every batch-mate with it.
     pub fn submit_with(&mut self, prompt: &[usize], options: SubmitOptions) -> usize {
         assert!(!prompt.is_empty(), "prompt must be non-empty");
+        let vocab = self.model.config().vocab;
+        assert!(prompt.iter().all(|&t| t < vocab), "prompt token id out of vocabulary ({vocab})");
         let id = self.sequences.len();
         let mut prefix_hashes = Vec::new();
         if let Some(pool) = &self.pool {
@@ -970,8 +982,9 @@ impl<'m> ServingEngine<'m> {
     /// whenever their worst case fits the page budget — mapping any matching prompt
     /// prefix onto shared pages and preempting strictly lower-priority running sequences
     /// under pressure — fan the active sequences out across the persistent decode worker
-    /// pool (each worker prefills newly admitted sequences on first touch and decodes one
-    /// token for each of the others in one batched forward), sample peak occupancy, and
+    /// pool (each worker runs one batched forward over the next prompt chunk of each
+    /// prefilling sequence, within its [`PREFILL_BUDGET`], and one token for each of the
+    /// others), sample peak occupancy, and
     /// retire finished sequences so their pages fund queued admissions.
     pub fn run(&mut self) -> ServingReport {
         self.execute(true, usize::MAX)
@@ -1237,9 +1250,9 @@ impl<'m> ServingEngine<'m> {
     }
 
     /// Folds one batched step back into the engine: returns every job's sequence to its
-    /// table slot, adds the batched forward's time to the decode time once, credits each
-    /// completed step to the stepping worker, and rolls panicked sequences back through
-    /// [`ServingEngine::recover_sequence`]. `lane` is the trace lane that stepped the
+    /// table slot, adds the batched forward's time to the prefill and decode times once,
+    /// credits each completed step to the stepping worker, and rolls panicked sequences
+    /// back through [`ServingEngine::recover_sequence`]. `lane` is the trace lane that stepped the
     /// batch: 0 for the coordinator stepping inline, `w + 1` for pool worker `w`.
     /// Returns whether any job panicked.
     fn absorb_batch(
@@ -1251,6 +1264,7 @@ impl<'m> ServingEngine<'m> {
         stats: &mut RunStats,
         rec: &mut Recorder,
     ) -> bool {
+        stats.prefill_time += reply.prefill;
         stats.decode_time += reply.decode;
         let mut panicked = false;
         for (job, outcome) in reply.jobs.into_iter().zip(reply.outcomes) {
@@ -1499,8 +1513,8 @@ impl<'m> ServingEngine<'m> {
     /// count (reduced by any shared prompt prefix), preempting strictly lower-priority
     /// running sequences when the reservation does not fit, and stalling the queue (not
     /// skipping ahead) when the head still cannot be funded. Prefill itself is *not*
-    /// done here — the worker that first steps an admitted sequence prefills it, keeping
-    /// the coordinator to pure bookkeeping.
+    /// done here — the workers prefill an admitted sequence a chunk per pass inside
+    /// their batched forwards, keeping the coordinator to pure bookkeeping.
     fn admit_waiting(&mut self, pass: usize, stats: &mut RunStats, rec: &mut Recorder) {
         let mut waiting: Vec<usize> = (0..self.sequences.len())
             .filter(|&i| {
@@ -1586,9 +1600,10 @@ impl<'m> ServingEngine<'m> {
             return true;
         }
         let plan = match self.plan_prefix_share(idx) {
-            // A matching donor is admitted but not prefilled yet (prefill happens on a
-            // worker's first touch): defer this admission one pass — trading a pass of
-            // latency for the donor's entire shared prefill — without blocking the queue.
+            // A matching donor has not cached the match yet (it was admitted this pass,
+            // or is still prefilling a chunk per pass): defer this admission one pass —
+            // trading a pass of latency for the rest of the shared prefill — without
+            // blocking the queue.
             Some(SharePlan::Pending) => return true,
             Some(SharePlan::Ready { donor, positions }) => Some((donor, positions)),
             None => None,
@@ -1715,9 +1730,10 @@ impl<'m> ServingEngine<'m> {
     /// filled boundary page. Capped at `prompt_len - 1`: the last prompt position must
     /// be re-run to produce the logits the first generated token is sampled from.
     ///
-    /// A donor whose prompt matches but whose prefill has not run yet (it was admitted
-    /// this pass) yields [`SharePlan::Pending`], telling admission to check again next
-    /// pass instead of prefill-ing the same prefix twice.
+    /// When the longest match belongs to live donors none of which has cached it yet (a
+    /// donor admitted this pass, or one still prefilling its prompt a chunk per pass),
+    /// the plan is [`SharePlan::Pending`], telling admission to check again next pass
+    /// instead of prefilling the rest of the prefix a second time.
     fn plan_prefix_share(&self, idx: usize) -> Option<SharePlan> {
         let pool = self.pool.as_ref()?;
         let seq = &self.sequences[idx];
@@ -1734,8 +1750,8 @@ impl<'m> ServingEngine<'m> {
         // The chain hashes were computed once at submit time; max_pages never exceeds
         // the stored count (it is capped at (prompt_len - 1) / pp).
         let hashes = &seq.prefix_hashes;
-        let mut pending = false;
         for pages in (1..=max_pages).rev() {
+            let mut pending = false;
             for &donor_idx in self.prefix_index.get(&hashes[pages - 1]).into_iter().flatten() {
                 if donor_idx == idx {
                     continue;
@@ -1748,19 +1764,22 @@ impl<'m> ServingEngine<'m> {
                 if donor.prompt[..pages * pp] != prompt[..pages * pp] {
                     continue;
                 }
-                if cache.seq_len() < pages * pp {
-                    pending = true;
-                    continue;
-                }
-                let limit = max_shared.min(donor.prompt.len()).min(cache.seq_len());
+                let limit = max_shared.min(donor.prompt.len());
                 let mut shared = pages * pp;
                 while shared < limit && prompt[shared] == donor.prompt[shared] {
                     shared += 1;
                 }
+                if cache.seq_len() < shared {
+                    pending = true;
+                    continue;
+                }
                 return Some(SharePlan::Ready { donor: donor_idx, positions: shared });
             }
+            if pending {
+                return Some(SharePlan::Pending);
+            }
         }
-        pending.then_some(SharePlan::Pending)
+        None
     }
 
     /// Current measured cache storage across the engine (see
@@ -1789,7 +1808,7 @@ enum SharePlan {
         /// Prompt positions to share.
         positions: usize,
     },
-    /// A matching donor exists but has not prefilled yet — defer one pass.
+    /// A matching donor exists but has not cached the match yet — defer one pass.
     Pending,
 }
 
@@ -1820,29 +1839,53 @@ struct RunStats {
 }
 
 impl RunStats {
-    /// Folds one sequence's step into the accumulators, crediting 0-based `worker`.
-    /// The batched forward's time reaches `decode_time` once per batch, not here.
+    /// Folds one sequence's step into the accumulators, crediting 0-based `worker`
+    /// unless the sequence only waited for prefill budget. The batched forward's time
+    /// reaches `prefill_time` and `decode_time` once per batch, not here.
     fn absorb(&mut self, worker: usize, out: &StepResult) {
         self.generated += out.tokens;
-        self.prefill_time += out.prefill;
         if !out.tpot.is_zero() {
             // The u64 cast holds any realistic single-step latency (< 584 years).
             self.tpot.record(out.tpot.as_nanos() as u64);
         }
-        if let Some(steps) = self.worker_steps.get_mut(worker) {
+        if let Some(steps) = self.worker_steps.get_mut(worker).filter(|_| !out.waited) {
             *steps += 1;
         }
     }
 }
 
-/// What one sequence's part of a batched step produced: tokens emitted (0 or 1), its
-/// prefill forward time, and the decode latency its step saw — the time of the batched
-/// forward it joined (zero when it joined none).
+/// What one sequence's part of a batched step produced: tokens emitted (0 or 1), the
+/// decode latency its step saw — the time of the batched forward it joined (zero when
+/// it decoded nothing) — and whether it only waited, a prefilling sequence the pass's
+/// [`PREFILL_BUDGET`] granted no rows.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepResult {
     tokens: usize,
-    prefill: Duration,
     tpot: Duration,
+    waited: bool,
+}
+
+/// What one sequence's step asks of the pass's batched forward (see
+/// [`Sequence::begin_step`]), and then what [`step_batch`] granted it.
+#[derive(Debug, Clone, Copy)]
+enum Rows {
+    /// No rows: the sequence finished, or emitted its last budgeted token.
+    Nothing,
+    /// One row: the pending token.
+    Decode,
+    /// Prompt rows: the rest of the prompt when asked, the chunk (maybe 0) when granted.
+    Prompt(usize),
+}
+
+impl Rows {
+    /// Rows this feeds the batched forward.
+    fn count(self) -> usize {
+        match self {
+            Rows::Nothing => 0,
+            Rows::Decode => 1,
+            Rows::Prompt(rows) => rows,
+        }
+    }
 }
 
 /// One sequence dispatched into a batched step: the sequence (moved by value), its
@@ -1855,11 +1898,13 @@ struct Job {
 
 /// What one batched step hands back to the coordinator: every job (each sequence
 /// travels back), per job its [`StepResult`] or `None` where its step panicked (the
-/// sequence rides back intact, its cache suspect), and the batched decode forward's
-/// time — worker busy time, counted once for the whole batch.
+/// sequence rides back intact, its cache suspect), and the batched forward's time —
+/// worker busy time, counted once for the whole batch and split between prefill and
+/// decode by the rows each fed it.
 struct BatchReply {
     jobs: Vec<Job>,
     outcomes: Vec<Option<StepResult>>,
+    prefill: Duration,
     decode: Duration,
 }
 
@@ -1877,12 +1922,13 @@ fn act_injected_fault(fault: Option<InjectedFault>) {
 /// One batched scheduler step over a chunk of jobs: the one step function of both the
 /// inline single-thread arm of the coordinator and every pool worker.
 ///
-/// 1. Per job, under its own `catch_unwind`: act out its injected fault, then
-///    [`Sequence::begin_step`] — prefill on first touch, or the stop/budget bookkeeping
-///    that pushes the pending token.
-/// 2. Under one `catch_unwind`: one batched decode forward for every sequence that needs
-///    one ([`decode_batch`]), recorded as one `decode_batch` worker span carrying the
-///    batch's sequence count.
+/// 1. Per job, in job order, under its own `catch_unwind`: act out its injected fault,
+///    then [`Sequence::begin_step`]. A prefilling sequence is granted the next chunk of
+///    its prompt, as many rows as the [`PREFILL_BUDGET`] has left; one granted none
+///    waits for a later pass. Decode rows never wait.
+/// 2. Under one `catch_unwind`: one batched forward over every decode row and prompt
+///    chunk ([`forward_batch`]), recorded as one `forward` worker span carrying its
+///    decode sequence count, with one `prefill_chunk` instant per prompt chunk in it.
 ///
 /// A panic in the first phase costs only its own job. A panic inside the shared forward
 /// may leave partial K/V appends in any member's cache, so every sequence of the batch
@@ -1894,71 +1940,107 @@ fn step_batch(
     rec: &mut Recorder,
 ) -> BatchReply {
     let mut outcomes = Vec::with_capacity(jobs.len());
-    let mut joins = Vec::with_capacity(jobs.len());
+    let mut rows = Vec::with_capacity(jobs.len());
+    let mut budget = PREFILL_BUDGET;
     for Job { seq, fault, .. } in jobs.iter_mut() {
         // The closure borrows the sequence, so a caught panic leaves it owned and intact
         // out here — only the step's partial cache mutation is lost, and the coordinator
         // discards that cache anyway.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             act_injected_fault(fault.take());
-            seq.begin_step(model, scratch, rec)
+            seq.begin_step(rec)
         }));
-        let (outcome, join) = match caught {
-            Ok((result, join)) => (Some(result), join),
-            Err(_) => (None, false),
+        let (outcome, granted) = match caught {
+            Ok((result, Rows::Prompt(left))) => {
+                let chunk = left.min(budget);
+                budget -= chunk;
+                (Some(StepResult { waited: chunk == 0, ..result }), Rows::Prompt(chunk))
+            }
+            Ok((result, need)) => (Some(result), need),
+            Err(_) => (None, Rows::Nothing),
         };
         outcomes.push(outcome);
-        joins.push(join);
+        rows.push(granted);
     }
-    let mut batch: Vec<&mut Sequence> =
-        jobs.iter_mut().zip(&joins).filter_map(|(job, &join)| join.then_some(&mut job.seq)).collect();
+    let mut batch: Vec<(&mut Sequence, usize)> = jobs
+        .iter_mut()
+        .zip(&rows)
+        .filter_map(|(job, granted)| (granted.count() > 0).then_some((&mut job.seq, granted.count())))
+        .collect();
     if batch.is_empty() {
-        return BatchReply { jobs, outcomes, decode: Duration::ZERO };
+        return BatchReply { jobs, outcomes, prefill: Duration::ZERO, decode: Duration::ZERO };
     }
-    let span = rec.span(Category::Worker, "decode_batch", "seqs", batch.len() as u64);
+    let decode_seqs = rows.iter().filter(|granted| matches!(granted, Rows::Decode)).count();
+    let prompt_rows = PREFILL_BUDGET - budget;
+    let mut span = rec.span(Category::Worker, "forward", "decode_seqs", decode_seqs as u64);
+    for (seq, _) in batch.iter().filter(|(seq, _)| !seq.prefilled) {
+        span.recorder().instant(Category::Worker, "prefill_chunk", "seq", seq.id as u64);
+    }
     let t0 = Instant::now();
-    let completed = catch_unwind(AssertUnwindSafe(|| decode_batch(model, &mut batch, scratch))).is_ok();
-    let decode = if completed { t0.elapsed() } else { Duration::ZERO };
+    let completed = catch_unwind(AssertUnwindSafe(|| forward_batch(model, &mut batch, scratch))).is_ok();
+    let elapsed = if completed { t0.elapsed() } else { Duration::ZERO };
     drop(span);
-    for (outcome, _) in outcomes.iter_mut().zip(&joins).filter(|(_, &join)| join) {
-        *outcome = outcome.filter(|_| completed).map(|result| StepResult { tpot: decode, ..result });
+    // Worker busy time, split between decode and prefill by the rows each fed.
+    let decode = elapsed.mul_f64(decode_seqs as f64 / (decode_seqs + prompt_rows) as f64);
+    for (outcome, granted) in outcomes.iter_mut().zip(&rows).filter(|(_, granted)| granted.count() > 0) {
+        *outcome = outcome.filter(|_| completed);
+        if let (Rows::Decode, Some(result)) = (granted, outcome) {
+            result.tpot = elapsed;
+        }
     }
-    BatchReply { jobs, outcomes, decode }
+    BatchReply { jobs, outcomes, prefill: elapsed.saturating_sub(decode), decode }
 }
 
-/// The batched half of a step: one [`TransformerModel::forward_batch_with_scratch`]
-/// over the pending token of every sequence in `seqs`, after which each sequence
-/// samples its next token from its own logits row with its own RNG.
-fn decode_batch(model: &TransformerModel, seqs: &mut [&mut Sequence], scratch: &mut PagedScratch) {
+/// The batched half of a step: one forward over every `(sequence, rows)` member, its
+/// pending token (one row) or the next `rows` positions of its prompt. Each sequence
+/// that decoded, or whose chunk completed its prompt, then samples its next token from
+/// its own logits row with its own RNG.
+fn forward_batch(model: &TransformerModel, seqs: &mut [(&mut Sequence, usize)], scratch: &mut PagedScratch) {
     // An engine runs one backend, so one of the two calls finds no member.
-    decode_on(model, seqs, SeqCache::f32_mut, &mut ());
-    decode_on(model, seqs, SeqCache::paged_mut, scratch);
+    forward_on(model, seqs, SeqCache::f32_mut, &mut ());
+    forward_on(model, seqs, SeqCache::paged_mut, scratch);
 }
 
-/// [`decode_batch`] over the members of `seqs` whose cache `cache_of` selects.
-fn decode_on<B: KvBackend>(
+/// [`forward_batch`] over the members of `seqs` whose cache `cache_of` selects. Only
+/// the rows that get sampled reach the lm_head: each decode row and the last row of
+/// each chunk that completes its prompt.
+fn forward_on<B: KvBackend>(
     model: &TransformerModel,
-    seqs: &mut [&mut Sequence],
+    seqs: &mut [(&mut Sequence, usize)],
     cache_of: fn(&mut SeqCache) -> Option<&mut B>,
     scratch: &mut B::Scratch,
 ) {
-    let mut members = Vec::with_capacity(seqs.len());
+    let mut sampled = Vec::with_capacity(seqs.len());
+    let mut logit_rows = Vec::with_capacity(seqs.len());
     let mut segments = Vec::with_capacity(seqs.len());
-    for (i, seq) in seqs.iter_mut().enumerate() {
-        let Sequence { next, cache, .. } = &mut **seq;
-        if let Some(cache) = cache_of(cache) {
-            members.push(i);
-            segments.push((std::slice::from_ref(&*next), cache));
+    let mut stacked = 0;
+    for (i, (seq, rows)) in seqs.iter_mut().enumerate() {
+        let Sequence { prompt, next, cache, prefilled, .. } = &mut **seq;
+        let Some(cache) = cache_of(cache) else { continue };
+        let (tokens, samples) = if *prefilled {
+            (std::slice::from_ref(&*next), true)
+        } else {
+            // Prefill continues from the cache's own length, so a chunk needs no state
+            // beyond the cache.
+            let from = cache.seq_len();
+            (&prompt[from..from + *rows], from + *rows == prompt.len())
+        };
+        stacked += tokens.len();
+        if samples {
+            sampled.push(i);
+            logit_rows.push(stacked - 1);
         }
+        segments.push((tokens, cache));
     }
     if segments.is_empty() {
         return;
     }
-    let logits = model.forward_batch_with_scratch(&mut segments, scratch);
+    let logits = model.forward_batch_logits_with_scratch(&mut segments, &logit_rows, scratch);
     drop(segments);
-    for (&i, row) in members.iter().zip(logits.iter_rows()) {
-        let seq = &mut *seqs[i];
+    for (&i, row) in sampled.iter().zip(logits.iter_rows()) {
+        let seq = &mut *seqs[i].0;
         seq.next = seq.sample(row);
+        seq.prefilled = true;
     }
 }
 
@@ -2572,6 +2654,37 @@ mod tests {
     fn submit_rejects_empty_prompts() {
         let model = model(ModelQuantConfig::BASELINE);
         ServingEngine::new(&model).submit_with(&[], SubmitOptions::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt token id out of vocabulary")]
+    fn submit_rejects_prompt_ids_outside_the_vocabulary() {
+        let model = model(ModelQuantConfig::BASELINE);
+        let vocab = model.config().vocab;
+        ServingEngine::paged(&model, 16).submit_with(&[1, vocab, 2], SubmitOptions::new(4));
+    }
+
+    #[test]
+    fn a_recipient_waits_for_a_prefilling_donor_to_cache_the_whole_match() {
+        // The donor's prompt is longer than one forward's budget, so it is still
+        // prefilling when the recipient arrives a pass later, with 64 of the 90 matching
+        // positions cached. The recipient waits a pass and then shares all 90 rather
+        // than 64 and prefilling the other 26 itself.
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        let donor: Vec<usize> = (0..PREFILL_BUDGET + 36).map(|i| (i * 5 + 3) % 128).collect();
+        let mut recipient = donor[..90].to_vec();
+        recipient.push(127);
+        let mut engine = ServingEngine::paged(&model, 64).with_threads(1);
+        engine.submit_with(&donor, SubmitOptions::new(6));
+        engine.submit_with(&recipient, SubmitOptions::new(6).arrival_pass(1));
+        let report = engine.run();
+        assert_eq!(engine.sequences()[1].shared_positions(), 90);
+        assert_eq!(report.prefill_tokens_saved, 90);
+        assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&donor, 6));
+        assert_eq!(engine.sequences()[1].generated, model.generate_greedy(&recipient, 6));
+        let pool = engine.pool().unwrap();
+        assert_eq!(pool.in_use_pages(), 0);
+        assert_eq!(pool.reserved_pages(), 0);
     }
 
     #[test]

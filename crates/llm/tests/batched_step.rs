@@ -185,8 +185,8 @@ fn a_fault_in_a_batched_pass_costs_only_its_sequence() {
         assert_eq!(report.generated_tokens, clean_report.generated_tokens);
 
         // The batch-mates still shared one batched forward in the faulted pass: the last
-        // decode_batch the faulted lane opened before the panic was reported carried
-        // every sequence of its chunk but the faulted one.
+        // forward the faulted lane opened before the panic was reported decoded every
+        // sequence of its chunk but the faulted one.
         let trace = faulty.take_trace().expect("telemetry was enabled");
         let lane = if threads == 1 { 0 } else { worker as u32 + 1 };
         let panic_ts = trace
@@ -198,7 +198,7 @@ fn a_fault_in_a_batched_pass_costs_only_its_sequence() {
         let mates = trace
             .events()
             .iter()
-            .filter(|e| e.kind == EventKind::Begin && e.name == "decode_batch" && e.lane == lane)
+            .filter(|e| e.kind == EventKind::Begin && e.name == "forward" && e.lane == lane)
             .filter(|e| e.ts_nanos <= panic_ts)
             .max_by_key(|e| e.ts_nanos)
             .map(|e| e.arg);

@@ -9,7 +9,8 @@
 //! * under a fixed [`TestClock`] a single-threaded run renders byte-identical Chrome
 //!   trace JSON across repeats;
 //! * [`ServingReport::worker_decode_steps`] accounts every scheduler step, and the
-//!   `decode_batch` spans account every token that ran a decode forward.
+//!   `forward` spans' decode sequence counts account every token that ran a decode
+//!   forward.
 
 use std::sync::Arc;
 
@@ -134,12 +135,12 @@ fn decode_batch_spans_account_every_decoded_token() {
     for threads in [1, 2] {
         let (report, trace, _) = run_traced(threads, TelemetryConfig::On);
         let trace = trace.expect("telemetry was enabled");
-        // One decode_batch span per batched forward, carrying its sequence count; every
-        // token of a batch records the batch's forward time as its TPOT sample.
+        // One forward span per batched forward, carrying its decode sequence count;
+        // every token of a batch records the batch's forward time as its TPOT sample.
         let batched: u64 = trace
             .events()
             .iter()
-            .filter(|e| e.kind == EventKind::Begin && e.cat == Category::Worker && e.name == "decode_batch")
+            .filter(|e| e.kind == EventKind::Begin && e.cat == Category::Worker && e.name == "forward")
             .map(|e| e.arg)
             .sum();
         assert_eq!(batched, report.latency.tpot.count, "{threads} threads");

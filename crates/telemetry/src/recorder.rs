@@ -20,7 +20,7 @@ pub enum Category {
     Lifecycle,
     /// Coordinator scheduler passes (one span per pass).
     Pass,
-    /// Per-worker compute: prefill and decode-step spans.
+    /// Per-worker compute: batched-forward spans and the prompt chunks they carry.
     Worker,
     /// Pool-occupancy gauges sampled at pass boundaries.
     Occupancy,
@@ -68,7 +68,7 @@ pub struct Event {
     pub kind: EventKind,
     /// Taxonomy grouping (the trace's `cat`).
     pub cat: Category,
-    /// Event name (e.g. `"prefill"`, `"decode_batch"`, `"in_use_pages"`).
+    /// Event name (e.g. `"forward"`, `"prefill_chunk"`, `"in_use_pages"`).
     pub name: &'static str,
     /// Key under which `arg` renders in the trace's `args` object.
     pub arg_name: &'static str,
