@@ -2,11 +2,10 @@
 //! `// mx-analyze: allow(<rule>) reason: <text>` in both the line-above and trailing
 //! forms.
 
-pub fn quiet(v: Option<usize>, engine: &mut ServingEngine, pool: &PagePool, cache: &mut Cache) -> usize {
+pub fn quiet(v: Option<usize>, pool: &PagePool, cache: &mut Cache) -> usize {
     // mx-analyze: allow(no-panics) reason: exercises the line-above suppression form
     let a = v.unwrap();
     let b = v.expect("fine"); // mx-analyze: allow(no-panics) reason: fixture value is always Some
-    engine.submit(&[1], 2); // mx-analyze: allow(deprecated-submit) reason: pinned legacy call shape
     let state = pool.state();
     cache.pack_row_into(&[0.0], &mut []); // mx-analyze: allow(guard-liveness) reason: single-threaded fixture
     drop(state);

@@ -118,8 +118,8 @@ fn paged_vs_f32(c: &mut Criterion) {
 /// workload (resident sequences decoding in lock-step) at 1/2/4/8 decode worker threads.
 /// Within a pass every sequence owns its pages, so the decode steps parallelize; the
 /// measured wall time of `run()` is the number the README's scaling table reports.
-/// (On a single hardware thread the sweep degenerates gracefully: the worker pool adds
-/// only scoped-spawn overhead.)
+/// (On a single hardware thread the sweep degenerates gracefully: the extra worker
+/// threads add only their per-pass scoped-spawn overhead.)
 fn thread_scaling(c: &mut Criterion) {
     let model = bench_model();
     let cfg = model.config().clone();

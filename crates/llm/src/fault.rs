@@ -3,11 +3,12 @@
 //! A [`FaultPlan`] is a *seeded, reproducible schedule* of failures — worker panics,
 //! transient page-reservation denials, slow passes — installed with
 //! [`ServingEngine::with_faults`]. Faults are addressed in scheduler coordinates
-//! (worker slot × per-worker job counter, or paged-admission attempt counter), so the
-//! same plan against the same workload produces the same failure sequence on every run
-//! and at every thread count: failure becomes a first-class, testable input instead of
-//! an un-reproducible accident. When no plan is installed the entire machinery is one
-//! `Option` check on the scheduler path.
+//! (worker slot × per-worker job counter, or paged-admission attempt counter), counted
+//! over the engine's whole life, so the same plan against the same workload produces
+//! the same failure sequence on every run, at every thread count, and whether one `run`
+//! or a loop of `run_for` calls drives the engine: failure becomes a first-class,
+//! testable input instead of an un-reproducible accident. When no plan is installed
+//! the entire machinery is one `Option` check on the scheduler path.
 //!
 //! [`RecoveryPolicy`] is the companion knob set: how often the coordinator snapshots
 //! retryable sequences ([`PagedKvCache::checkpoint`]), how many retry attempts a
@@ -22,17 +23,18 @@ use crate::sampling::SeqRng;
 /// One scheduled fault in a [`FaultPlan`], addressed in scheduler coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic worker slot `worker` (modulo the run's thread count) while it executes its
-    /// `job`-th step of the run (1-based lifetime counter per worker slot).
+    /// Panic worker slot `worker` (modulo the engine's thread count) while it executes
+    /// its `job`-th step (1-based per-slot counter over the engine's life, across
+    /// calls). Each pass hands worker `w` one step per sequence of chunk `w`.
     WorkerPanic {
         /// Targeted worker slot; reduced modulo the engine's thread count at run time.
         worker: usize,
         /// 1-based per-worker lifetime job counter at which the panic fires.
         job: u64,
     },
-    /// Deny the `attempt`-th paged admission reservation of the run (0-based counter
-    /// over every paged admission attempt), as if the pool were transiently exhausted.
-    /// The sequence stays queued and retries on a later pass.
+    /// Deny the `attempt`-th paged admission reservation (0-based counter over every
+    /// paged admission attempt of the engine's life), as if the pool were transiently
+    /// exhausted. The sequence stays queued and retries on a later pass.
     ReservationDenied {
         /// 0-based paged-admission attempt counter at which the denial fires.
         attempt: u64,
@@ -152,8 +154,8 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// A fault the coordinator attaches to one dispatched job. Crate-internal: workers
-/// only ever see the fault they must act out, never the plan.
+/// A fault the coordinator attaches to one sequence's step of a pass. Crate-internal:
+/// workers only ever see the fault they must act out, never the plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum InjectedFault {
     /// Panic before running the step.
@@ -162,22 +164,45 @@ pub(crate) enum InjectedFault {
     Slow(u64),
 }
 
-/// Run-time state of an installed plan: each scheduled fault is consumed (fires once)
-/// as scheduler counters reach its coordinates.
+/// Run-time state of an installed plan: the scheduler counters faults are addressed by,
+/// which run over the engine's whole life, and the scheduled faults not yet fired, each
+/// consumed (fired once) as the counters reach its coordinates.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     pending: Vec<FaultKind>,
+    /// Steps each worker slot has been handed so far (index = worker slot).
+    jobs: Vec<u64>,
+    /// Paged admission attempts made so far.
+    admission_attempts: u64,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: &FaultPlan) -> Self {
-        FaultState { pending: plan.events.clone() }
+        FaultState { pending: plan.events.clone(), jobs: Vec::new(), admission_attempts: 0 }
     }
 
-    /// The fault (if any) scheduled for worker slot `worker`'s `job`-th step under a
-    /// pool of `num_threads` workers. A panic trumps a slow step at the same
-    /// coordinates. Consumes what it returns.
-    pub(crate) fn take_step_fault(&mut self, worker: usize, job: u64, num_threads: usize) -> Option<InjectedFault> {
+    /// Counts one more step handed to worker slot `worker` of `num_threads` and returns
+    /// the fault (if any) scheduled for it.
+    pub(crate) fn step_fault(&mut self, worker: usize, num_threads: usize) -> Option<InjectedFault> {
+        if self.jobs.len() <= worker {
+            self.jobs.resize(worker + 1, 0);
+        }
+        self.jobs[worker] += 1;
+        self.take_step_fault(worker, self.jobs[worker], num_threads)
+    }
+
+    /// Counts one more paged admission attempt and returns whether it is scheduled to
+    /// be denied.
+    pub(crate) fn deny_admission(&mut self) -> bool {
+        let attempt = self.admission_attempts;
+        self.admission_attempts += 1;
+        self.take_denial(attempt)
+    }
+
+    /// The fault (if any) scheduled for worker slot `worker`'s `job`-th step under
+    /// `num_threads` workers. A panic trumps a slow step at the same coordinates.
+    /// Consumes what it returns.
+    fn take_step_fault(&mut self, worker: usize, job: u64, num_threads: usize) -> Option<InjectedFault> {
         let threads = num_threads.max(1);
         let matches_slot = |slot: usize| slot % threads == worker;
         let hit = self.pending.iter().position(|f| match f {
@@ -194,7 +219,7 @@ impl FaultState {
 
     /// Whether the `attempt`-th paged admission reservation is scheduled to fail.
     /// Consumes the denial it returns `true` for.
-    pub(crate) fn take_denial(&mut self, attempt: u64) -> bool {
+    fn take_denial(&mut self, attempt: u64) -> bool {
         let hit =
             self.pending.iter().position(|f| matches!(f, FaultKind::ReservationDenied { attempt: a } if *a == attempt));
         match hit {

@@ -1,5 +1,5 @@
-//! A continuous-batching serving engine on top of the zero-copy decode path, driven by a
-//! pool of decode worker threads.
+//! A continuous-batching serving engine on top of the zero-copy decode path, stepping
+//! each pass's sequences in a fork-join across decode worker threads.
 //!
 //! The engine owns a queue of sequences and advances every active one per scheduler
 //! pass, decoding them together: a worker's sequences share one batched forward
@@ -43,34 +43,35 @@
 //!
 //! ## Threading model
 //!
-//! Within a scheduler step, per-sequence work (a prompt chunk per pass until the prompt
+//! Within a scheduler pass, per-sequence work (a prompt chunk per pass until the prompt
 //! is cached, then one decode step per pass) is embarrassingly parallel: every sequence
-//! exclusively owns its cache
-//! pages (shared prefix pages are immutable behind their refcount) and its sampler
-//! state, and the model weights are read-only. [`ServingEngine::run`] therefore spawns a
-//! **persistent pool** of `num_threads` decode workers once per run
-//! ([`ServingEngine::with_threads`]; default = available parallelism), each carrying one
-//! reusable [`PagedScratch`] for its whole lifetime, and moves each pass's active
-//! sequences to them over channels (no per-pass thread spawns), one contiguous chunk per
-//! worker. A worker's chunk is **one batched step** — the same step function the
-//! single-thread engine runs inline: each prefilling sequence, in submission order, is
-//! granted the next chunk of its prompt from what is left of the worker's
-//! [`PREFILL_BUDGET`] (one granted nothing waits a pass), each prefilled one does its
-//! stop/budget bookkeeping, and then every decode row and prompt chunk joins one batched
-//! forward. Prefill continues from the cache's own length, so a chunk needs no state of
-//! its own. Only the rows that get sampled reach the lm_head: each decode row, sampled
-//! with its sequence's own RNG, and the last row of a chunk that completes its prompt,
-//! from which the first token is sampled. The **coordinator**
-//! thread keeps everything that mutates shared scheduling state: admission (page
-//! reservation, priority-then-FCFS order, prefix-share planning), preemption, eviction,
-//! occupancy sampling, and retirement — returning a finished sequence's pages to the
-//! pool between passes, which is what funds mid-run admissions. Because sequences are
-//! independent — everything outside attention is row-independent, so a sequence's
-//! logits do not depend on its batch-mates, and a chunk's attention reads the earlier
-//! chunks back from the cache exactly as a whole prefill reads its own rows — the
-//! generated streams are **token-identical for every `num_threads`** and do not depend
-//! on where the chunk boundaries fall; `num_threads = 1` steps every sequence in
-//! submission order as one batch.
+//! exclusively owns its cache pages (shared prefix pages are immutable behind their
+//! refcount) and its sampler state, and the model weights are read-only. Each pass is
+//! therefore one **fork-join** over the sequence table: the coordinator cuts the active
+//! sequences into `num_threads` contiguous chunks ([`ServingEngine::with_threads`];
+//! default = available parallelism), steps chunk 0 itself and every other chunk on a
+//! [`std::thread::scope`] thread of its own, and each chunk borrows its sequences in
+//! place. Worker `w` keeps one reusable [`PagedScratch`] and one trace recorder (lane
+//! `w + 1`) for the whole run, at every thread count; one thread spawns nothing.
+//!
+//! A chunk is **one batched step**: each prefilling sequence, in submission order, is
+//! granted the next chunk of its prompt from what is left of the chunk's
+//! [`PREFILL_BUDGET`] (one granted nothing waits a pass), and then every decode row and
+//! prompt chunk joins one batched forward. Prefill continues from the cache's own
+//! length, so a chunk needs no state of its own. Only the rows that get sampled reach
+//! the lm_head: each decode row, which feeds the sequence's last emitted token, and the
+//! last row of a chunk that completes its prompt. Each sequence samples with its own
+//! RNG and emits the token in the pass that sampled it, finishing there on its stop
+//! token or budget. The **coordinator** keeps everything that mutates shared scheduling
+//! state: admission (page reservation, priority-then-FCFS order, prefix-share
+//! planning), preemption, eviction, occupancy sampling, and retirement — returning a
+//! finished sequence's pages to the pool between passes, which is what funds mid-run
+//! admissions. Because sequences are independent — everything outside attention is
+//! row-independent, so a sequence's logits do not depend on its batch-mates, and a
+//! chunk's attention reads the earlier chunks back from the cache exactly as a whole
+//! prefill reads its own rows — the generated streams are **token-identical for every
+//! `num_threads`** and do not depend on where the chunk boundaries fall;
+//! `num_threads = 1` steps every sequence in submission order as one batch.
 //!
 //! Sequences finish on their length budget or on a per-sequence stop token, each
 //! recorded as a [`FinishReason`]; next-token selection is greedy by default or seeded
@@ -102,21 +103,25 @@
 //! Failure is a first-class, deterministically testable input ([`crate::fault`]):
 //!
 //! * **Containment** — every step runs under `catch_unwind`: each sequence's own part
-//!   of a batched step (its injected fault and bookkeeping) under its own, and the
-//!   shared batched forward — decode rows and prompt chunks alike — under one more. A
-//!   seeded [`FaultPlan`] injection (via [`ServingEngine::with_faults`]) therefore costs
+//!   of a batched step (its injected fault) under its own, and the shared batched
+//!   forward — decode rows, prompt chunks and sampling alike — under one more. A seeded
+//!   [`FaultPlan`] injection (via [`ServingEngine::with_faults`]) therefore costs
 //!   exactly one sequence's in-flight pass, never the run; a genuine panic inside the
 //!   shared forward may leave partial K/V appends in any member's cache, so it rolls
 //!   back every sequence of that batch, prefilling members included. Prompt ids outside
 //!   the vocabulary are refused at [`ServingEngine::submit_with`], so a prompt cannot
-//!   cause one.
-//!   The coordinator respawns the panicked worker at the pass boundary
-//!   ([`ServingReport::worker_restarts`]) and rolls each lost sequence back to its last
-//!   periodic checkpoint ([`PagedKvCache::checkpoint`], every
-//!   [`RecoveryPolicy::checkpoint_every`] passes), retrying with bounded attempts and
-//!   backoff-in-passes; replay from a bit-exact checkpoint keeps retried sequences —
-//!   and trivially every untouched one — token-identical to a fault-free run. A
-//!   sequence that exhausts its attempts finishes as [`FinishReason::Failed`].
+//!   cause one. The worker thread survives every caught panic, and the coordinator
+//!   rolls each lost sequence back to its last periodic checkpoint
+//!   ([`PagedKvCache::checkpoint`], every [`RecoveryPolicy::checkpoint_every`] passes),
+//!   retrying with bounded attempts and backoff-in-passes; replay from a bit-exact
+//!   checkpoint keeps retried sequences — and trivially every untouched one —
+//!   token-identical to a fault-free run. A sequence that exhausts its attempts
+//!   finishes as [`FinishReason::Failed`]. A panic that escapes the step's own
+//!   `catch_unwind`s ends its thread, and the join finishes that chunk's sequences as
+//!   [`FinishReason::Failed`] without a retry. The scheduler's counters (passes,
+//!   per-worker jobs, admission attempts) run over the engine's whole life, so
+//!   arrivals, deadlines, retry backoff and fault coordinates mean the same under one
+//!   [`ServingEngine::run`] as under a loop of [`ServingEngine::run_for`]`(1)` calls.
 //! * **Deadlines** — [`SubmitOptions::deadline_pass`] / [`SubmitOptions::ttft_deadline`]
 //!   finish overdue sequences as [`FinishReason::DeadlineExceeded`] instead of letting
 //!   them occupy pages past their usefulness.
@@ -131,7 +136,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mx_formats::{QuantScheme, RowCodec};
@@ -146,7 +151,7 @@ use crate::sampling::{sample_token, Sampling, SeqRng};
 /// Prompt rows one batched forward carries at most: each pass, every sequence still
 /// prefilling takes the next chunk of its prompt from what is left of this budget, in
 /// submission order, and one granted no rows waits for a later pass. Decode rows never
-/// wait for it. Each worker's forward gets the whole budget. 64 rows are four
+/// wait for it. Each worker's chunk gets the whole budget. 64 rows are four
 /// 16-position pages.
 pub const PREFILL_BUDGET: usize = 64;
 
@@ -200,7 +205,6 @@ enum SeqCache {
 struct Checkpoint {
     spilled: SpilledKv,
     generated: Vec<usize>,
-    next: usize,
     rng: SeqRng,
     shared_positions: usize,
 }
@@ -239,17 +243,13 @@ pub struct Sequence {
     rng: SeqRng,
     finish: Option<FinishReason>,
     cache: SeqCache,
-    next: usize,
-    /// Whether the whole prompt is cached and `next` holds the first sampled token;
-    /// until then each pass adds the next chunk of the prompt, continuing from the
-    /// cache's own length.
-    prefilled: bool,
     /// Hub-clock reading when the submission first became visible to the scheduler.
     submitted_ns: Option<u64>,
     /// Hub-clock reading at first admission (page reservation granted); re-admissions
     /// after preemption do not overwrite it.
     admitted_ns: Option<u64>,
-    /// Hub-clock reading when the first generated token became caller-visible.
+    /// Hub-clock reading when the first generated token became caller-visible, in the
+    /// pass that sampled it.
     first_token_ns: Option<u64>,
     /// Whether the coordinator has emitted this sequence's `retired` lifecycle event.
     finish_logged: bool,
@@ -310,38 +310,6 @@ impl Sequence {
         self.shared_positions
     }
 
-    /// A throwaway placeholder parked in the sequence table while the real sequence is
-    /// travelling through a worker's channel; never admitted, stepped or observed.
-    fn parked() -> Sequence {
-        Sequence {
-            id: usize::MAX,
-            prompt: Vec::new(),
-            generated: Vec::new(),
-            max_new_tokens: 0,
-            stop_token: None,
-            sampling: Sampling::GREEDY,
-            priority: 0,
-            arrival_pass: usize::MAX,
-            share_prefix: false,
-            prefix_hashes: Vec::new(),
-            shared_positions: 0,
-            rng: SeqRng::new(0, 0),
-            finish: None,
-            cache: SeqCache::Waiting,
-            next: 0,
-            prefilled: false,
-            submitted_ns: None,
-            admitted_ns: None,
-            first_token_ns: None,
-            finish_logged: false,
-            deadline_pass: None,
-            ttft_deadline: None,
-            attempts: 0,
-            retry_at_pass: 0,
-            checkpoint: None,
-        }
-    }
-
     /// Times this sequence has been attempted so far: 0 while it has never lost a step
     /// to a worker panic, `n` after `n` rollback/retry rounds. A sequence finished as
     /// [`FinishReason::Failed`] carries its final count in the reason as well.
@@ -384,38 +352,42 @@ impl Sequence {
         sample_token(logits, &self.sampling, &mut self.rng)
     }
 
-    /// The per-sequence half of a batched step (see [`step_batch`]); it runs no forward.
-    /// A sequence still prefilling asks for the rest of its prompt, the positions past
-    /// its cache's length, of which [`step_batch`] grants a chunk under the forward's
-    /// [`PREFILL_BUDGET`]. A prefilled one does the stop/budget bookkeeping that emits
-    /// its pending token (recording the first-token lifecycle instant into `rec`) and
-    /// asks for one decode row, unless that token spent its budget.
-    fn begin_step(&mut self, rec: &mut Recorder) -> (StepResult, Rows) {
-        if !self.prefilled {
-            return (StepResult::default(), Rows::Prompt(self.prompt.len() - self.cached_positions()));
+    /// Whether an unfinished sequence has its whole prompt cached. The chunk that
+    /// completes a prompt samples the first token, which the sequence emits or finishes
+    /// on, so from then on it has emitted a token to feed its next decode row.
+    fn prefilled(&self) -> bool {
+        !self.generated.is_empty()
+    }
+
+    /// What this sequence asks of its pass's batched forward (see [`step_batch`]): one
+    /// decode row once prefilled, else the rest of its prompt, the positions past its
+    /// cache's length, of which [`step_batch`] grants a chunk under the chunk's
+    /// [`PREFILL_BUDGET`].
+    fn wants(&self) -> Rows {
+        if self.prefilled() {
+            Rows::Decode
+        } else {
+            Rows::Prompt(self.prompt.len() - self.cached_positions())
         }
-        if self.stop_token == Some(self.next) {
+    }
+
+    /// Takes the token just sampled from this sequence's logits, in the pass that
+    /// sampled it: the stop token finishes the sequence without being emitted, any other
+    /// is emitted, and the sequence finishes once it has emitted its budget. So the
+    /// budgeted last token never runs a forward of its own, which would only produce
+    /// logits (and a cache row) that are thrown away.
+    fn emit(&mut self, token: usize) {
+        if self.stop_token == Some(token) {
             self.finish(FinishReason::Stop);
-            return (StepResult::default(), Rows::Nothing);
+            return;
+        }
+        // A zero-budget sequence finishes without emitting anything.
+        if self.generated.len() < self.max_new_tokens {
+            self.generated.push(token);
         }
         if self.generated.len() >= self.max_new_tokens {
-            // Zero-budget sequences finish without emitting anything.
-            self.finish(FinishReason::Length);
-            return (StepResult::default(), Rows::Nothing);
-        }
-        self.generated.push(self.next);
-        if self.generated.len() == 1 {
-            // TTFT anchor: the first token just became caller-visible.
-            self.first_token_ns = Some(rec.now_nanos());
-            rec.instant(Category::Lifecycle, "first_token", "seq", self.id as u64);
-        }
-        // The budgeted last token needs no forward pass of its own: decoding it would
-        // only produce logits (and a cache row) that are thrown away.
-        let budget_spent = self.generated.len() == self.max_new_tokens;
-        if budget_spent {
             self.finish(FinishReason::Length);
         }
-        (StepResult { tokens: 1, ..StepResult::default() }, if budget_spent { Rows::Nothing } else { Rows::Decode })
     }
 }
 
@@ -459,17 +431,17 @@ pub struct ServingReport {
     pub deadline_misses: usize,
     /// Sequences refused by priority-ordered load shedding ([`FinishReason::Shed`]).
     pub shed: usize,
-    /// Decode workers respawned after a (real or injected) panic — every one a
-    /// contained crash that did not take the run down.
-    pub worker_restarts: usize,
     /// Checkpoint-rollback retries scheduled after losing a sequence's in-flight step
-    /// to a worker panic (see [`RecoveryPolicy`]).
+    /// to a (real or injected) panic, every one contained without taking the run down
+    /// (see [`RecoveryPolicy`]).
     pub retries: usize,
-    /// Scheduler passes the run executed.
+    /// Scheduler passes this call executed (the engine's own pass count runs on across
+    /// calls).
     pub passes: usize,
     /// Total prompt tokens prefilled.
     pub prompt_tokens: usize,
-    /// Total tokens generated by the decode loop.
+    /// Total tokens emitted, counting again those a rolled-back sequence's replay
+    /// emits a second time.
     pub generated_tokens: usize,
     /// The prompt rows' share of the batched forwards' time, summed across worker
     /// threads: each forward's time is split between prefill and decode by the rows it
@@ -524,11 +496,12 @@ pub struct ServingReport {
     /// count therefore equals the summed decode sequence counts of the trace's
     /// `forward` spans.
     pub latency: LatencySummary,
-    /// Sequences each decode worker stepped (prompt chunks, decode steps and finish
-    /// bookkeeping; every member of a batched step counts once, and a prefilling
-    /// sequence the budget granted no rows does not count); index `w` is worker
-    /// lane `w + 1`, or the coordinator itself on a single-threaded run. Exposes the
-    /// pool's load skew, and their sum over passes is the mean batch size.
+    /// Sequences each decode worker stepped (prompt chunks and decode steps; every
+    /// member of a batched step counts once, and a prefilling sequence the budget
+    /// granted no rows does not count); index `w` is worker `w`, which steps chunk `w`
+    /// of every pass and records on trace lane `w + 1` (worker 0 runs on the
+    /// coordinator's thread). Exposes the chunks' load skew, and their sum over passes
+    /// is the mean batch size.
     pub worker_decode_steps: Vec<usize>,
 }
 
@@ -592,10 +565,11 @@ impl DrainReport {
 /// assert!(opts.share_prefix);
 /// ```
 ///
-/// This is the one submission surface of the engine — the historical
-/// `submit` / `submit_with_stop` / `submit_with_sampling` trio survives as thin
-/// deprecated wrappers, so prefix-sharing, priority and arrival options never need a
-/// fourth variant.
+/// This is the one submission surface of the engine ([`ServingEngine::submit_with`]).
+///
+/// Passes are counted over the engine's whole life: pass `p` is the `p`-th scheduler
+/// pass since the engine was built, whether one [`ServingEngine::run`] or a loop of
+/// [`ServingEngine::run_for`] calls executes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubmitOptions {
     /// Generation budget for the sequence.
@@ -608,22 +582,24 @@ pub struct SubmitOptions {
     /// pool pressure may preempt strictly lower-priority running sequences (spilling
     /// their pages, restoring them bit-identically later). Default 0.
     pub priority: i32,
-    /// Scheduler pass at which the submission becomes visible to admission — the
+    /// Engine pass at which the submission becomes visible to admission — the
     /// deterministic analogue of an online arrival time. Default 0 (present from the
-    /// start); a later pass lets tests and benches model a high-priority request
-    /// arriving while lower-priority work occupies the pool.
+    /// start, or from the next pass once the engine has run); a later pass lets tests
+    /// and benches model a high-priority request arriving while lower-priority work
+    /// occupies the pool.
     pub arrival_pass: usize,
     /// Whether this sequence may map a matching prompt prefix onto another sequence's
     /// sealed shared pages instead of re-prefilling it. Default `true` — sharing is
     /// bit-identical, so there is no accuracy reason to opt out; disable it to measure
     /// the unshared baseline.
     pub share_prefix: bool,
-    /// Absolute scheduler pass by which the sequence must have finished; past it, the
+    /// Absolute engine pass by which the sequence must have finished; past it, the
     /// deadline sweep ends the sequence as [`FinishReason::DeadlineExceeded`]. Default
     /// `None` (no deadline).
     pub deadline_pass: Option<usize>,
-    /// Passes after [`SubmitOptions::arrival_pass`] within which the first token must
-    /// have been generated — the pass-domain analogue of a TTFT SLO. Default `None`.
+    /// Engine passes after [`SubmitOptions::arrival_pass`] within which the first token
+    /// must have been generated — the pass-domain analogue of a TTFT SLO. Default
+    /// `None`.
     pub ttft_deadline: Option<usize>,
 }
 
@@ -666,7 +642,7 @@ impl SubmitOptions {
         self
     }
 
-    /// Delays the submission's visibility to admission until scheduler pass `pass`.
+    /// Delays the submission's visibility to admission until engine pass `pass`.
     #[must_use]
     pub fn arrival_pass(mut self, pass: usize) -> Self {
         self.arrival_pass = pass;
@@ -680,7 +656,7 @@ impl SubmitOptions {
         self
     }
 
-    /// Requires the sequence to finish by scheduler pass `pass` (see
+    /// Requires the sequence to finish by engine pass `pass` (see
     /// [`SubmitOptions::deadline_pass`]).
     #[must_use]
     pub fn deadline_pass(mut self, pass: usize) -> Self {
@@ -697,8 +673,8 @@ impl SubmitOptions {
     }
 }
 
-/// Decodes a batch of sequences against one model with continuous batching and a decode
-/// worker pool (see the [module docs](crate::serving)).
+/// Decodes a batch of sequences against one model with continuous batching, stepping
+/// each pass across decode worker threads (see the [module docs](crate::serving)).
 ///
 /// ```
 /// use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
@@ -737,6 +713,10 @@ pub struct ServingEngine<'m> {
     /// Load-shedding watermark as a fraction of the pool's total pages; `None`
     /// (default) never sheds.
     shed_watermark: Option<f64>,
+    /// Scheduler passes run over the engine's life, across every run, run_for and
+    /// drain call: the clock arrivals, deadlines, retry backoff and checkpoint cadence
+    /// read.
+    pass: usize,
 }
 
 impl<'m> ServingEngine<'m> {
@@ -755,6 +735,7 @@ impl<'m> ServingEngine<'m> {
             faults: None,
             recovery: None,
             shed_watermark: None,
+            pass: 0,
         }
     }
 
@@ -783,6 +764,7 @@ impl<'m> ServingEngine<'m> {
             faults: None,
             recovery: None,
             shed_watermark: None,
+            pass: 0,
         }
     }
 
@@ -825,9 +807,10 @@ impl<'m> ServingEngine<'m> {
     }
 
     /// Installs a deterministic [`FaultPlan`] for subsequent runs (builder-style; see
-    /// [`crate::fault`]). Each scheduled fault fires at most once, across however many
-    /// runs it takes for the scheduler's counters to reach it. Installing a plan also
-    /// turns on periodic recovery checkpointing under the active [`RecoveryPolicy`].
+    /// [`crate::fault`]). Each scheduled fault fires at most once, when the engine's
+    /// counters, which run on across calls, reach its coordinates. Installing a plan
+    /// also turns on periodic recovery checkpointing under the active
+    /// [`RecoveryPolicy`].
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(FaultState::new(&plan));
@@ -917,8 +900,6 @@ impl<'m> ServingEngine<'m> {
             rng: SeqRng::new(options.sampling.seed, id as u64),
             finish: None,
             cache: SeqCache::Waiting,
-            next: 0,
-            prefilled: false,
             submitted_ns: None,
             admitted_ns: None,
             first_token_ns: None,
@@ -932,44 +913,6 @@ impl<'m> ServingEngine<'m> {
         id
     }
 
-    /// Queues a sequence. Returns the sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit(&mut self, prompt: &[usize], max_new_tokens: usize) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens))
-    }
-
-    /// Queues a sequence that additionally finishes (without emitting it) when it
-    /// generates `stop_token`. Returns the sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit_with_stop(&mut self, prompt: &[usize], max_new_tokens: usize, stop_token: Option<usize>) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens).stop_token(stop_token))
-    }
-
-    /// Queues a sequence with an explicit [`Sampling`] configuration. Returns the
-    /// sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit_with_sampling(
-        &mut self,
-        prompt: &[usize],
-        max_new_tokens: usize,
-        stop_token: Option<usize>,
-        sampling: Sampling,
-    ) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens).stop_token(stop_token).sampling(sampling))
-    }
-
     /// The sequences in submission order.
     #[must_use]
     pub fn sequences(&self) -> &[Sequence] {
@@ -981,11 +924,11 @@ impl<'m> ServingEngine<'m> {
     /// Each pass of the coordinator loop: admit arrived waiting (or preempted) sequences
     /// whenever their worst case fits the page budget — mapping any matching prompt
     /// prefix onto shared pages and preempting strictly lower-priority running sequences
-    /// under pressure — fan the active sequences out across the persistent decode worker
-    /// pool (each worker runs one batched forward over the next prompt chunk of each
-    /// prefilling sequence, within its [`PREFILL_BUDGET`], and one token for each of the
-    /// others), sample peak occupancy, and
-    /// retire finished sequences so their pages fund queued admissions.
+    /// under pressure — step the active sequences in one fork-join across the decode
+    /// workers (each worker runs one batched forward over the next prompt chunk of each
+    /// prefilling sequence of its chunk, within its [`PREFILL_BUDGET`], and one token for
+    /// each of the others), sample peak occupancy, and retire finished sequences so
+    /// their pages fund queued admissions.
     pub fn run(&mut self) -> ServingReport {
         self.execute(true, usize::MAX)
     }
@@ -1003,8 +946,8 @@ impl<'m> ServingEngine<'m> {
     }
 
     /// Gracefully drains the engine: admissions are frozen (queued and preempted
-    /// sequences stay parked) while every *resident* sequence runs to completion, then
-    /// the worker pool joins cleanly. Returns the leftover population; on return no
+    /// sequences stay parked) while every *resident* sequence runs to completion.
+    /// Returns the leftover population; on return no
     /// sequence holds pool pages, so `drain` is the clean-stop half of the
     /// [`ServingEngine::shutdown`] contract.
     pub fn drain(&mut self) -> DrainReport {
@@ -1052,140 +995,57 @@ impl<'m> ServingEngine<'m> {
     fn execute(&mut self, admit: bool, max_passes: usize) -> ServingReport {
         let run_start = Instant::now();
         let mut stats = RunStats { worker_steps: vec![0; self.num_threads], ..RunStats::default() };
-        if self.num_threads == 1 {
-            self.drive(None, &mut stats, admit, max_passes);
-        } else {
-            let model = self.model;
-            let num_threads = self.num_threads;
-            let telemetry = Arc::clone(&self.telemetry);
-            std::thread::scope(|scope| {
-                let mut workers = WorkerPool::spawn(scope, model, num_threads, &telemetry);
-                self.drive(Some(&mut workers), &mut stats, admit, max_passes);
-                // Dropping the pool's job senders here ends every worker's receive
-                // loop (including any replaced, already-disconnected incarnations);
-                // the scope then joins them all.
-            });
-        }
+        let mut workers: Vec<Worker> = (0..self.num_threads)
+            .map(|w| Worker { scratch: PagedScratch::default(), rec: self.telemetry.recorder(w as u32 + 1) })
+            .collect();
+        self.drive(&mut workers, &mut stats, admit, max_passes);
+        drop(workers);
         if self.telemetry.is_enabled() {
-            // Every recorder has dropped (drive's on return, the workers' at scope
-            // join), so the drain sees the complete run.
+            // Every recorder has dropped (drive's on return, the workers' just above),
+            // so the drain sees the complete run.
             self.last_trace = Some(self.telemetry.drain_trace());
         }
         self.report(run_start, &stats)
     }
 
-    /// The coordinator loop (see [`ServingEngine::run`]). With `workers == None` the
-    /// coordinator doubles as the only worker, carrying one scratch across the whole run
-    /// and running the same [`step_batch`] a pool worker runs — including its
-    /// `catch_unwind` fault containment (minus the respawn: there is no worker thread to
-    /// replace).
-    fn drive(
-        &mut self,
-        mut workers: Option<&mut WorkerPool<'_, '_>>,
-        stats: &mut RunStats,
-        admit: bool,
-        max_passes: usize,
-    ) {
+    /// The coordinator loop (see [`ServingEngine::run`]). Each pass cuts the active
+    /// sequences into one contiguous chunk per worker, which keeps submission order
+    /// within a chunk, and steps them in one fork-join ([`step_chunks`]).
+    fn drive(&mut self, workers: &mut [Worker], stats: &mut RunStats, admit: bool, max_passes: usize) {
         let model = self.model;
         let policy = self.recovery.unwrap_or_default();
         // Checkpointing costs page-buffer copies, so it only runs when failure is in
         // play: an installed fault plan or an explicitly requested recovery policy.
         let checkpoint_every =
             if self.recovery.is_some() || self.faults.is_some() { policy.checkpoint_every } else { 0 };
-        let num_workers = workers.as_ref().map_or(1, |p| p.jobs.len());
-        // Per-worker lifetime job counters for this run — the coordinates fault
-        // triggers are addressed by.
-        let mut job_counts = vec![0u64; num_workers];
         let mut rec = self.telemetry.recorder(0);
-        let mut coordinator_scratch = PagedScratch::default();
         stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
-        let mut pass = 0usize;
 
         loop {
+            let pass = self.pass;
             let pass_start = rec.now_nanos();
             rec.begin(Category::Pass, "pass", "pass", pass as u64);
-            self.enforce_deadlines(pass, &mut rec);
+            self.enforce_deadlines(&mut rec);
             if admit {
-                self.shed_overloaded(pass, &mut rec);
-                self.admit_waiting(pass, stats, &mut rec);
+                self.shed_overloaded(&mut rec);
+                self.admit_waiting(stats, &mut rec);
             }
             stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
 
-            let active: Vec<usize> = self
+            let (active, mut seqs): (Vec<usize>, Vec<&mut Sequence>) = self
                 .sequences
-                .iter()
+                .iter_mut()
                 .enumerate()
                 .filter(|(_, s)| s.finish.is_none() && matches!(s.cache, SeqCache::F32(_) | SeqCache::Paged(_)))
-                .map(|(i, _)| i)
+                .unzip();
+            let chunk = active.len().div_ceil(workers.len()).max(1);
+            let faults: Vec<Option<InjectedFault>> = (0..active.len())
+                .map(|i| self.faults.as_mut().and_then(|f| f.step_fault(i / chunk, workers.len())))
                 .collect();
-            let progressed = !active.is_empty();
-            match &mut workers {
-                None => {
-                    let jobs = self.take_jobs(&active, 0, 1, &mut job_counts);
-                    let reply = step_batch(model, jobs, &mut coordinator_scratch, &mut rec);
-                    self.absorb_batch(0, reply, pass, &policy, stats, &mut rec);
-                }
-                Some(pool) => {
-                    // Contiguous chunks preserve submission order within each worker,
-                    // and each chunk travels as one batch. Sequences physically move
-                    // through the channels (a parked placeholder holds their table
-                    // slot), so workers own what they step — no borrows cross threads.
-                    let used = pool.jobs.len().min(active.len());
-                    let per_worker = active.len().div_ceil(used.max(1));
-                    let mut sent: Vec<Vec<usize>> = vec![Vec::new(); pool.jobs.len()];
-                    let mut dead = vec![false; pool.jobs.len()];
-                    for (worker, chunk) in active.chunks(per_worker.max(1)).enumerate() {
-                        let jobs = self.take_jobs(chunk, worker, num_workers, &mut job_counts);
-                        match pool.jobs[worker].send(jobs) {
-                            Ok(()) => sent[worker] = chunk.to_vec(),
-                            Err(mpsc::SendError(jobs)) => {
-                                // The worker died between passes (it should have been
-                                // respawned at the last boundary): the sequences are
-                                // unharmed — put them back and let the respawned worker
-                                // step them next pass.
-                                for job in jobs {
-                                    self.sequences[job.index] = job.seq;
-                                }
-                                dead[worker] = true;
-                            }
-                        }
-                    }
-                    for (worker, indices) in sent.iter().enumerate().filter(|(_, indices)| !indices.is_empty()) {
-                        match pool.results[worker].recv() {
-                            Ok(reply) => {
-                                if self.absorb_batch(worker + 1, reply, pass, &policy, stats, &mut rec) {
-                                    dead[worker] = true;
-                                }
-                            }
-                            Err(_) => {
-                                // Hard death: the worker vanished without a reply, taking
-                                // its chunk down with it (their Drop impls returned every
-                                // page). Tombstone the parked table slots so the run
-                                // degrades to Failed instead of hanging.
-                                dead[worker] = true;
-                                rec.instant(Category::Fault, "worker_panic", "worker", worker as u64 + 1);
-                                for &idx in indices {
-                                    let seq = &mut self.sequences[idx];
-                                    seq.id = idx;
-                                    seq.attempts += 1;
-                                    let attempts = seq.attempts;
-                                    seq.finish(FinishReason::Failed { attempts });
-                                    rec.instant(Category::Fault, "failed", "seq", idx as u64);
-                                }
-                            }
-                        }
-                    }
-                    // All replies are in — every surviving sequence is back in the
-                    // table — so flagged workers can be replaced wholesale: fresh
-                    // thread, fresh scratch, same lane.
-                    for (worker, is_dead) in dead.iter().enumerate() {
-                        if *is_dead {
-                            pool.respawn(worker);
-                            stats.worker_restarts += 1;
-                            rec.instant(Category::Fault, "worker_restart", "worker", worker as u64 + 1);
-                        }
-                    }
-                }
+            let replies = step_chunks(model, &mut seqs, &faults, chunk, workers);
+            drop(seqs);
+            for ((worker, reply), indices) in replies.into_iter().enumerate().zip(active.chunks(chunk)) {
+                self.absorb_batch(worker, indices, reply, &policy, stats, &mut rec);
             }
 
             // Pool occupancy only grows during a pass (retirement is below), so sampling
@@ -1205,9 +1065,8 @@ impl<'m> ServingEngine<'m> {
                 }
                 seq.retire();
             }
-            // Pass boundary: every sequence is back in the table and the workers are
-            // idle, so the pool must reconcile exactly against the live caches (the
-            // audit is a debug-build no-op in release).
+            // Pass boundary: every worker has joined, so the pool must reconcile exactly
+            // against the live caches (the audit is a debug-build no-op in release).
             self.audit_pool();
             if checkpoint_every > 0 && (pass + 1).is_multiple_of(checkpoint_every) {
                 self.take_checkpoints(&mut rec);
@@ -1215,9 +1074,9 @@ impl<'m> ServingEngine<'m> {
 
             rec.end(Category::Pass, "pass", "pass", pass as u64);
             stats.pass_latency.record(rec.now_nanos().saturating_sub(pass_start));
-            pass += 1;
-            stats.passes = pass;
-            if pass >= max_passes {
+            self.pass += 1;
+            stats.passes += 1;
+            if stats.passes >= max_passes {
                 break;
             }
             let pending = admit
@@ -1225,62 +1084,53 @@ impl<'m> ServingEngine<'m> {
                     .sequences
                     .iter()
                     .any(|s| s.finish.is_none() && matches!(s.cache, SeqCache::Waiting | SeqCache::Spilled { .. }));
-            if !progressed && !pending {
+            if active.is_empty() && !pending {
                 break;
             }
         }
     }
 
-    /// Moves the sequences at table slots `indices` out into jobs for worker slot
-    /// `worker` (a parked placeholder keeps each slot), advancing that worker's job
-    /// counter once per sequence and attaching any fault the installed plan addresses
-    /// to that coordinate.
-    fn take_jobs(&mut self, indices: &[usize], worker: usize, num_workers: usize, job_counts: &mut [u64]) -> Vec<Job> {
-        indices
-            .iter()
-            .map(|&index| {
-                job_counts[worker] += 1;
-                let fault = match &mut self.faults {
-                    Some(f) => f.take_step_fault(worker, job_counts[worker], num_workers),
-                    None => None,
-                };
-                Job { index, seq: std::mem::replace(&mut self.sequences[index], Sequence::parked()), fault }
-            })
-            .collect()
-    }
-
-    /// Folds one batched step back into the engine: returns every job's sequence to its
-    /// table slot, adds the batched forward's time to the prefill and decode times once,
-    /// credits each completed step to the stepping worker, and rolls panicked sequences
-    /// back through [`ServingEngine::recover_sequence`]. `lane` is the trace lane that stepped the
-    /// batch: 0 for the coordinator stepping inline, `w + 1` for pool worker `w`.
-    /// Returns whether any job panicked.
+    /// Folds worker `worker`'s step of the sequences at table slots `indices` back into
+    /// the engine: adds the batched forward's time to the prefill and decode times once,
+    /// credits each completed step to the worker, and rolls panicked sequences back
+    /// through [`ServingEngine::recover_sequence`]. `None` is a panic that escaped the
+    /// step's own `catch_unwind`s and ended the worker's thread mid-step: the chunk's
+    /// sequences are left in an unknown state, so each finishes as
+    /// [`FinishReason::Failed`] and the retire sweep returns its pages.
     fn absorb_batch(
         &mut self,
-        lane: usize,
-        reply: BatchReply,
-        pass: usize,
+        worker: usize,
+        indices: &[usize],
+        reply: Option<BatchReply>,
         policy: &RecoveryPolicy,
         stats: &mut RunStats,
         rec: &mut Recorder,
-    ) -> bool {
+    ) {
+        let lane = worker as u64 + 1;
+        let Some(reply) = reply else {
+            rec.instant(Category::Fault, "worker_panic", "worker", lane);
+            for &idx in indices {
+                let seq = &mut self.sequences[idx];
+                seq.attempts += 1;
+                let attempts = seq.attempts;
+                seq.finish(FinishReason::Failed { attempts });
+                rec.instant(Category::Fault, "failed", "seq", seq.id as u64);
+            }
+            return;
+        };
         stats.prefill_time += reply.prefill;
         stats.decode_time += reply.decode;
-        let mut panicked = false;
-        for (job, outcome) in reply.jobs.into_iter().zip(reply.outcomes) {
-            self.sequences[job.index] = job.seq;
+        for (&idx, outcome) in indices.iter().zip(reply.outcomes) {
             match outcome {
-                Some(step) => stats.absorb(lane.saturating_sub(1), &step),
+                Some(step) => stats.absorb(worker, &step),
                 None => {
-                    // Bookkeeping rode back intact; the cache is suspect and recovery
+                    // The bookkeeping is intact; the cache is suspect and recovery
                     // discards it.
-                    panicked = true;
-                    rec.instant(Category::Fault, "worker_panic", "worker", lane as u64);
-                    self.recover_sequence(job.index, pass, policy, stats, rec);
+                    rec.instant(Category::Fault, "worker_panic", "worker", lane);
+                    self.recover_sequence(idx, policy, stats, rec);
                 }
             }
         }
-        panicked
     }
 
     /// Finishes overdue sequences as [`FinishReason::DeadlineExceeded`]: past an
@@ -1288,7 +1138,8 @@ impl<'m> ServingEngine<'m> {
     /// [`SubmitOptions::ttft_deadline`] passes after arrival. Runs at the start of
     /// every pass, before admission, so an overdue queued sequence never wastes a
     /// reservation; the retire sweep then frees whatever storage the sequence held.
-    fn enforce_deadlines(&mut self, pass: usize, rec: &mut Recorder) {
+    fn enforce_deadlines(&mut self, rec: &mut Recorder) {
+        let pass = self.pass;
         for seq in &mut self.sequences {
             if seq.finish.is_some() || seq.arrival_pass > pass {
                 continue;
@@ -1305,8 +1156,9 @@ impl<'m> ServingEngine<'m> {
     /// Priority-ordered load shedding (see [`ServingEngine::with_shed_watermark`]):
     /// refuses arrived, never-admitted submissions as [`FinishReason::Shed`] while the
     /// committed pages plus the queue's worst-case demand exceed the watermark.
-    fn shed_overloaded(&mut self, pass: usize, rec: &mut Recorder) {
+    fn shed_overloaded(&mut self, rec: &mut Recorder) {
         let Some(watermark) = self.shed_watermark else { return };
+        let pass = self.pass;
         let Some(pool) = self.pool.clone() else { return };
         let layers = self.model.config().layers;
         let mut queued: Vec<(usize, usize)> = self
@@ -1350,14 +1202,8 @@ impl<'m> ServingEngine<'m> {
     /// [`RecoveryPolicy::max_attempts`] budget is spent. Replay from a bit-exact
     /// snapshot is deterministic, so a retried sequence's final token stream is
     /// identical to an undisturbed run's.
-    fn recover_sequence(
-        &mut self,
-        idx: usize,
-        pass: usize,
-        policy: &RecoveryPolicy,
-        stats: &mut RunStats,
-        rec: &mut Recorder,
-    ) {
+    fn recover_sequence(&mut self, idx: usize, policy: &RecoveryPolicy, stats: &mut RunStats, rec: &mut Recorder) {
+        let pass = self.pass;
         let seq = &mut self.sequences[idx];
         seq.attempts += 1;
         if seq.attempts > policy.max_attempts {
@@ -1374,18 +1220,14 @@ impl<'m> ServingEngine<'m> {
                 // Resume from the snapshot: the spilled bytes re-enter through the
                 // same restore path preemption uses, bit-exactly.
                 seq.generated = cp.generated.clone();
-                seq.next = cp.next;
                 seq.rng = cp.rng.clone();
                 seq.shared_positions = cp.shared_positions;
-                seq.prefilled = true;
                 seq.cache = SeqCache::Spilled { spilled: cp.spilled.clone() };
             }
             None => {
                 // No snapshot yet: replay from scratch. Deterministic prefill plus a
                 // reset RNG stream reproduce the exact same tokens.
                 seq.generated.clear();
-                seq.next = 0;
-                seq.prefilled = false;
                 seq.shared_positions = 0;
                 seq.rng = SeqRng::new(seq.sampling.seed, seq.id as u64);
                 seq.cache = SeqCache::Waiting;
@@ -1400,12 +1242,11 @@ impl<'m> ServingEngine<'m> {
     /// reconciles, so every snapshot is a consistent cut.
     fn take_checkpoints(&mut self, rec: &mut Recorder) {
         for seq in &mut self.sequences {
-            if seq.finish.is_none() && seq.prefilled {
+            if seq.finish.is_none() && seq.prefilled() {
                 if let SeqCache::Paged(cache) = &seq.cache {
                     seq.checkpoint = Some(Box::new(Checkpoint {
                         spilled: cache.checkpoint(),
                         generated: seq.generated.clone(),
-                        next: seq.next,
                         rng: seq.rng.clone(),
                         shared_positions: seq.shared_positions,
                     }));
@@ -1463,7 +1304,6 @@ impl<'m> ServingEngine<'m> {
             failed: self.sequences.iter().filter(|s| matches!(s.finish, Some(FinishReason::Failed { .. }))).count(),
             deadline_misses: count(FinishReason::DeadlineExceeded),
             shed: count(FinishReason::Shed),
-            worker_restarts: stats.worker_restarts,
             retries: stats.retries,
             passes: stats.passes,
             prompt_tokens: stats.prompt_tokens,
@@ -1515,7 +1355,8 @@ impl<'m> ServingEngine<'m> {
     /// skipping ahead) when the head still cannot be funded. Prefill itself is *not*
     /// done here — the workers prefill an admitted sequence a chunk per pass inside
     /// their batched forwards, keeping the coordinator to pure bookkeeping.
-    fn admit_waiting(&mut self, pass: usize, stats: &mut RunStats, rec: &mut Recorder) {
+    fn admit_waiting(&mut self, stats: &mut RunStats, rec: &mut Recorder) {
+        let pass = self.pass;
         let mut waiting: Vec<usize> = (0..self.sequences.len())
             .filter(|&i| {
                 let s = &self.sequences[i];
@@ -1562,13 +1403,9 @@ impl<'m> ServingEngine<'m> {
         // Every paged admission attempt advances the counter injected reservation
         // denials are addressed by; a denial stalls the head of the queue for one pass,
         // exactly like a real transient pool exhaustion.
-        let attempt = stats.admission_attempts;
-        stats.admission_attempts += 1;
-        if let Some(faults) = &mut self.faults {
-            if faults.take_denial(attempt) {
-                rec.instant(Category::Fault, "reservation_denied", "seq", self.sequences[idx].id as u64);
-                return false;
-            }
+        if self.faults.as_mut().is_some_and(FaultState::deny_admission) {
+            rec.instant(Category::Fault, "reservation_denied", "seq", self.sequences[idx].id as u64);
+            return false;
         }
         if matches!(self.sequences[idx].cache, SeqCache::Spilled { .. }) {
             // Re-admitting a preempted sequence: the full worst-case reservation again
@@ -1681,7 +1518,7 @@ impl<'m> ServingEngine<'m> {
             i != idx
                 && Some(i) != protected
                 && s.finish.is_none()
-                && s.prefilled
+                && s.prefilled()
                 && s.priority < priority
                 && matches!(s.cache, SeqCache::Paged(_))
         };
@@ -1823,14 +1660,10 @@ struct RunStats {
     shared_pages: usize,
     prefill_tokens_saved: usize,
     preemptions: usize,
-    worker_restarts: usize,
     retries: usize,
     passes: usize,
-    /// Lifetime paged-admission attempt counter — the coordinate injected reservation
-    /// denials are addressed by.
-    admission_attempts: u64,
-    /// Decode latency samples, one per generated token that ran a forward: the time of
-    /// the batched forward its step joined.
+    /// Decode latency samples, one per decode row of a completed forward: the time of
+    /// that batched forward.
     tpot: Histogram,
     /// Coordinator scheduler-pass wall-time samples, one per pass.
     pass_latency: Histogram,
@@ -1855,9 +1688,9 @@ impl RunStats {
 }
 
 /// What one sequence's part of a batched step produced: tokens emitted (0 or 1), the
-/// decode latency its step saw — the time of the batched forward it joined (zero when
-/// it decoded nothing) — and whether it only waited, a prefilling sequence the pass's
-/// [`PREFILL_BUDGET`] granted no rows.
+/// decode latency its step saw — the time of the batched forward its decode row joined
+/// (zero for a prompt chunk) — and whether it only waited, a prefilling sequence the
+/// pass's [`PREFILL_BUDGET`] granted no rows.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepResult {
     tokens: usize,
@@ -1866,12 +1699,12 @@ struct StepResult {
 }
 
 /// What one sequence's step asks of the pass's batched forward (see
-/// [`Sequence::begin_step`]), and then what [`step_batch`] granted it.
+/// [`Sequence::wants`]), and then what [`step_batch`] granted it.
 #[derive(Debug, Clone, Copy)]
 enum Rows {
-    /// No rows: the sequence finished, or emitted its last budgeted token.
+    /// No rows: the sequence's own part of the step panicked.
     Nothing,
-    /// One row: the pending token.
+    /// One row: the last emitted token.
     Decode,
     /// Prompt rows: the rest of the prompt when asked, the chunk (maybe 0) when granted.
     Prompt(usize),
@@ -1888,21 +1721,18 @@ impl Rows {
     }
 }
 
-/// One sequence dispatched into a batched step: the sequence (moved by value), its
-/// table slot, and the injected fault (if any) to act out before stepping it.
-struct Job {
-    index: usize,
-    seq: Sequence,
-    fault: Option<InjectedFault>,
+/// What decode worker `w` keeps across a run's passes: one reusable scratch and one
+/// trace recorder on lane `w + 1`, whose shard merges into the hub when the run ends.
+struct Worker {
+    scratch: PagedScratch,
+    rec: Recorder,
 }
 
-/// What one batched step hands back to the coordinator: every job (each sequence
-/// travels back), per job its [`StepResult`] or `None` where its step panicked (the
-/// sequence rides back intact, its cache suspect), and the batched forward's time —
-/// worker busy time, counted once for the whole batch and split between prefill and
-/// decode by the rows each fed it.
+/// What one batched step hands back to the coordinator: per sequence of its chunk, its
+/// [`StepResult`] or `None` where its step panicked (the cache is suspect), and the
+/// batched forward's time — worker busy time, counted once for the whole batch and
+/// split between prefill and decode by the rows each fed it.
 struct BatchReply {
-    jobs: Vec<Job>,
     outcomes: Vec<Option<StepResult>>,
     prefill: Duration,
     decode: Duration,
@@ -1919,82 +1749,124 @@ fn act_injected_fault(fault: Option<InjectedFault>) {
     }
 }
 
-/// One batched scheduler step over a chunk of jobs: the one step function of both the
-/// inline single-thread arm of the coordinator and every pool worker.
+/// One pass's fork-join: chunk `w` of `seqs` (`chunk` sequences each, with their
+/// injected faults) steps on worker `w`, chunk 0 on the calling coordinator thread and
+/// every other chunk on a scoped thread of its own, each borrowing its sequences in
+/// place. Returns one reply per chunk, in chunk order; `None` where a panic escaped
+/// [`step_batch`] and ended its thread.
+fn step_chunks(
+    model: &TransformerModel,
+    seqs: &mut [&mut Sequence],
+    faults: &[Option<InjectedFault>],
+    chunk: usize,
+    workers: &mut [Worker],
+) -> Vec<Option<BatchReply>> {
+    let mut chunks = seqs.chunks_mut(chunk).zip(faults.chunks(chunk)).zip(workers);
+    let Some(((first, first_faults), coordinator)) = chunks.next() else { return Vec::new() };
+    std::thread::scope(|scope| {
+        let forked: Vec<_> = chunks
+            .map(|((seqs, faults), worker)| scope.spawn(move || step_batch(model, seqs, faults, worker)))
+            .collect();
+        let mut replies = vec![Some(step_batch(model, first, first_faults, coordinator))];
+        replies.extend(forked.into_iter().map(|thread| thread.join().ok()));
+        replies
+    })
+}
+
+/// One batched scheduler step over a chunk of sequences, on `worker`'s scratch and
+/// recorder:
 ///
-/// 1. Per job, in job order, under its own `catch_unwind`: act out its injected fault,
-///    then [`Sequence::begin_step`]. A prefilling sequence is granted the next chunk of
-///    its prompt, as many rows as the [`PREFILL_BUDGET`] has left; one granted none
-///    waits for a later pass. Decode rows never wait.
+/// 1. Per sequence, in chunk order, under its own `catch_unwind`: act out its injected
+///    fault, then ask for its rows ([`Sequence::wants`]). A prefilling sequence is
+///    granted the next chunk of its prompt, as many rows as the [`PREFILL_BUDGET`] has
+///    left; one granted none waits for a later pass. Decode rows never wait.
 /// 2. Under one `catch_unwind`: one batched forward over every decode row and prompt
-///    chunk ([`forward_batch`]), recorded as one `forward` worker span carrying its
-///    decode sequence count, with one `prefill_chunk` instant per prompt chunk in it.
+///    chunk, which samples and emits each sampled row's token ([`forward_batch`]),
+///    recorded as one `forward` worker span carrying its decode sequence count, with
+///    one `prefill_chunk` instant per prompt chunk in it.
 ///
-/// A panic in the first phase costs only its own job. A panic inside the shared forward
-/// may leave partial K/V appends in any member's cache, so every sequence of the batch
-/// is reported as panicked and rolled back.
+/// A panic in the first phase costs only its own sequence. A panic inside the shared
+/// forward may leave partial K/V appends in any member's cache, so every sequence of the
+/// batch is reported as panicked and rolled back.
 fn step_batch(
     model: &TransformerModel,
-    mut jobs: Vec<Job>,
-    scratch: &mut PagedScratch,
-    rec: &mut Recorder,
+    seqs: &mut [&mut Sequence],
+    faults: &[Option<InjectedFault>],
+    worker: &mut Worker,
 ) -> BatchReply {
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    let mut rows = Vec::with_capacity(jobs.len());
+    let Worker { scratch, rec } = worker;
     let mut budget = PREFILL_BUDGET;
-    for Job { seq, fault, .. } in jobs.iter_mut() {
-        // The closure borrows the sequence, so a caught panic leaves it owned and intact
-        // out here — only the step's partial cache mutation is lost, and the coordinator
-        // discards that cache anyway.
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            act_injected_fault(fault.take());
-            seq.begin_step(rec)
-        }));
-        let (outcome, granted) = match caught {
-            Ok((result, Rows::Prompt(left))) => {
-                let chunk = left.min(budget);
-                budget -= chunk;
-                (Some(StepResult { waited: chunk == 0, ..result }), Rows::Prompt(chunk))
+    let rows: Vec<Rows> = seqs
+        .iter()
+        .zip(faults)
+        .map(|(seq, &fault)| {
+            match catch_unwind(AssertUnwindSafe(|| {
+                act_injected_fault(fault);
+                seq.wants()
+            })) {
+                Ok(Rows::Prompt(left)) => {
+                    let chunk = left.min(budget);
+                    budget -= chunk;
+                    Rows::Prompt(chunk)
+                }
+                Ok(wanted) => wanted,
+                Err(_) => Rows::Nothing,
             }
-            Ok((result, need)) => (Some(result), need),
-            Err(_) => (None, Rows::Nothing),
-        };
-        outcomes.push(outcome);
-        rows.push(granted);
-    }
-    let mut batch: Vec<(&mut Sequence, usize)> = jobs
-        .iter_mut()
-        .zip(&rows)
-        .filter_map(|(job, granted)| (granted.count() > 0).then_some((&mut job.seq, granted.count())))
+        })
         .collect();
-    if batch.is_empty() {
-        return BatchReply { jobs, outcomes, prefill: Duration::ZERO, decode: Duration::ZERO };
-    }
     let decode_seqs = rows.iter().filter(|granted| matches!(granted, Rows::Decode)).count();
     let prompt_rows = PREFILL_BUDGET - budget;
-    let mut span = rec.span(Category::Worker, "forward", "decode_seqs", decode_seqs as u64);
-    for (seq, _) in batch.iter().filter(|(seq, _)| !seq.prefilled) {
-        span.recorder().instant(Category::Worker, "prefill_chunk", "seq", seq.id as u64);
-    }
-    let t0 = Instant::now();
-    let completed = catch_unwind(AssertUnwindSafe(|| forward_batch(model, &mut batch, scratch))).is_ok();
-    let elapsed = if completed { t0.elapsed() } else { Duration::ZERO };
-    drop(span);
-    // Worker busy time, split between decode and prefill by the rows each fed.
-    let decode = elapsed.mul_f64(decode_seqs as f64 / (decode_seqs + prompt_rows) as f64);
-    for (outcome, granted) in outcomes.iter_mut().zip(&rows).filter(|(_, granted)| granted.count() > 0) {
-        *outcome = outcome.filter(|_| completed);
-        if let (Rows::Decode, Some(result)) = (granted, outcome) {
-            result.tpot = elapsed;
+    let emitted_before: Vec<usize> = seqs.iter().map(|seq| seq.generated.len()).collect();
+    let mut forward = Duration::ZERO;
+    let mut completed = true;
+    if decode_seqs + prompt_rows > 0 {
+        let mut batch: Vec<(&mut Sequence, usize)> = seqs
+            .iter_mut()
+            .zip(&rows)
+            .filter(|(_, granted)| granted.count() > 0)
+            .map(|(seq, granted)| (&mut **seq, granted.count()))
+            .collect();
+        let mut span = rec.span(Category::Worker, "forward", "decode_seqs", decode_seqs as u64);
+        for (seq, _) in batch.iter().filter(|(seq, _)| !seq.prefilled()) {
+            span.recorder().instant(Category::Worker, "prefill_chunk", "seq", seq.id as u64);
+        }
+        let t0 = Instant::now();
+        completed = catch_unwind(AssertUnwindSafe(|| forward_batch(model, &mut batch, scratch))).is_ok();
+        if completed {
+            forward = t0.elapsed();
         }
     }
-    BatchReply { jobs, outcomes, prefill: elapsed.saturating_sub(decode), decode }
+    let outcomes = seqs
+        .iter_mut()
+        .zip(&rows)
+        .zip(emitted_before)
+        .map(|((seq, &granted), before)| match granted {
+            Rows::Nothing => None,
+            Rows::Prompt(0) => Some(StepResult { waited: true, ..StepResult::default() }),
+            _ if !completed => None,
+            _ => {
+                let tokens = seq.generated.len() - before;
+                if before == 0 && tokens == 1 {
+                    // TTFT anchor: the first token became caller-visible in the pass
+                    // that sampled it.
+                    seq.first_token_ns = Some(rec.now_nanos());
+                    rec.instant(Category::Lifecycle, "first_token", "seq", seq.id as u64);
+                }
+                let tpot = if matches!(granted, Rows::Decode) { forward } else { Duration::ZERO };
+                Some(StepResult { tokens, tpot, waited: false })
+            }
+        })
+        .collect();
+    // Worker busy time, split between decode and prefill by the rows each fed.
+    let decode = forward.mul_f64(decode_seqs as f64 / (decode_seqs + prompt_rows).max(1) as f64);
+    BatchReply { outcomes, prefill: forward.saturating_sub(decode), decode }
 }
 
 /// The batched half of a step: one forward over every `(sequence, rows)` member, its
-/// pending token (one row) or the next `rows` positions of its prompt. Each sequence
-/// that decoded, or whose chunk completed its prompt, then samples its next token from
-/// its own logits row with its own RNG.
+/// last emitted token (one row) or the next `rows` positions of its prompt. Each
+/// sequence that decoded, or whose chunk completed its prompt, then samples its next
+/// token from its own logits row with its own RNG and emits it
+/// ([`Sequence::emit`]).
 fn forward_batch(model: &TransformerModel, seqs: &mut [(&mut Sequence, usize)], scratch: &mut PagedScratch) {
     // An engine runs one backend, so one of the two calls finds no member.
     forward_on(model, seqs, SeqCache::f32_mut, &mut ());
@@ -2015,15 +1887,16 @@ fn forward_on<B: KvBackend>(
     let mut segments = Vec::with_capacity(seqs.len());
     let mut stacked = 0;
     for (i, (seq, rows)) in seqs.iter_mut().enumerate() {
-        let Sequence { prompt, next, cache, prefilled, .. } = &mut **seq;
+        let Sequence { prompt, generated, cache, .. } = &mut **seq;
         let Some(cache) = cache_of(cache) else { continue };
-        let (tokens, samples) = if *prefilled {
-            (std::slice::from_ref(&*next), true)
-        } else {
-            // Prefill continues from the cache's own length, so a chunk needs no state
-            // beyond the cache.
-            let from = cache.seq_len();
-            (&prompt[from..from + *rows], from + *rows == prompt.len())
+        let (tokens, samples) = match generated.last() {
+            Some(last) => (std::slice::from_ref(last), true),
+            None => {
+                // Prefill continues from the cache's own length, so a chunk needs no
+                // state beyond the cache.
+                let from = cache.seq_len();
+                (&prompt[from..from + *rows], from + *rows == prompt.len())
+            }
         };
         stacked += tokens.len();
         if samples {
@@ -2039,82 +1912,8 @@ fn forward_on<B: KvBackend>(
     drop(segments);
     for (&i, row) in sampled.iter().zip(logits.iter_rows()) {
         let seq = &mut *seqs[i].0;
-        seq.next = seq.sample(row);
-        seq.prefilled = true;
-    }
-}
-
-/// Long-lived decode workers fed over channels: spawned **once per run** (not once per
-/// scheduler pass, as the earlier `std::thread::scope`-per-pass design did), each
-/// carrying one reusable [`PagedScratch`] for its whole lifetime. Each pass the
-/// coordinator moves a worker's contiguous chunk of sequences to it by value as one
-/// job batch and collects them back as one [`BatchReply`] over a per-worker result
-/// channel, so workers own what they step and nothing is borrowed across threads.
-///
-/// Every chunk runs through [`step_batch`], whose `catch_unwind`s turn a panicking step
-/// into a `None` outcome (the sequence rides back for rollback) instead of killing the
-/// thread, and the coordinator may [`WorkerPool::respawn`] any slot at a pass boundary —
-/// dropping that slot's job sender disconnects the old incarnation, which exits its
-/// loop and joins when the scope ends.
-struct WorkerPool<'scope, 'env> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    model: &'env TransformerModel,
-    telemetry: Arc<Telemetry>,
-    jobs: Vec<mpsc::Sender<Vec<Job>>>,
-    /// One result channel per worker: if a worker dies without replying, the
-    /// coordinator's `recv` sees a disconnect instead of blocking forever on a shared
-    /// channel held open by the surviving workers.
-    results: Vec<mpsc::Receiver<BatchReply>>,
-}
-
-impl<'scope, 'env> WorkerPool<'scope, 'env> {
-    fn spawn(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        model: &'env TransformerModel,
-        num_threads: usize,
-        telemetry: &Arc<Telemetry>,
-    ) -> WorkerPool<'scope, 'env> {
-        let mut pool = WorkerPool {
-            scope,
-            model,
-            telemetry: Arc::clone(telemetry),
-            jobs: Vec::with_capacity(num_threads),
-            results: Vec::with_capacity(num_threads),
-        };
-        for worker in 0..num_threads {
-            pool.respawn(worker);
-        }
-        pool
-    }
-
-    /// (Re)spawns worker slot `worker` with fresh channels and a fresh scratch. On a
-    /// respawn the replaced job sender drops, disconnecting the old incarnation (it
-    /// exits its loop and joins at scope end); the old result receiver is replaced
-    /// only after every in-flight reply has been collected, which the coordinator
-    /// guarantees by respawning at pass boundaries.
-    fn respawn(&mut self, worker: usize) {
-        let (job_tx, job_rx) = mpsc::channel::<Vec<Job>>();
-        let (result_tx, result_rx) = mpsc::channel();
-        let hub = Arc::clone(&self.telemetry);
-        let model = self.model;
-        self.scope.spawn(move || {
-            let mut scratch = PagedScratch::default();
-            // Worker lanes are 1-based; lane 0 is the coordinator. The shard merges
-            // back into the hub when the recorder drops at loop exit.
-            let mut rec = hub.recorder(worker as u32 + 1);
-            while let Ok(jobs) = job_rx.recv() {
-                if result_tx.send(step_batch(model, jobs, &mut scratch, &mut rec)).is_err() {
-                    break;
-                }
-            }
-        });
-        if worker < self.jobs.len() {
-            self.jobs[worker] = job_tx;
-            self.results[worker] = result_rx;
-        } else {
-            self.jobs.push(job_tx);
-            self.results.push(result_rx);
-        }
+        let token = seq.sample(row);
+        seq.emit(token);
     }
 }
 
@@ -2232,14 +2031,13 @@ mod tests {
             for p in prompts {
                 engine.submit_with(p, SubmitOptions::new(6));
             }
-            // Pass 0 prefills every sequence. Then a pending token outside the vocabulary
-            // trips the embedding's assert inside the next pass's shared forward: a
-            // genuine panic, not an injected one.
+            // Pass 0 prefills every sequence and emits its first token. Then an emitted
+            // token outside the vocabulary trips the embedding's assert inside the next
+            // pass's shared forward: a genuine panic, not an injected one.
             engine.run_for(1);
-            engine.sequences[1].next = model.config().vocab;
+            *engine.sequences[1].generated.last_mut().expect("pass 0 emitted a token") = model.config().vocab;
             let report = engine.run();
             assert_eq!(report.retries, rolled_back.iter().sum::<usize>(), "{threads} threads");
-            assert_eq!(report.worker_restarts, usize::from(threads > 1), "{threads} threads");
             let attempts: Vec<usize> = engine.sequences().iter().map(Sequence::attempts).collect();
             assert_eq!(attempts, rolled_back, "{threads} threads");
             for (seq, p) in engine.sequences().iter().zip(prompts) {
@@ -2474,27 +2272,6 @@ mod tests {
         assert_eq!(opts.priority, 2);
         assert_eq!(opts.arrival_pass, 5);
         assert!(!opts.without_prefix_sharing().share_prefix);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_wrappers_match_submit_with() {
-        let model = model(ModelQuantConfig::BASELINE);
-        let sampling = Sampling::top_k(3, 0.8, 11);
-        let mut old = ServingEngine::new(&model);
-        old.submit(&[1, 2, 3], 5);
-        old.submit_with_stop(&[4, 5], 5, Some(9));
-        old.submit_with_sampling(&[6, 7], 5, None, sampling);
-        old.run();
-        let mut new = ServingEngine::new(&model);
-        new.submit_with(&[1, 2, 3], SubmitOptions::new(5));
-        new.submit_with(&[4, 5], SubmitOptions::new(5).stop_token(9));
-        new.submit_with(&[6, 7], SubmitOptions::new(5).sampling(sampling));
-        new.run();
-        for (a, b) in old.sequences().iter().zip(new.sequences()) {
-            assert_eq!(a.generated, b.generated, "wrapper diverges from submit_with for sequence {}", a.id);
-            assert_eq!(a.finish_reason(), b.finish_reason());
-        }
     }
 
     #[test]

@@ -155,9 +155,9 @@ fn a_200_token_prompt_takes_four_forwards() {
         chunks += trace.events().iter().filter(|e| e.name == "prefill_chunk").count();
     }
     assert_eq!(chunks, 200usize.div_ceil(PREFILL_BUDGET));
-    // Chunks of 64, 64, 64 and 8 rows; the pass after the last one emits the first token
-    // and decodes it.
-    assert_eq!(cached, vec![64, 128, 192, 200, 201]);
+    // Chunks of 64, 64, 64 and 8 rows; the pass of the last one samples the first token
+    // and emits it.
+    assert_eq!(cached, vec![64, 128, 192, 200]);
     engine.run();
     assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&prompt, NEW_TOKENS));
 }
@@ -182,7 +182,6 @@ fn a_fault_in_mid_prefill_costs_only_its_sequence() {
         let report = engine.run();
         assert_eq!(report.retries, 1, "{threads} threads");
         assert_eq!(report.failed, 0, "{threads} threads");
-        assert_eq!(report.worker_restarts, usize::from(threads > 1), "{threads} threads");
         let attempts: Vec<usize> = engine.sequences().iter().map(mx_llm::Sequence::attempts).collect();
         assert_eq!(attempts, vec![0, 1], "{threads} threads: only the prefilling sequence retried");
         assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&short, 12), "{threads} threads");

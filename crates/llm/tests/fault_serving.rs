@@ -2,10 +2,12 @@
 //! worker-panic containment with checkpoint retry, deadlines, load shedding and the
 //! drain/shutdown contract.
 //!
-//! * a seeded [`FaultPlan`] that kills every worker of a 4-thread pool at least once
-//!   completes the run with `worker_restarts == 4`, every retried sequence
+//! * a seeded [`FaultPlan`] that panics every worker of a 4-thread engine at least once
+//!   completes the run with four contained retries, every retried sequence
 //!   **token-identical** to a fault-free run, the pool fully drained and a follow-up
 //!   [`ServingEngine::drain`] reporting zero live sequences;
+//! * scheduler counters live as long as the engine: a `run_for(1)` loop serves a late
+//!   arrival and re-admits a rolled-back sequence, token-identical to one `run()`;
 //! * a sequence that keeps losing its worker exhausts its retry budget and finishes
 //!   [`FinishReason::Failed`] without leaking a page;
 //! * deadlines ([`FinishReason::DeadlineExceeded`]) and priority-ordered load shedding
@@ -70,9 +72,9 @@ fn assert_pool_drained(engine: &ServingEngine<'_>) {
     assert_eq!(pool.free_pages(), pool.total_pages());
 }
 
-/// The ISSUE-9 headline acceptance: kill all four workers of a 4-thread pool at seeded
-/// job counters; the run completes with four contained restarts and every sequence —
-/// including the retried ones — token-identical to a fault-free run.
+/// The headline containment test: panic all four workers of a 4-thread engine at
+/// seeded job counters; the run completes with four contained panics and every
+/// sequence — including the retried ones — token-identical to a fault-free run.
 #[test]
 fn killing_every_worker_is_contained_and_token_identical() {
     let reference = reference_streams(24);
@@ -84,8 +86,7 @@ fn killing_every_worker_is_contained_and_token_identical() {
     let report = engine.run();
 
     // Each of the four scheduled panics targets a distinct worker slot and fires once:
-    // four contained crashes, four respawns, four checkpoint-rollback retries.
-    assert_eq!(report.worker_restarts, 4);
+    // four contained crashes, four checkpoint-rollback retries.
     assert_eq!(report.retries, 4);
     assert_eq!(report.failed, 0);
     assert_eq!(report.finished_length, 8);
@@ -105,8 +106,8 @@ fn killing_every_worker_is_contained_and_token_identical() {
     assert_eq!(drained.finished, 8);
 }
 
-/// Single-threaded containment: the coordinator doubles as the worker, so a panic is
-/// caught in-line (no thread to respawn) and recovery still replays to identical tokens.
+/// Single-threaded containment: the coordinator doubles as the only worker, so a panic
+/// is caught in-line and recovery still replays to identical tokens.
 #[test]
 fn single_threaded_panic_is_contained_without_a_respawn() {
     let reference = reference_streams(16);
@@ -121,7 +122,6 @@ fn single_threaded_panic_is_contained_without_a_respawn() {
     submit_workload(&mut engine, 16);
     let report = engine.run();
 
-    assert_eq!(report.worker_restarts, 0, "no worker thread exists to restart");
     assert_eq!(report.retries, 2);
     assert_eq!(report.failed, 0);
     for (seq, expected) in engine.sequences().iter().zip(&reference) {
@@ -175,7 +175,7 @@ fn reservation_denials_delay_but_do_not_corrupt() {
     // retry is denied again, pass 2 admits everyone: exactly two extra passes.
     assert_eq!(report.passes, fault_free_passes + 2);
     assert_eq!(report.finished_length, 8);
-    assert_eq!(report.failed + report.worker_restarts + report.retries, 0);
+    assert_eq!(report.failed + report.retries, 0);
     for (seq, expected) in engine.sequences().iter().zip(&reference) {
         assert_eq!(&seq.generated, expected, "sequence {}", seq.id);
     }
@@ -275,6 +275,48 @@ fn drain_finishes_residents_and_freezes_admissions() {
     assert_pool_drained(&engine);
 }
 
+/// Scheduler counters live as long as the engine: driven one pass per call, as a
+/// serving loop drives it, a submission arriving at pass 2 still arrives and a sequence
+/// rolled back after an injected panic is still re-admitted after its backoff, and
+/// every stream equals one uninterrupted `run()` of the same engine setup.
+#[test]
+fn a_run_for_one_loop_serves_late_arrivals_and_retries_like_one_run() {
+    let late: &[usize] = &[3, 1, 4, 1, 5];
+    for threads in [1usize, 2] {
+        let build = || {
+            let mut engine = ServingEngine::paged(model(), 64)
+                .with_threads(threads)
+                .with_faults(FaultPlan::seeded(4).inject(FaultKind::WorkerPanic { worker: 0, job: 3 }))
+                .with_recovery(RecoveryPolicy { checkpoint_every: 2, max_attempts: 3, backoff_passes: 1 });
+            submit_workload(&mut engine, 12);
+            engine.submit_with(late, SubmitOptions::new(12).arrival_pass(2));
+            engine
+        };
+        let mut whole = build();
+        let whole_report = whole.run();
+        assert_eq!(whole_report.retries, 1, "{threads} threads");
+
+        let mut stepped = build();
+        let (mut passes, mut retries) = (0, 0);
+        while stepped.sequences().iter().any(|s| !s.is_finished()) {
+            assert!(passes < 10 * whole_report.passes, "{threads} threads: the run_for(1) loop never finishes");
+            let report = stepped.run_for(1);
+            assert_eq!(report.passes, 1, "{threads} threads");
+            passes += report.passes;
+            retries += report.retries;
+        }
+        // `run()` ends on a pass that finds nothing left to step; the loop stops before it.
+        assert_eq!(passes + 1, whole_report.passes, "{threads} threads");
+        assert_eq!(retries, 1, "{threads} threads");
+        assert_eq!(stepped.sequences()[8].generated, model().generate_greedy(late, 12), "{threads} threads");
+        for (a, b) in whole.sequences().iter().zip(stepped.sequences()) {
+            assert_eq!(a.generated, b.generated, "{threads} threads: sequence {}", a.id);
+            assert_eq!(a.finish_reason(), b.finish_reason(), "{threads} threads: sequence {}", a.id);
+        }
+        assert_pool_drained(&stepped);
+    }
+}
+
 /// ISSUE-9 satellite: a panic while the pool's state lock is held (here: the
 /// `unreserve` over-release assert) poisons the mutex; the pool must shrug the poison
 /// off — accounting intact, audit clean, still able to reserve and allocate.
@@ -310,11 +352,11 @@ fn fault_lifecycle_is_traced() {
         .with_recovery(RecoveryPolicy { checkpoint_every: 2, max_attempts: 5, backoff_passes: 1 });
     submit_workload(&mut engine, 12);
     let report = engine.run();
-    assert_eq!(report.worker_restarts, 1);
+    assert_eq!(report.retries, 1);
 
     let trace = engine.take_trace().expect("telemetry was enabled");
     assert!(trace.categories().contains(&Category::Fault));
-    for name in ["checkpoint", "worker_panic", "retry", "worker_restart"] {
+    for name in ["checkpoint", "worker_panic", "retry"] {
         assert!(
             trace.events().iter().any(|e| e.cat == Category::Fault && e.name == name),
             "missing fault-lifecycle event {name:?}"
@@ -348,7 +390,6 @@ proptest! {
 
         prop_assert_eq!(report.failed, 0, "≤4 panics can never exhaust a 6-attempt budget");
         prop_assert!(report.retries <= kills, "each scheduled panic fires at most once");
-        prop_assert!(report.worker_restarts <= kills);
         prop_assert_eq!(report.finished_length, 8);
         for (seq, expected) in engine.sequences().iter().zip(&reference) {
             prop_assert_eq!(&seq.generated, expected, "sequence {} diverged", seq.id);

@@ -94,7 +94,9 @@ fn shared_prefix_batch_is_token_identical_across_backends_and_threads() {
 #[test]
 fn resident_bytes_shrink_as_shared_sequence_count_grows() {
     let model = model();
-    let new_tokens = 4;
+    // Chunked prefill staggers the 66-token prompts about a pass apart, so each sequence
+    // decodes long enough for all N unshared ones to be resident at once.
+    let new_tokens = 8;
     let mut savings = Vec::new();
     for n in [2usize, 4, 8] {
         let prompts = shared_prefix_prompts(n, 64); // 4 full pages of shared prompt

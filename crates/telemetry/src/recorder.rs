@@ -24,8 +24,9 @@ pub enum Category {
     Worker,
     /// Pool-occupancy gauges sampled at pass boundaries.
     Occupancy,
-    /// Fault-tolerance lifecycle: injected faults, worker panics and respawns,
-    /// checkpoint retries, deadline misses and load shedding.
+    /// Fault-tolerance lifecycle: checkpoints, worker panics (each a contained loss of
+    /// one step), checkpoint retries, sequences failed past their retry budget,
+    /// deadline misses, load shedding and denied reservations.
     Fault,
 }
 
@@ -159,8 +160,9 @@ impl Telemetry {
         self.clock.now_nanos()
     }
 
-    /// A new recorder shard on `lane` (0 = coordinator, `1..=N` = workers). Each thread
-    /// should hold exactly one; its buffer merges back when it drops.
+    /// A new recorder shard on `lane` (0 = coordinator, `1..=N` = workers). Each lane
+    /// should have exactly one, used by one thread at a time; its buffer merges back
+    /// when it drops.
     #[must_use]
     pub fn recorder(self: &Arc<Self>, lane: u32) -> Recorder {
         Recorder { hub: Arc::clone(self), lane, enabled: self.enabled, buf: Vec::new() }

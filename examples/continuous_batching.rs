@@ -1,4 +1,4 @@
-//! Continuous batching over the paged, bit-packed KV cache, decoded by a worker pool.
+//! Continuous batching over the paged, bit-packed KV cache, decoded across worker threads.
 //!
 //! Submits more sequences than the page budget can hold at once (mixed generation
 //! budgets, some with stop tokens), so the scheduler must admit late sequences as
@@ -238,7 +238,8 @@ fn main() {
     );
 
     // Preemption: low-priority work owns the pool when a high-priority request arrives
-    // (deterministically, at scheduler pass 4). The scheduler spills a victim to host
+    // (deterministically, at scheduler pass 2, while even the smoke run's 4-token
+    // low-priority sequence is still decoding). The scheduler spills a victim to host
     // memory, serves the urgent request, restores the victim bit-identically. The pool
     // is sized to fit exactly the urgent request alone (4-position pages), so admission
     // without preemption would have to stall behind the low-priority sequence instead.
@@ -247,7 +248,7 @@ fn main() {
     let urgent_pages_per_layer = (urgent_prompt.len() + budget).div_ceil(4);
     let mut engine = ServingEngine::paged_with(&model, urgent_pages_per_layer * cfg.layers, 4);
     engine.submit_with(&low_prompt, SubmitOptions::new(budget / 2));
-    engine.submit_with(&urgent_prompt, SubmitOptions::new(budget).priority(1).arrival_pass(4));
+    engine.submit_with(&urgent_prompt, SubmitOptions::new(budget).priority(1).arrival_pass(2));
     let preempt_report = engine.run();
     assert!(preempt_report.preemptions >= 1, "the urgent arrival must preempt, not stall");
     assert_eq!(preempt_report.evicted, 0, "preemption is not eviction");
@@ -260,9 +261,9 @@ fn main() {
 
     // Fault tolerance: the same oversubscribed workload under a seeded fault plan —
     // worker panics at drawn job counters plus a denied admission reservation. Each
-    // panic is caught inside the worker, the dead worker is respawned at the pass
-    // boundary, and the lost sequence rolls back to its last checkpoint and replays;
-    // every token must still match the fault-free runs above.
+    // panic is caught inside the worker's step, and the lost sequence rolls back to its
+    // last checkpoint and replays; every token must still match the fault-free runs
+    // above.
     let mut chaos = ServingEngine::paged(&model, pages)
         .with_threads(4)
         .with_faults(FaultPlan::seeded(11).kill_workers(2, 6).inject(FaultKind::ReservationDenied { attempt: 0 }))
@@ -274,15 +275,14 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
     let chaos_report = chaos.run();
     std::panic::set_hook(hook);
-    assert!(chaos_report.worker_restarts >= 1, "at least one injected panic must fire");
+    assert!(chaos_report.retries >= 1, "at least one injected panic must fire");
     assert_eq!(chaos_report.failed, 0, "the retry budget must absorb every injected panic");
     for (seq, expected) in chaos.sequences().iter().zip(&reference) {
         assert_eq!(&seq.generated, expected, "fault recovery changed sequence {}", seq.id);
     }
     assert_eq!(chaos.pool().unwrap().in_use_pages(), 0, "all pages must return after recovery");
     println!(
-        "\nFault injection: {} worker restart(s), {} checkpoint retr{}, 0 failed; tokens identical by assertion",
-        chaos_report.worker_restarts,
+        "\nFault injection: {} checkpoint retr{}, 0 failed; tokens identical by assertion",
         chaos_report.retries,
         if chaos_report.retries == 1 { "y" } else { "ies" },
     );
