@@ -2,7 +2,7 @@
 //! vendored crates, VCS metadata, and the analyzer's own lint fixtures (which exist
 //! to violate the rules).
 //!
-//! Skipping is enforced twice: directories named in [`SKIP_DIRS`] are pruned during
+//! Skipping is enforced twice: directories named in `SKIP_DIRS` are pruned during
 //! the walk, and — defensively — any collected path containing such a component at
 //! *any* depth is filtered out, so a nested `crates/foo/target/` or a symlinked
 //! vendor tree can never leak build output into the lint set.

@@ -66,9 +66,7 @@ fn batched_serving(c: &mut Criterion) {
                 let prompt: Vec<usize> = (0..8).map(|i| (s * 8 + i) % 128).collect();
                 engine.submit_with(&prompt, SubmitOptions::new(32));
             }
-            let report = engine.run();
-            assert_eq!(report.cache_materializations, 0);
-            report.generated_tokens
+            engine.run().generated_tokens
         });
     });
     group.finish();

@@ -19,9 +19,8 @@ use crate::quantize::QuantScheme;
 use crate::scale::SharedScale;
 
 /// Packs a sequence of element codes of width `bits` into a byte vector (little-endian bit
-/// order within each byte). Thin allocating wrapper over
-/// [`pack_codes_into`](crate::kernels::pack_codes_into); hot paths call the into-buffer
-/// form directly.
+/// order within each byte). Thin allocating wrapper over [`pack_codes_into`]; hot paths
+/// call the into-buffer form directly.
 #[must_use]
 pub fn pack_codes(codes: &[u8], bits: u32) -> Vec<u8> {
     let mut out = vec![0u8; kernels::packed_len(codes.len(), bits)];
@@ -30,8 +29,8 @@ pub fn pack_codes(codes: &[u8], bits: u32) -> Vec<u8> {
 }
 
 /// Unpacks `count` element codes of width `bits` from a packed byte buffer. Thin
-/// allocating wrapper over [`unpack_codes_into`](crate::kernels::unpack_codes_into); hot
-/// paths call the into-buffer form directly.
+/// allocating wrapper over [`unpack_codes_into`]; hot paths call the into-buffer form
+/// directly.
 ///
 /// # Errors
 ///
@@ -296,52 +295,6 @@ impl RowCodec {
                 for (o, bytes) in out.iter_mut().zip(packed.chunks_exact(4)) {
                     *o = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
                 }
-            }
-        }
-    }
-
-    /// Decodes a run of packed rows — one page's keys or values, say — into `out`
-    /// row-major: element `e` of row `r` lands in `out[r * rows.len + e]`, exactly as
-    /// [`RowCodec::unpack_row_into`] decodes each row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.rows * rows.len` or `rows.bytes` does not hold every
-    /// row.
-    pub fn unpack_rows_into(&self, rows: PackedRows<'_>, out: &mut [f32]) {
-        assert_eq!(out.len(), rows.rows * rows.len, "unpacked rows buffer size mismatch");
-        let row_bytes = self.checked_row_bytes(rows);
-        if out.is_empty() {
-            return;
-        }
-        for (r, out_row) in out.chunks_exact_mut(rows.len).enumerate() {
-            self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], out_row);
-        }
-    }
-
-    /// Decodes a run of packed rows into `out` element-major with the rows in lanes:
-    /// element `e` of row `r` lands in `out[e * lanes + r]`, so one element of every row
-    /// sits in consecutive slots (a key tile whose lanes are positions). Slots of lanes
-    /// `rows.rows..lanes` are left untouched. Each row decodes exactly as
-    /// [`RowCodec::unpack_row_into`] decodes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.rows > lanes`, if `out` is shorter than
-    /// `(rows.len - 1) * lanes + rows.rows` (for a non-empty run), or if `rows.bytes`
-    /// does not hold every row.
-    pub fn unpack_rows_transposed_into(&self, rows: PackedRows<'_>, out: &mut [f32], lanes: usize) {
-        assert!(rows.rows <= lanes, "more rows than lanes");
-        let row_bytes = self.checked_row_bytes(rows);
-        if rows.rows == 0 || rows.len == 0 {
-            return;
-        }
-        assert!(out.len() >= (rows.len - 1) * lanes + rows.rows, "transposed rows buffer too short");
-        let mut row = vec![0.0f32; rows.len];
-        for r in 0..rows.rows {
-            self.unpack_row_into(&rows.bytes[r * rows.stride..r * rows.stride + row_bytes], &mut row);
-            for (e, &v) in row.iter().enumerate() {
-                out[e * lanes + r] = v;
             }
         }
     }
@@ -696,7 +649,8 @@ mod tests {
         let codec = RowCodec::for_scheme(QuantScheme::mxfp4());
         let packed = vec![0u8; 4 * codec.packed_bytes(32)];
         let rows = PackedRows { bytes: &packed, stride: usize::MAX / 2 + 1, rows: 3, len: 32 };
-        codec.unpack_rows_transposed_into(rows, &mut [0.0; 32 * 16], 16);
+        let geom = AttnGeometry { heads: 1, head_dim: 32, group: 1 };
+        codec.key_dots(rows, geom, &[0.0; 32], &mut [0.0; 16], 16);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Scalar codecs for the low-bit element data types.
 //!
 //! These functions convert between `f32` and the raw bit codes of each
-//! [`ElementType`](crate::ElementType), using round-to-nearest-even and saturation
+//! [`ElementType`], using round-to-nearest-even and saturation
 //! semantics, exactly as the MX block codecs require. They are deliberately scalar and
 //! branch-heavy rather than table-driven so that every rounding decision is visible and
 //! testable. They are the reference: [`MxBlock`](crate::MxBlock) and

@@ -22,9 +22,9 @@
 //! per (segment, layer, row block) — on the paged backend by one fused page-kernel call
 //! per page run, which folds the 4-bit codes in registers — and serves every row of the
 //! block and every head of a GQA group. The q·k fold keeps the tile's positions in SIMD
-//! lanes. Zero full-cache copies per token, and the score/probability scratch is bounded
-//! by one row block. RoPE rotates through a `(sin, cos)` table built once per forward
-//! from frequencies computed once per model. The projections multiply against weights
+//! lanes, and the score/probability scratch is bounded by one row block. RoPE rotates
+//! through a `(sin, cos)` table built once per forward from frequencies computed once
+//! per model. The projections multiply against weights
 //! that were direct-cast **once** at construction into [`WeightPanels`]: 4-bit code
 //! panels plus per-block scales under MXFP4/MXINT4 weights on the AVX2 backend, the
 //! row-major `f32` matrix otherwise. Every projection runs through
@@ -97,17 +97,11 @@ pub struct TransformerModel {
 }
 
 impl TransformerModel {
-    /// Builds the model, generating deterministic weights from the configuration's seed.
+    /// Builds the model, generating deterministic weights from the configuration's seed
+    /// and direct-casting them once for the forward pass.
     #[must_use]
     pub fn new(config: ModelConfig, quant: ModelQuantConfig) -> Self {
         let weights = ModelWeights::generate(&config);
-        TransformerModel::with_weights(config, weights, quant)
-    }
-
-    /// Builds the model from explicit weights (direct-casting them once for the forward
-    /// pass).
-    #[must_use]
-    pub fn with_weights(config: ModelConfig, weights: ModelWeights, quant: ModelQuantConfig) -> Self {
         let cast = CastWeights::cast(&weights, &quant);
         let rope_freqs = if config.rope_theta > 0.0 {
             kernels::rope_freqs(config.head_dim(), config.rope_theta)
@@ -133,13 +127,6 @@ impl TransformerModel {
     #[must_use]
     pub fn weights(&self) -> &ModelWeights {
         &self.weights
-    }
-
-    /// Changes the quantization configuration. The unquantized weights are retained, so
-    /// this re-runs the one-time direct cast under the new weight schemes.
-    pub fn set_quant(&mut self, quant: ModelQuantConfig) {
-        self.quant = quant;
-        self.cast = CastWeights::cast(&self.weights, &self.quant);
     }
 
     /// Creates an empty KV cache sized for this model.
@@ -618,7 +605,7 @@ const ROW_BLOCK: usize = TILE_POSITIONS;
 /// Attention operands reused across every layer and segment of one forward call: one
 /// row block's quantized query rows and its per-(row, head) score/probability rows
 /// (grown to the widest visible context), one tile's per-(row, head) lanes (its dots,
-/// then its probabilities) and the working memory of a reader's tile path.
+/// then its probabilities) and the tile a reader may decode the cached rows into.
 struct AttnScratch {
     q: Vec<f32>,
     scores: Vec<f32>,
@@ -774,7 +761,6 @@ mod tests {
                 next = argmax(&sp);
             }
             assert_eq!(paged.seq_len(), flat.seq_len());
-            assert_eq!(crate::kvcache::KvBackend::materializations(&paged), 0);
         }
     }
 
@@ -812,18 +798,6 @@ mod tests {
             assert_eq!(none.shape(), (0, model.config().vocab));
             assert_eq!(cache.seq_len(), 4, "a chunk nobody samples still appends its rows");
         }
-    }
-
-    #[test]
-    fn default_decode_path_never_materializes_the_cache() {
-        let model = tiny_model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
-        let (logits, mut cache) = model.prefill(&[1, 2, 3]);
-        let mut next = argmax(logits.row(logits.rows() - 1));
-        for _ in 0..16 {
-            next = argmax(&model.decode_step(next, &mut cache));
-        }
-        assert_eq!(cache.seq_len(), 19);
-        assert_eq!(cache.materializations(), 0, "hot path must read the cache through views only");
     }
 
     #[test]

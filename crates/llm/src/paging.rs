@@ -17,9 +17,9 @@
 //!   of a tile's positions that lies in one page goes to one fused [`RowCodec`] page
 //!   kernel call (`key_dots` / `value_accumulate`), which folds 4-bit MX/MX+ codes
 //!   straight from the page buffer into q·k and probs×V; a codec, shape or backend the
-//!   kernels do not take decodes the run into the caller's tile and folds it exactly
-//!   as the reader trait's provided path does. No full-cache tensor is ever
-//!   materialized. Single-row reads decode into a caller-provided [`PagedScratch`].
+//!   kernels do not take decodes the run row by row with [`RowCodec::unpack_row_into`]
+//!   into the caller's tile and folds it exactly as the reader trait's provided bodies
+//!   do. Single-row reads decode into a caller-provided [`PagedScratch`].
 //!
 //! ## Ownership model: exclusive tail pages, refcounted shared pages
 //!
@@ -74,7 +74,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use mx_formats::{PackedRows, QuantScheme, RowCodec};
 
-use crate::kvcache::{accumulate_value_tile, fold_key_tile, AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS};
+use crate::kvcache::{
+    accumulate_value_tile, fold_key_tile, set_key_lane, AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS,
+};
 
 /// Default number of position slots per page (the paged-attention block size).
 pub const DEFAULT_PAGE_POSITIONS: usize = 16;
@@ -403,17 +405,6 @@ impl PagePool {
         self.in_use_pages() * self.page_bytes()
     }
 
-    /// Fraction of the pool's pages currently holding data (`0.0 ..= 1.0`) — the ratio
-    /// behind the serving engine's pass-boundary occupancy gauge.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        if self.pages == 0 {
-            0.0
-        } else {
-            self.in_use_pages() as f64 / self.pages as f64
-        }
-    }
-
     /// Debug-build sanitizer: reconciles the pool's internal accounting — every page
     /// is either home (free) or checked out (`free + in-use == capacity`), free ids
     /// are unique and in range with their buffers home, and reservations never exceed
@@ -484,8 +475,9 @@ impl PagePool {
 /// Splitting the scratch out of [`PagedKvCache`] (where it used to live) is what lets a
 /// decode worker thread carry **one** pair of buffers across however many resident
 /// sequences it steps, instead of every cache owning its own; it is plain owned data, so
-/// each worker simply constructs its own (`PagedScratch::default()`). Attention's tile
-/// reads decode straight into the caller's tiles and only count here.
+/// each worker simply constructs its own (`PagedScratch::default()`). Attention decodes
+/// in registers, or into the caller's tiles (keys through the key row buffer), and only
+/// counts here.
 #[derive(Debug, Default)]
 pub struct PagedScratch {
     /// Reusable dequant scratch the layer readers decode key rows into.
@@ -495,7 +487,7 @@ pub struct PagedScratch {
     /// Rows attention decoded: into key/value tiles, or in registers by the fused page
     /// kernels (one page run per call).
     tile_rows: usize,
-    /// Rows decoded into the `key`/`value` buffers by single-row reads.
+    /// Rows decoded by single-row reads.
     scratch_rows: usize,
 }
 
@@ -508,9 +500,9 @@ impl PagedScratch {
         self.tile_rows
     }
 
-    /// Rows decoded into the f32 scratch buffers by single-row reads
-    /// ([`KvLayerReader::key_row`] / [`KvLayerReader::value_row`]) since construction.
-    /// Zero after any number of forwards: attention reads only tiles.
+    /// Rows decoded by single-row reads ([`KvLayerReader::key_row`] /
+    /// [`KvLayerReader::value_row`]) since construction. Zero after any number of
+    /// forwards: attention counts only tile rows.
     #[must_use]
     pub fn scratch_rows(&self) -> usize {
         self.scratch_rows
@@ -1036,37 +1028,42 @@ where
 }
 
 /// Per-layer reader of a [`PagedKvCache`]: resolves positions through the page table and
-/// reads packed slots — single rows into the worker's [`PagedScratch`] buffers, tiles one
-/// page run at a time straight into the caller's buffer, and attention's q·k and probs×V
-/// one fused page-kernel call per page run. Never touches the pool lock — the pages it
-/// reads are exclusively owned by the cache it borrows, or sealed.
+/// reads packed slots — single rows into the worker's [`PagedScratch`] buffers, and
+/// attention's q·k and probs×V one fused page-kernel call per page run. Never touches
+/// the pool lock — the pages it reads are exclusively owned by the cache it borrows, or
+/// sealed.
 #[derive(Debug)]
 pub struct PagedLayerReader<'a> {
+    pages: LayerPages<'a>,
+    scratch: &'a mut PagedScratch,
+}
+
+/// One layer's page table and slot geometry: where each position's packed key and value
+/// rows live. Works identically on owned and shared pages — reads never care who else
+/// holds a page.
+#[derive(Debug, Clone, Copy)]
+struct LayerPages<'a> {
     table: &'a [PageRef],
     codec: RowCodec,
     kv_dim: usize,
     row_bytes: usize,
     page_positions: usize,
     len: usize,
-    scratch: &'a mut PagedScratch,
 }
 
-/// The packed bytes of position `t`'s slot within its page table (free function so the
-/// reader can borrow its scratch buffers mutably alongside the table). Works identically
-/// on owned and shared pages — reads never care who else holds the page.
-fn packed_slot(table: &[PageRef], page_positions: usize, row_bytes: usize, len: usize, t: usize) -> &[u8] {
-    assert!(t < len, "position out of bounds");
-    let slot_bytes = 2 * row_bytes;
-    let start = (t % page_positions) * slot_bytes;
-    &table[t / page_positions].buf()[start..start + slot_bytes]
-}
+impl<'a> LayerPages<'a> {
+    /// The packed key row (or value row, `values == true`) of position `t`.
+    fn row(self, t: usize, values: bool) -> &'a [u8] {
+        assert!(t < self.len, "position out of bounds");
+        let start = (t % self.page_positions) * 2 * self.row_bytes + if values { self.row_bytes } else { 0 };
+        &self.table[t / self.page_positions].buf()[start..start + self.row_bytes]
+    }
 
-impl PagedLayerReader<'_> {
     /// Calls `decode(run, j)` for each run of positions `t0..t0 + n` that lies in one
     /// page, in ascending order: `run` holds the run's packed key rows (or value rows,
     /// `values == true`) at the page's slot stride, and `j` is its first position's offset
     /// from `t0`.
-    fn page_runs(&self, t0: usize, n: usize, values: bool, mut decode: impl FnMut(PackedRows<'_>, usize)) {
+    fn page_runs(self, t0: usize, n: usize, values: bool, mut decode: impl FnMut(PackedRows<'_>, usize)) {
         assert!(t0 + n <= self.len, "position out of bounds");
         let slot_bytes = 2 * self.row_bytes;
         let mut t = t0;
@@ -1085,46 +1082,39 @@ impl KvLayerReader for PagedLayerReader<'_> {
     fn key_row(&mut self, t: usize) -> &[f32] {
         // Decode through the scratch buffer: one row lives at a time, nothing larger than
         // kv_dim is ever materialized.
-        let slot = packed_slot(self.table, self.page_positions, self.row_bytes, self.len, t);
-        self.codec.unpack_row_into(&slot[..self.row_bytes], &mut self.scratch.key);
+        self.pages.codec.unpack_row_into(self.pages.row(t, false), &mut self.scratch.key);
         self.scratch.scratch_rows += 1;
         &self.scratch.key
     }
 
     fn value_row(&mut self, t: usize) -> &[f32] {
-        let slot = packed_slot(self.table, self.page_positions, self.row_bytes, self.len, t);
-        self.codec.unpack_row_into(&slot[self.row_bytes..], &mut self.scratch.value);
+        self.pages.codec.unpack_row_into(self.pages.row(t, true), &mut self.scratch.value);
         self.scratch.scratch_rows += 1;
         &self.scratch.value
     }
 
-    fn key_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
-        assert!(n <= TILE_POSITIONS, "a key tile holds at most TILE_POSITIONS positions");
-        let codec = self.codec;
-        self.page_runs(t0, n, false, |run, j| codec.unpack_rows_transposed_into(run, &mut tile[j..], TILE_POSITIONS));
-        self.scratch.tile_rows += n;
-    }
-
-    fn value_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
-        let (codec, kv_dim) = (self.codec, self.kv_dim);
-        self.page_runs(t0, n, true, |run, j| {
-            codec.unpack_rows_into(run, &mut tile[j * kv_dim..(j + run.rows) * kv_dim]);
-        });
-        self.scratch.tile_rows += n;
-    }
-
+    /// One fused [`RowCodec::key_dots`] call per page run. A run the kernel declines
+    /// decodes row by row through the scratch key row into `tile` and folds it as the
+    /// provided body does.
     fn key_dots(&mut self, t0: usize, n: usize, q: &[f32], geom: AttnGeometry, tile: &mut [f32], dots: &mut [f32]) {
         assert!(n <= TILE_POSITIONS, "a key tile holds at most TILE_POSITIONS positions");
-        let codec = self.codec;
-        self.page_runs(t0, n, false, |run, j| {
-            if !codec.key_dots(run, geom, q, &mut dots[j..], TILE_POSITIONS) {
-                codec.unpack_rows_transposed_into(run, tile, TILE_POSITIONS);
+        let pages = self.pages;
+        let key = &mut self.scratch.key;
+        pages.page_runs(t0, n, false, |run, j| {
+            if !pages.codec.key_dots(run, geom, q, &mut dots[j..], TILE_POSITIONS) {
+                for r in 0..run.rows {
+                    pages.codec.unpack_row_into(pages.row(t0 + j + r, false), key);
+                    set_key_lane(tile, r, key);
+                }
                 fold_key_tile(q, geom, tile, run.rows, &mut dots[j..]);
             }
         });
         self.scratch.tile_rows += n;
     }
 
+    /// One fused [`RowCodec::value_accumulate`] call per page run. A run the kernel
+    /// declines decodes straight into `tile`, row-major, and accumulates as the provided
+    /// body does.
     fn value_accumulate(
         &mut self,
         t0: usize,
@@ -1134,11 +1124,13 @@ impl KvLayerReader for PagedLayerReader<'_> {
         tile: &mut [f32],
         out: &mut [f32],
     ) {
-        let (codec, kv_dim) = (self.codec, self.kv_dim);
-        self.page_runs(t0, n, true, |run, j| {
-            if !codec.value_accumulate(run, geom, &probs[j..], TILE_POSITIONS, out) {
-                let rows = &mut tile[..run.rows * kv_dim];
-                codec.unpack_rows_into(run, rows);
+        let pages = self.pages;
+        pages.page_runs(t0, n, true, |run, j| {
+            if !pages.codec.value_accumulate(run, geom, &probs[j..], TILE_POSITIONS, out) {
+                let rows = &mut tile[..run.rows * pages.kv_dim];
+                for (r, row) in rows.chunks_exact_mut(pages.kv_dim).enumerate() {
+                    pages.codec.unpack_row_into(pages.row(t0 + j + r, true), row);
+                }
                 accumulate_value_tile(&probs[j..], geom, rows, run.rows, out);
             }
         });
@@ -1167,19 +1159,16 @@ impl KvBackend for PagedKvCache {
         scratch.key.resize(self.kv_dim, 0.0);
         scratch.value.resize(self.kv_dim, 0.0);
         PagedLayerReader {
-            table: &self.tables[layer],
-            codec: self.codec,
-            kv_dim: self.kv_dim,
-            row_bytes: self.row_bytes,
-            page_positions: self.pool.page_positions(),
-            len: self.lens[layer],
+            pages: LayerPages {
+                table: &self.tables[layer],
+                codec: self.codec,
+                kv_dim: self.kv_dim,
+                row_bytes: self.row_bytes,
+                page_positions: self.pool.page_positions(),
+                len: self.lens[layer],
+            },
             scratch,
         }
-    }
-
-    fn materializations(&self) -> usize {
-        // No full-cache accessor exists on this backend; reads are per-row by design.
-        0
     }
 }
 

@@ -76,12 +76,11 @@
 //! Sequences finish on their length budget or on a per-sequence stop token, each
 //! recorded as a [`FinishReason`]; next-token selection is greedy by default or seeded
 //! top-k / top-p per sequence. All of it is configured through one [`SubmitOptions`]
-//! builder ([`ServingEngine::submit_with`]). All cache reads go through the borrowed-view
-//! / packed-row-decode hot path, so a whole batched run performs zero full-cache copies;
-//! the [`ServingReport`] pins that invariant, distinguishes the cache's **theoretical**
-//! scheme bytes from the **measured resident** bytes actually allocated, and reports
-//! wall-clock throughput ([`ServingReport::tokens_per_sec_parallel`]) next to the
-//! summed-across-workers decode rate.
+//! builder ([`ServingEngine::submit_with`]). The [`ServingReport`] distinguishes the
+//! cache's **theoretical** scheme bytes from the **measured resident** bytes actually
+//! allocated, and reports wall-clock throughput
+//! ([`ServingReport::tokens_per_sec_parallel`]) next to the summed-across-workers decode
+//! rate.
 //!
 //! ## Observability
 //!
@@ -280,16 +279,6 @@ impl Sequence {
         self.finish
     }
 
-    /// This sequence's f32 KV cache, if it runs on the f32-contiguous backend
-    /// (paged caches release their pages at retirement and are not inspectable here).
-    #[must_use]
-    pub fn cache(&self) -> Option<&KvCache> {
-        match &self.cache {
-            SeqCache::F32(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Positions this sequence holds (or held, once retired) in its KV cache. A
     /// preempted sequence reports the positions parked in its spill buffer.
     #[must_use]
@@ -486,8 +475,6 @@ pub struct ServingReport {
     /// backend, f32 row storage on the baseline backend. This is the number that exposed
     /// the old accounting gap (f32-resident storage labelled with scheme bytes).
     pub resident_bytes: usize,
-    /// Full-cache materializations observed across all caches (0 on the hot paths).
-    pub cache_materializations: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
     /// tracing ([`ServingEngine::with_telemetry`]) is enabled. TPOT takes one sample per
@@ -687,7 +674,6 @@ impl SubmitOptions {
 /// assert_eq!(report.sequences, 2);
 /// assert_eq!(report.generated_tokens, 8);
 /// assert_eq!(report.finished_length, 2);
-/// assert_eq!(report.cache_materializations, 0);
 /// ```
 #[derive(Debug)]
 pub struct ServingEngine<'m> {
@@ -696,7 +682,8 @@ pub struct ServingEngine<'m> {
     pool: Option<Arc<PagePool>>,
     num_threads: usize,
     /// Hash-consed prompt prefixes: chain hash of each full page of prompt positions →
-    /// the sequence ids whose prompts contain that page chunk, in submission order.
+    /// the ids of the unfinished sequences whose prompts contain that page chunk, in
+    /// submission order (the retire sweep removes finished ones).
     prefix_index: HashMap<u64, Vec<usize>>,
     /// Telemetry hub the run's recorders shard into (a disabled hub unless
     /// [`ServingEngine::with_telemetry`] configured one).
@@ -1021,7 +1008,7 @@ impl<'m> ServingEngine<'m> {
         let mut rec = self.telemetry.recorder(0);
         stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
 
-        loop {
+        while stats.passes < max_passes {
             let pass = self.pass;
             let pass_start = rec.now_nanos();
             rec.begin(Category::Pass, "pass", "pass", pass as u64);
@@ -1062,6 +1049,7 @@ impl<'m> ServingEngine<'m> {
                 if seq.finish.is_some() && !seq.finish_logged {
                     seq.finish_logged = true;
                     rec.instant(Category::Lifecycle, "retired", "seq", seq.id as u64);
+                    forget_prefix(&mut self.prefix_index, seq);
                 }
                 seq.retire();
             }
@@ -1076,9 +1064,6 @@ impl<'m> ServingEngine<'m> {
             stats.pass_latency.record(rec.now_nanos().saturating_sub(pass_start));
             self.pass += 1;
             stats.passes += 1;
-            if stats.passes >= max_passes {
-                break;
-            }
             let pending = admit
                 && self
                     .sequences
@@ -1328,14 +1313,6 @@ impl<'m> ServingEngine<'m> {
             theoretical_bytes: theoretical(scheme),
             theoretical_bytes_fp32: theoretical(QuantScheme::Fp32),
             resident_bytes: stats.peak_resident,
-            cache_materializations: self
-                .sequences
-                .iter()
-                .map(|s| match &s.cache {
-                    SeqCache::F32(c) => c.materializations(),
-                    _ => 0,
-                })
-                .sum(),
             latency: LatencySummary {
                 ttft: QuantileSummary::from_histogram(&ttft),
                 tpot: QuantileSummary::from_histogram(&stats.tpot),
@@ -1917,6 +1894,20 @@ fn forward_on<B: KvBackend>(
     }
 }
 
+/// Removes a finished sequence from the prefix index entries of its prompt pages,
+/// dropping the entries it leaves empty. A finished sequence never donates again, so
+/// admission's plans do not change; the index keeps only live sequences.
+fn forget_prefix(index: &mut HashMap<u64, Vec<usize>>, seq: &Sequence) {
+    for hash in &seq.prefix_hashes {
+        if let Some(ids) = index.get_mut(hash) {
+            ids.retain(|&id| id != seq.id);
+            if ids.is_empty() {
+                index.remove(hash);
+            }
+        }
+    }
+}
+
 /// One mixing step of the chained prompt-prefix hash (FNV/SplitMix-style, deterministic
 /// across platforms).
 fn prefix_hash_step(hash: u64, token: usize) -> u64 {
@@ -2010,17 +2001,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_invariant_holds_for_whole_batch() {
-        let model = model(ModelQuantConfig::BASELINE);
-        let mut engine = ServingEngine::new(&model);
-        for p in 0..4 {
-            engine.submit_with(&[p + 1, p + 2], SubmitOptions::new(8));
-        }
-        let report = engine.run();
-        assert_eq!(report.cache_materializations, 0);
-    }
-
-    #[test]
     fn a_panic_inside_the_batched_forward_rolls_back_its_whole_batch() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let prompts: [&[usize]; 3] = [&[1, 2, 3], &[7, 7], &[10, 20, 30, 40]];
@@ -2047,6 +2027,20 @@ mod tests {
             assert_eq!(pool.in_use_pages(), 0);
             assert_eq!(pool.reserved_pages(), 0);
         }
+    }
+
+    #[test]
+    fn run_for_zero_runs_no_pass() {
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        let mut engine = ServingEngine::paged(&model, 16);
+        engine.submit_with(&[1, 2, 3], SubmitOptions::new(4));
+        let report = engine.run_for(0);
+        assert_eq!((report.passes, report.prompt_tokens, report.generated_tokens), (0, 0, 0));
+        assert!(engine.sequences()[0].generated.is_empty());
+        assert_eq!(engine.pool().unwrap().reserved_pages(), 0, "nothing was admitted");
+        let report = engine.run();
+        assert_eq!(report.finished_length, 1);
+        assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&[1, 2, 3], 4));
     }
 
     #[test]
@@ -2123,7 +2117,6 @@ mod tests {
         for (a, b) in flat.sequences().iter().zip(paged.sequences()) {
             assert_eq!(a.generated, b.generated, "sequence {} diverges across backends", a.id);
         }
-        assert_eq!(paged_report.cache_materializations, 0);
         // The paged backend's measured bytes sit near the scheme width, well below f32
         // even with these short sequences half-filling their 16-position pages (the
         // integration tests pin the >=4x criterion at realistic lengths).
@@ -2322,6 +2315,22 @@ mod tests {
             shared_report.resident_bytes,
             plain_report.resident_bytes
         );
+    }
+
+    #[test]
+    fn finished_sequences_leave_the_prefix_index() {
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        let prefix: Vec<usize> = (0..10).map(|i| (i * 13 + 3) % 128).collect();
+        let mut engine = ServingEngine::paged_with(&model, 64, 4).with_threads(1);
+        for s in 0..4 {
+            let mut prompt = prefix.clone();
+            prompt.push(90 + s);
+            engine.submit_with(&prompt, SubmitOptions::new(8));
+        }
+        assert_eq!(engine.prefix_index.len(), 2, "two full pages of the shared prompt prefix");
+        let report = engine.run();
+        assert!(report.shared_pages > 0);
+        assert!(engine.prefix_index.is_empty(), "finished sequences must not stay donor candidates");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Acceptance tests for the page-tiled attention over the packed KV cache: tiles decoded
-//! a page run at a time must hold exactly the rows the per-position reads return, the
-//! tiled folds must equal the per-position materializing folds **bit for bit**, and the
-//! paged backend must stay token-identical to the f32 backend end to end through the
-//! serving engine at 1, 2 and 4 threads. End to end, the fast kernels must also match the
-//! forced-scalar reference pipeline token for token, and a prefill must decode each
-//! cached row once per block of query rows.
+//! Acceptance tests for the page-tiled attention over the packed KV cache: the tiled
+//! folds (`key_dots` / `value_accumulate`) of both backends must equal the per-position
+//! folds over row reads **bit for bit**, and the paged backend must stay token-identical
+//! to the f32 backend end to end through the serving engine at 1, 2 and 4 threads. End
+//! to end, the fast kernels must also match the forced-scalar reference pipeline token
+//! for token, and a prefill must decode each cached row once per block of query rows.
 //!
 //! Every test that flips the process-global forced-scalar switch serializes on one
 //! mutex. The decode count does not depend on it.
@@ -14,7 +13,7 @@ use std::sync::Mutex;
 use mx_formats::kernels::force_scalar;
 use mx_formats::layout::RowCodec;
 use mx_formats::QuantScheme;
-use mx_llm::kvcache::{KvBackend, KvLayerReader, TILE_POSITIONS};
+use mx_llm::kvcache::{AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS};
 use mx_llm::{
     LayerKvCache, ModelConfig, ModelQuantConfig, PagePool, PagedKvCache, PagedScratch, ServingEngine, SubmitOptions,
     TransformerModel,
@@ -66,8 +65,8 @@ fn fused_paged_decode_matches_f32_at_1_2_and_4_threads() {
 
 /// Forcing the scalar kernels changes no token: it selects the reference block
 /// quantizer for the weight cast (the reference model is built while forced), the
-/// activation and attention operands and the KV pack, and routes every tile decode
-/// through the scalar row codecs instead of the page kernels.
+/// activation and attention operands and the KV pack, and routes attention through the
+/// paged reader's row-by-row decode instead of the page kernels.
 /// Beyond A-MXFP4+, uniform MXFP8+ and MXINT8+ pin the quantizer's E4M3-saturation and
 /// integer-rounding arms token for token.
 #[test]
@@ -103,17 +102,46 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Scores (`heads × steps`) and outputs (`heads × head_dim`) of one query row over
+/// `steps` cached positions, folded a tile at a time through `reader`'s `key_dots` and
+/// `value_accumulate`; `probs` holds each head's probabilities over the positions.
+fn tiled_folds(
+    reader: &mut impl KvLayerReader,
+    geom: AttnGeometry,
+    steps: usize,
+    q: &[f32],
+    probs: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let AttnGeometry { heads, head_dim, group } = geom;
+    let mut scores = vec![0.0f32; heads * steps];
+    let mut out = vec![0.0f32; heads * head_dim];
+    let mut tile = vec![f32::NAN; heads / group * head_dim * TILE_POSITIONS];
+    let mut lanes = vec![f32::NAN; heads * TILE_POSITIONS];
+    for t0 in (0..steps).step_by(TILE_POSITIONS) {
+        let n = TILE_POSITIONS.min(steps - t0);
+        reader.key_dots(t0, n, q, geom, &mut tile, &mut lanes);
+        for h in 0..heads {
+            scores[h * steps + t0..h * steps + t0 + n].copy_from_slice(&lanes[h * TILE_POSITIONS..][..n]);
+            for (j, p) in lanes[h * TILE_POSITIONS..][..TILE_POSITIONS].iter_mut().enumerate() {
+                *p = if j < n { probs[h * steps + t0 + j] } else { 0.0 };
+            }
+        }
+        reader.value_accumulate(t0, n, &lanes, geom, &mut tile, &mut out);
+    }
+    (scores, out)
+}
+
 /// Reader-level pin of the tiled walk, on a GQA layout (4 query heads over 2 KV heads)
 /// with pages of 16 and of 5 positions (tiles then straddle pages), under MX, MX+, 6-bit
-/// and `Dequantized` rows, dispatched and forced scalar:
-/// - every key and value tile equals the per-position row reads, bit for bit, on the
-///   paged backend (page-decoder overrides) and the f32 backend (provided methods);
-/// - scores folded from key tiles with positions in lanes, and outputs accumulated from
-///   value tiles, equal the per-position materializing folds, bit for bit.
+/// and `Dequantized` rows, dispatched and forced scalar: scores folded tile by tile with
+/// `key_dots`, and outputs accumulated with `value_accumulate`, equal the per-position
+/// folds over row reads, bit for bit, on the paged backend (fused page kernels or its
+/// row-by-row decode) and the f32 backend (the provided bodies).
 #[test]
 fn tiled_reader_is_bit_identical_to_row_reads() {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (heads, group, head_dim) = (4usize, 2usize, 8usize);
+    let geom = AttnGeometry { heads, head_dim, group };
     let kv_dim = (heads / group) * head_dim;
     let steps = 37;
     for scheme in [QuantScheme::mxfp4(), QuantScheme::mxfp4_plus(), QuantScheme::mxfp6(), QuantScheme::Bf16] {
@@ -150,6 +178,7 @@ fn tiled_reader_is_bit_identical_to_row_reads() {
                         ref_scores[h * steps + t] = acc;
                     }
                     let value = reader.value_row(t).to_vec();
+                    assert_eq!(bits(&value), bits(flat.value_row(t)), "{case}: value row {t}");
                     for h in 0..heads {
                         let p = probs[h * steps + t];
                         if p == 0.0 {
@@ -164,59 +193,15 @@ fn tiled_reader_is_bit_identical_to_row_reads() {
                 assert_eq!(ref_scratch.scratch_rows(), 2 * steps, "{case}");
                 assert_eq!(ref_scratch.tile_rows(), 0, "{case}");
 
-                // The tiled walk, over both backends' tile reads.
+                // The tiled walk, over both backends' readers.
                 let mut scratch = PagedScratch::default();
-                let mut paged_reader = paged.layer_reader(0, &mut scratch);
-                let mut flat_reader = &flat;
-                let mut scores = vec![0.0f32; heads * steps];
-                let mut out = vec![0.0f32; heads * head_dim];
-                let mut key_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
-                let mut value_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
-                let mut flat_tile = vec![f32::NAN; kv_dim * TILE_POSITIONS];
-                for t0 in (0..steps).step_by(TILE_POSITIONS) {
-                    let n = TILE_POSITIONS.min(steps - t0);
-                    paged_reader.key_tile(t0, n, &mut key_tile);
-                    flat_reader.key_tile(t0, n, &mut flat_tile);
-                    for j in 0..n {
-                        let row: Vec<f32> = (0..kv_dim).map(|e| key_tile[e * TILE_POSITIONS + j]).collect();
-                        let flat_row: Vec<f32> = (0..kv_dim).map(|e| flat_tile[e * TILE_POSITIONS + j]).collect();
-                        assert_eq!(bits(&row), bits(flat.key_row(t0 + j)), "{case}: key tile position {}", t0 + j);
-                        assert_eq!(bits(&flat_row), bits(&row), "{case}: f32 key tile position {}", t0 + j);
-                    }
-                    for h in 0..heads {
-                        let kv = (h / group) * head_dim;
-                        let mut acc = [0.0f32; TILE_POSITIONS];
-                        for d in 0..head_dim {
-                            for (j, a) in acc.iter_mut().enumerate() {
-                                *a += q[h * head_dim + d] * key_tile[(kv + d) * TILE_POSITIONS + j];
-                            }
-                        }
-                        scores[h * steps + t0..h * steps + t0 + n].copy_from_slice(&acc[..n]);
-                    }
-                    paged_reader.value_tile(t0, n, &mut value_tile);
-                    flat_reader.value_tile(t0, n, &mut flat_tile);
-                    assert_eq!(
-                        bits(&flat_tile[..n * kv_dim]),
-                        bits(&value_tile[..n * kv_dim]),
-                        "{case}: value tile {t0}"
-                    );
-                    for (j, value) in value_tile.chunks_exact(kv_dim).take(n).enumerate() {
-                        assert_eq!(bits(value), bits(flat.value_row(t0 + j)), "{case}: value tile position {}", t0 + j);
-                        for h in 0..heads {
-                            let p = probs[h * steps + t0 + j];
-                            if p == 0.0 {
-                                continue;
-                            }
-                            let kv = (h / group) * head_dim;
-                            for d in 0..head_dim {
-                                out[h * head_dim + d] += p * value[kv + d];
-                            }
-                        }
-                    }
-                }
+                let (scores, out) = tiled_folds(&mut paged.layer_reader(0, &mut scratch), geom, steps, &q, &probs);
+                let (flat_scores, flat_out) = tiled_folds(&mut &flat, geom, steps, &q, &probs);
                 force_scalar(false);
-                assert_eq!(bits(&scores), bits(&ref_scores), "{case}: tiled scores diverge");
-                assert_eq!(bits(&out), bits(&ref_out), "{case}: tiled outputs diverge");
+                assert_eq!(bits(&scores), bits(&ref_scores), "{case}: paged tiled scores diverge");
+                assert_eq!(bits(&out), bits(&ref_out), "{case}: paged tiled outputs diverge");
+                assert_eq!(bits(&flat_scores), bits(&ref_scores), "{case}: f32 tiled scores diverge");
+                assert_eq!(bits(&flat_out), bits(&ref_out), "{case}: f32 tiled outputs diverge");
                 assert_eq!(scratch.tile_rows(), 2 * steps, "{case}");
                 assert_eq!(scratch.scratch_rows(), 0, "{case}: tile reads must not decode single rows");
             }

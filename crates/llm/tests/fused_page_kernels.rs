@@ -1,9 +1,9 @@
-//! Property tests pinning the fused 4-bit attention page kernels against the tile path
-//! they replace, bit for bit.
+//! Property tests pinning the fused 4-bit attention page kernels against the provided
+//! path they replace, bit for bit.
 //!
 //! - **Reader level.** The paged reader's `key_dots` / `value_accumulate` (one fused
 //!   kernel call per page run) must equal the trait's provided bodies over the same
-//!   reader (decode the tile, then fold), compared by `to_bits`. Cases cover MX and MX+
+//!   reader's rows (read each row into the tile, then fold), compared by `to_bits`. Cases cover MX and MX+
 //!   rows of E2M1 and INT4 elements, blocks of 8 to 64, `head_dim` 8 to 64, GQA groups
 //!   1, 2 and 4, pages of 16 and of 5 positions (tiles then straddle pages), 1 to 16
 //!   positions and query rows, all-zero, tiny and huge blocks (scale bytes 0, near 1 and
@@ -17,7 +17,8 @@
 //!   collapsed (a NaN scale meets NaNs that overflowing products make, and which NaN an
 //!   addition keeps is not part of the contract).
 //! - **Shapes the kernels do not take** (6-bit rows, blocks of 12, `head_dim` 12) report
-//!   that they did not run, and the reader serves them through the provided path.
+//!   that they did not run, and the paged reader's row-by-row decode of them equals the
+//!   provided path.
 //!
 //! Everything that flips the process-global forced-scalar switch runs under one mutex.
 
@@ -35,7 +36,7 @@ use mx_llm::{PagePool, PagedKvCache, PagedScratch};
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A reader that serves attention through the trait's provided `key_dots` /
-/// `value_accumulate` over another reader's tiles: the path the fused kernels replace.
+/// `value_accumulate` over another reader's rows: the path the fused kernels replace.
 struct ProvidedPath<'a, R>(&'a mut R);
 
 impl<R: KvLayerReader> KvLayerReader for ProvidedPath<'_, R> {
@@ -45,14 +46,6 @@ impl<R: KvLayerReader> KvLayerReader for ProvidedPath<'_, R> {
 
     fn value_row(&mut self, t: usize) -> &[f32] {
         self.0.value_row(t)
-    }
-
-    fn key_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
-        self.0.key_tile(t0, n, tile);
-    }
-
-    fn value_tile(&mut self, t0: usize, n: usize, tile: &mut [f32]) {
-        self.0.value_tile(t0, n, tile);
     }
 }
 
@@ -136,8 +129,8 @@ fn scheme(element: ElementType, plus: bool, block: usize) -> QuantScheme {
     }
 }
 
-/// The paged reader's fused `key_dots` / `value_accumulate` and the provided tile path
-/// over the same reader, for a tile of `n` positions from `t0` and `rows` query rows:
+/// The paged reader's fused `key_dots` / `value_accumulate` and the provided path over
+/// the same reader's rows, for a tile of `n` positions from `t0` and `rows` query rows:
 /// `(fused dots, fused out, provided dots, provided out)`.
 fn both_paths(
     cache: &mut PagedKvCache,

@@ -82,8 +82,8 @@ impl Histogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the representative value (bucket midpoint)
     /// of the bucket holding the rank-`ceil(q * count)` sample; exact for values below
-    /// [`SUB_BUCKETS`], within half a sub-bucket (≈ 3% relative) above. Returns 0 when
-    /// empty.
+    /// 16 (`SUB_BUCKETS`), within half a sub-bucket (≈ 3% relative) above. Returns 0
+    /// when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {

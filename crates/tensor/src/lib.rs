@@ -30,10 +30,8 @@ pub mod matrix;
 pub mod panels;
 pub mod quantized;
 pub mod synth;
-pub mod view;
 
 pub use matrix::Matrix;
 pub use panels::WeightPanels;
 pub use quantized::QuantizedLinear;
 pub use synth::{ActivationProfile, OutlierSpec};
-pub use view::MatrixView;

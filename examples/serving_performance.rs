@@ -19,10 +19,7 @@ fn measured_serving() {
     println!("4 sequences x 16 prompt tokens x 48 generated tokens, per-sequence KV caches");
     println!("(theoretical = scheme-math bytes; the f32 backend actually holds 32-bit rows;");
     println!(" decode tok/s is the summed per-worker rate, wall tok/s the end-to-end throughput)\n");
-    println!(
-        "{:>16} {:>12} {:>12} {:>14} {:>12} {:>8}",
-        "config", "decode tok/s", "wall tok/s", "theory KiB", "vs FP32", "clones"
-    );
+    println!("{:>16} {:>12} {:>12} {:>14} {:>12}", "config", "decode tok/s", "wall tok/s", "theory KiB", "vs FP32");
     for quant in [
         ModelQuantConfig::BASELINE,
         ModelQuantConfig::uniform(QuantScheme::mxfp8()),
@@ -37,13 +34,12 @@ fn measured_serving() {
         }
         let report = engine.run();
         println!(
-            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>11.1}x {:>8}",
+            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>11.1}x",
             quant.name(),
             report.decode_tokens_per_sec,
             report.tokens_per_sec_parallel,
             report.theoretical_bytes as f64 / 1024.0,
-            report.theoretical_compression(),
-            report.cache_materializations
+            report.theoretical_compression()
         );
     }
 }
