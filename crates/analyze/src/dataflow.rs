@@ -619,7 +619,8 @@ pub fn run_pass<T: Transfer>(cfg: &Cfg, pass: &T) -> Vec<PassFinding> {
 const RESERVED: u8 = 1;
 /// Lifecycle bit: bound from an `alloc*` call — must reach free/escape before drop.
 const ALLOCATED: u8 = 2;
-/// Lifecycle bit: bound from `share_prefix` — refcounted, no direct obligation.
+/// Lifecycle bit: bound from `seal_page`/`share_page` — a refcounted shared page, no
+/// direct obligation.
 const SHARED: u8 = 4;
 /// Lifecycle bit: passed to a free call.
 const FREED: u8 = 8;
@@ -630,7 +631,7 @@ const ESCAPED: u8 = 16;
 const FREE_NAMES: [&str; 4] = ["free", "free_page", "release", "dealloc"];
 
 /// The `page-lifecycle` (L6) pass: tracks bindings produced by
-/// `reserve`/`alloc*`/`share_prefix` and flags double-free, use-after-free, and
+/// `reserve`/`alloc*`/`seal_page`/`share_page` and flags double-free, use-after-free, and
 /// allocated pages that can go out of scope or early-exit without being freed or
 /// handed off.
 pub struct PageLifecycle;
@@ -640,7 +641,7 @@ fn lifecycle_ctor(name: &str) -> Option<u8> {
         Some(RESERVED)
     } else if name.starts_with("alloc") {
         Some(ALLOCATED)
-    } else if name == "share_prefix" {
+    } else if name == "seal_page" || name == "share_page" {
         Some(SHARED)
     } else {
         None

@@ -8,7 +8,7 @@
 //! | `no-panics`         | no `unwrap`/`expect`/`panic!`/`todo!` in library code               |
 //! | `atomic-ordering`   | no `Ordering::Relaxed` on refcount `fetch_sub`/`compare_exchange`   |
 //! | `send-sync-audit`   | every `pub` type in `paging.rs`/`serving.rs` is `assert_send_sync`-covered |
-//! | `page-lifecycle`    | page bindings from `reserve`/`alloc*`/`share_prefix`: no double-free, no use-after-free, no leak on any path |
+//! | `page-lifecycle`    | page bindings from `reserve`/`alloc*`/`seal_page`/`share_page`: no double-free, no use-after-free, no leak on any path |
 //! | `guard-liveness`    | `.state()`/`.lock()` guards never live across pack/unpack/forward/decode hot calls, on any CFG path |
 //! | `must-release`      | every `reserve` binding reaches a release or handoff on every path  |
 //! | `meta-unused-allow` | suppression comments must silence something and carry a `reason:`   |

@@ -32,7 +32,7 @@ pub enum Rule {
     /// L5: every `pub` type declared in `paging.rs`/`serving.rs`/`fault.rs` must appear
     /// in the compile-time `assert_send_sync` audit list.
     SendSyncAudit,
-    /// L6: page bindings from `reserve`/`alloc*`/`share_prefix` must not be
+    /// L6: page bindings from `reserve`/`alloc*`/`seal_page`/`share_page` must not be
     /// double-freed, used after free, or dropped while still allocated.
     PageLifecycle,
     /// L7: a `.state()`/`.lock()` guard binding must not be live across a

@@ -1,5 +1,5 @@
 //! Must-not-fire fixture for `page-lifecycle`: freed on every path, escaped into a
-//! table, returned to the caller, shared (refcounted), or freed before the `?`.
+//! table, returned to the caller, sealed or shared (refcounted), or freed before the `?`.
 
 pub fn freed_on_every_path(pool: &mut PagePool, cond: bool) {
     let page = pool.alloc_page();
@@ -20,9 +20,14 @@ pub fn returned_to_caller(pool: &mut PagePool) -> PageEntry {
     page
 }
 
-pub fn shared_prefix_is_refcounted(pool: &mut PagePool, seq: usize) {
-    let shared = pool.share_prefix(seq);
+pub fn shared_page_is_refcounted(pool: &mut PagePool, id: usize) {
+    let shared = pool.share_page(id);
     pool.note_hit(&shared);
+}
+
+pub fn sealed_page_is_refcounted(pool: &mut PagePool, entry: PageEntry) {
+    let sealed = pool.seal_page(entry);
+    pool.note_hit(&sealed);
 }
 
 pub fn freed_before_question(pool: &mut PagePool) -> Result<(), PoolError> {

@@ -162,7 +162,7 @@ fn thread_scaling(c: &mut Criterion) {
 /// residency win at every N.
 fn prefix_sharing(c: &mut Criterion) {
     let model = bench_model();
-    const COMMON: usize = 50; // 3 full 16-position pages + a COW boundary page
+    const COMMON: usize = 50; // 3 full 16-position pages, shared, + a boundary page each
     const NEW_TOKENS: usize = 8;
     let prompts = |n: usize| -> Vec<Vec<usize>> {
         let prefix: Vec<usize> = (0..COMMON).map(|i| (i * 19 + 5) % 128).collect();

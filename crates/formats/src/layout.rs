@@ -318,7 +318,8 @@ impl RowCodec {
     ///
     /// Panics if `geom` does not describe rows of `rows.len` elements, if `rows.rows >
     /// lanes`, if `q` is not whole query rows, if `dots` is too short for the slots
-    /// above, or if `rows.bytes` does not hold every row.
+    /// above, or if `rows.bytes` does not hold every row — whether or not the kernel
+    /// would take the rows.
     pub fn key_dots(
         &self,
         rows: PackedRows<'_>,
@@ -328,11 +329,11 @@ impl RowCodec {
         lanes: usize,
     ) -> bool {
         let q_rows = geom.check(rows, q.len(), lanes);
+        self.checked_row_bytes(rows);
+        assert!(geom.fits(q_rows, rows.rows, lanes, dots.len()), "dots buffer too short");
         let Some(blocks) = self.fused4(geom) else {
             return false;
         };
-        self.checked_row_bytes(rows);
-        assert!(geom.fits(q_rows, rows.rows, lanes, dots.len()), "dots buffer too short");
         kernels::key_dots4(rows, blocks, geom, q, dots, lanes)
     }
 
@@ -354,7 +355,8 @@ impl RowCodec {
     ///
     /// Panics if `geom` does not describe rows of `rows.len` elements, if `rows.rows >
     /// lanes`, if `out` is not whole output rows, if `probs` is too short for the slots
-    /// above, or if `rows.bytes` does not hold every row.
+    /// above, or if `rows.bytes` does not hold every row — whether or not the kernel
+    /// would take the rows.
     pub fn value_accumulate(
         &self,
         rows: PackedRows<'_>,
@@ -364,11 +366,11 @@ impl RowCodec {
         out: &mut [f32],
     ) -> bool {
         let out_rows = geom.check(rows, out.len(), lanes);
+        self.checked_row_bytes(rows);
+        assert!(geom.fits(out_rows, rows.rows, lanes, probs.len()), "probs buffer too short");
         let Some(blocks) = self.fused4(geom) else {
             return false;
         };
-        self.checked_row_bytes(rows);
-        assert!(geom.fits(out_rows, rows.rows, lanes, probs.len()), "probs buffer too short");
         kernels::value_accumulate4(rows, blocks, geom, probs, lanes, out)
     }
 
@@ -645,11 +647,29 @@ mod tests {
     #[should_panic(expected = "packed rows buffer too short")]
     fn page_decoders_reject_strides_past_the_buffer() {
         // A stride whose row offsets overflow `usize` must be rejected, not wrapped into
-        // the buffer.
+        // the buffer — by both entry points and for every codec, whether or not the
+        // fused kernels take its rows (MXFP6 and f32 rows they never take).
+        let geom = AttnGeometry { heads: 1, head_dim: 32, group: 1 };
+        let entry_points = |scheme: QuantScheme| {
+            let codec = RowCodec::for_scheme(scheme);
+            let packed = vec![0u8; 4 * codec.packed_bytes(32)];
+            let rows = PackedRows { bytes: &packed, stride: usize::MAX / 2 + 1, rows: 3, len: 32 };
+            let keys = std::panic::catch_unwind(|| codec.key_dots(rows, geom, &[0.0; 32], &mut [0.0; 16], 16));
+            let values =
+                std::panic::catch_unwind(|| codec.value_accumulate(rows, geom, &[0.0; 16], 16, &mut [0.0; 32]));
+            [keys, values]
+        };
+        for scheme in [QuantScheme::mxfp4(), QuantScheme::mxfp6(), QuantScheme::Bf16] {
+            for (entry, outcome) in ["key_dots", "value_accumulate"].into_iter().zip(entry_points(scheme)) {
+                let message = outcome.err().and_then(|payload| payload.downcast_ref::<&str>().copied());
+                // A message of its own, so a miss here cannot satisfy `should_panic`.
+                let rejected = message == Some("packed rows buffer too short");
+                assert!(rejected, "{} {entry} accepted a stride past its buffer", scheme.name());
+            }
+        }
         let codec = RowCodec::for_scheme(QuantScheme::mxfp4());
         let packed = vec![0u8; 4 * codec.packed_bytes(32)];
         let rows = PackedRows { bytes: &packed, stride: usize::MAX / 2 + 1, rows: 3, len: 32 };
-        let geom = AttnGeometry { heads: 1, head_dim: 32, group: 1 };
         codec.key_dots(rows, geom, &[0.0; 32], &mut [0.0; 16], 16);
     }
 

@@ -15,8 +15,9 @@
 //! The decode hot path is generic over a cache *backend* ([`KvBackend`]): this module's
 //! [`KvCache`] stores dequantized `f32` rows (the accuracy / bit-exactness baseline),
 //! while [`PagedKvCache`](crate::paging::PagedKvCache) stores rows genuinely bit-packed
-//! in pool-allocated pages — exclusively owned, or refcounted-shared with other
-//! sequences under prefix sharing (reads never care which; writes copy-on-write). Both
+//! in pool-allocated pages — exclusively owned, or published full prompt pages
+//! refcounted-shared with other sequences under prefix sharing (reads never care which;
+//! writes only ever land in owned pages). Both
 //! backends feed attention through a per-layer [`KvLayerReader`], which folds q·k and
 //! accumulates probs×V over a tile of [`TILE_POSITIONS`] cached positions at a time for
 //! a block of query rows ([`KvLayerReader::key_dots`] /

@@ -43,7 +43,8 @@ pub use fault::{FaultKind, FaultPlan, RecoveryPolicy};
 pub use kvcache::{KvBackend, KvCache, KvLayerReader, LayerKvCache};
 pub use model::TransformerModel;
 pub use paging::{
-    audit_caches, PagePool, PagedKvCache, PagedLayerReader, PagedScratch, PagingError, SharedPrefix, SpilledKv,
+    audit_caches, prefix_keys, PagePool, PagedKvCache, PagedLayerReader, PagedScratch, PagingError, PrefixHit,
+    SpilledKv,
 };
 pub use quant_config::ModelQuantConfig;
 pub use sampling::{Sampling, SamplingPolicy, SeqRng};

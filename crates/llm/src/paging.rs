@@ -21,46 +21,61 @@
 //!   into the caller's tile and folds it exactly as the reader trait's provided bodies
 //!   do. Single-row reads decode into a caller-provided [`PagedScratch`].
 //!
-//! ## Ownership model: exclusive tail pages, refcounted shared pages
+//! ## Ownership model: exclusive tail pages, keyed shared pages
 //!
 //! A cache's page table holds page references in one of two states:
 //!
-//! * **Owned** — the page buffer is exclusively held by this cache (the common case and
-//!   always the state of a freshly allocated tail page), so packs and unpacks are
-//!   lock-free plain memory access.
-//! * **Shared** — the page has been *sealed* behind an atomically refcounted handle
-//!   ([`Arc`]) so that any number of caches can read it concurrently. Sealing happens
-//!   when a cache donates a prompt prefix ([`PagedKvCache::share_prefix`]); a recipient
-//!   built with [`PagedKvCache::with_shared_prefix`] maps the donor's sealed pages
-//!   straight into its own table, paying **zero** new pages and zero re-prefill for the
-//!   shared positions. When the last reference drops, the page returns itself to the
-//!   pool.
+//! * **Owned** — the page buffer is exclusively held by this cache (every freshly
+//!   allocated page), so packs and unpacks are lock-free plain memory access.
+//! * **Shared** — a full prompt page the cache *published* ([`PagedKvCache::publish`]):
+//!   sealed read-only behind an atomically refcounted handle ([`Arc`]) and *keyed* in the
+//!   pool by the prompt's chain hash at that page ([`prefix_keys`]) and its layer. A
+//!   cache built with [`PagedKvCache::with_prefix`] maps the longest keyed run of its own
+//!   prompt straight into its table, paying **zero** new pages and zero re-prefill for
+//!   those positions. Sharing is whole-page: a cache appends only into pages it owns, so
+//!   no page is ever written once it is shared.
 //!
-//! Appending into a shared page triggers **copy-on-write**
-//! (an append can only ever target the partially filled boundary page of a shared
-//! prefix): if the cache is the sole remaining owner the page is reclaimed in place
-//! (no copy — the donor retired), otherwise a fresh page is allocated from the cache's
-//! reservation and the shared bytes are copied before the write. Either way the other
-//! holders of the page never observe the mutation.
+//! ## The pool is the prefix cache
+//!
+//! When the last holder of a keyed page releases it, the page goes home **still keyed**:
+//! its buffer keeps the rows, and the pool keeps the page's key, its tokens and its
+//! parent's key with it. A keyed home page counts as free — [`PagePool::free_pages`],
+//! [`PagePool::available_pages`], [`PagePool::in_use_pages`] and
+//! [`PagePool::resident_bytes`] treat it exactly like a never-keyed page — yet a later
+//! prompt can still map it, taking it back out of the free set. Allocation takes
+//! never-keyed home pages first, and only then evicts keyed ones, oldest release first,
+//! dropping their keys. A release hands a chain home deepest page first, so eviction
+//! takes a chain's tail before its head, and a page's parent stays keyed for as long as
+//! the page is. The cache's capacity is the pool's home pages; eviction drops a page's
+//! metadata with its key, so the cache's memory is bounded by the pool. This is the
+//! free-block queue of vLLM's automatic prefix caching (Kwon et al., SOSP '23) at page
+//! granularity.
+//!
+//! A map checks each page's recorded tokens and parent key against the prompt, so a
+//! hash collision costs a share, never a token. An admitted cache *announces* the keys
+//! of the full prompt pages it has yet to write, and withdraws each when it publishes or
+//! releases the page. [`PagePool::lookup_prefix`] reports a prompt whose next page is
+//! announced as pending, so a scheduler can wait for that page instead of prefilling it a
+//! second time.
 //!
 //! For **preemption**, a whole cache can be swapped out of the pool into a host-side
 //! [`SpilledKv`] buffer ([`PagedKvCache::spill`]) and later re-admitted with
 //! [`PagedKvCache::restore`], which is bit-exact: packed slot bytes are copied verbatim
-//! in both directions, so a preempted sequence resumes token-identically.
+//! in both directions, so a preempted sequence resumes token-identically. A spilled last
+//! holder leaves its keyed pages home and mappable.
 //!
 //! ## Threading model
 //!
 //! The pool is shared as an [`Arc<PagePool>`] and is `Send + Sync`: all free-list,
-//! reservation and occupancy accounting sits behind one internal [`Mutex`], which is
-//! touched only when pages change hands (admission, page-boundary growth, sealing,
-//! copy-on-write, retirement) — never on the per-row decode hot path. Owned page *data*
-//! is handed out by moving each page's pre-allocated buffer out of the pool and into the
-//! owning [`PagedKvCache`] (and back on release), so a worker thread decoding its
-//! sequence packs and unpacks rows with **zero locking**; shared pages are immutable
-//! behind their refcount, so concurrent readers need no locking either. The per-row
-//! dequant scratch lives in a [`PagedScratch`] owned by the *worker thread* rather than
-//! the cache, so a thread serving many resident sequences carries exactly one pair of
-//! row buffers.
+//! reservation, key and occupancy accounting sits behind one internal [`Mutex`], which is
+//! touched only when pages change hands (admission, page-boundary growth, publication,
+//! retirement) — never on the per-row decode hot path. Owned page *data* is handed out by
+//! moving each page's pre-allocated buffer out of the pool and into the owning
+//! [`PagedKvCache`] (and back on release), so a worker thread decoding its sequence packs
+//! and unpacks rows with **zero locking**; shared pages are immutable behind their
+//! refcount, so concurrent readers need no locking either. The per-row dequant scratch
+//! lives in a [`PagedScratch`] owned by the *worker thread* rather than the cache, so a
+//! thread serving many resident sequences carries exactly one pair of row buffers.
 //!
 //! Because [`mx_formats::RowCodec`] round-trips bit-for-bit with
 //! `QuantScheme::quantize_dequantize` — the exact values the f32 backend stores — a
@@ -70,6 +85,7 @@
 //! pool, which is what lets the continuous-batching scheduler admit queued sequences as
 //! earlier ones finish.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use mx_formats::{PackedRows, QuantScheme, RowCodec};
@@ -105,6 +121,32 @@ impl std::fmt::Display for PagingError {
 
 impl std::error::Error for PagingError {}
 
+/// One mixing step of the chained prompt-prefix hash (FNV/SplitMix-style, deterministic
+/// across platforms).
+fn prefix_hash_step(hash: u64, token: usize) -> u64 {
+    (hash ^ (token as u64).wrapping_add(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0x0100_0000_01b3).rotate_left(23)
+}
+
+/// The prefix-cache keys of `prompt`: its chained token hash at every full page of
+/// `page_positions` positions, so `keys[k]` covers `prompt[..(k + 1) * page_positions]`.
+/// A keyed page's pool key is its chain hash plus its layer.
+#[must_use]
+pub fn prefix_keys(prompt: &[usize], page_positions: usize) -> Vec<u64> {
+    let mut keys = Vec::with_capacity(prompt.len() / page_positions.max(1));
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, &token) in prompt.iter().enumerate() {
+        hash = prefix_hash_step(hash, token);
+        if (i + 1).is_multiple_of(page_positions) {
+            keys.push(hash);
+        }
+    }
+    keys
+}
+
+/// A keyed page's identity in the pool: the prompt's chain hash at the page, and the
+/// layer.
+type PageKey = (u64, usize);
+
 /// One page checked out of the pool: its id plus the owned backing buffer. The buffer
 /// physically moves between the pool and the owning cache, which is what makes reads and
 /// writes of an allocated page lock-free (exclusive ownership, no shared arena aliasing).
@@ -114,45 +156,22 @@ struct PageEntry {
     buf: Box<[u8]>,
 }
 
-/// A sealed, immutable page held behind an atomic refcount. Every holder reads the same
-/// buffer; when the last [`Arc<SharedPage>`] drops, the page returns itself to the pool
-/// (which is why it carries its pool handle). A shared page is never written — caches
-/// that need to write one first go through copy-on-write.
+/// A published, immutable page behind an atomic refcount. Every holder reads the same
+/// buffer lock-free, and the pool keeps one more handle for as long as the page stays
+/// keyed; eviction takes the buffer back once that handle is the only one left.
 #[derive(Debug)]
 struct SharedPage {
-    pool: Arc<PagePool>,
-    /// `Some` until the page is reclaimed exclusively (sole-owner copy-on-write) or
-    /// returned to the pool by `Drop`.
-    entry: Option<PageEntry>,
+    id: usize,
+    buf: Box<[u8]>,
 }
 
-impl SharedPage {
-    fn buf(&self) -> &[u8] {
-        // Invariant: a SharedPage reachable through a page table always holds its entry.
-        // The entry only leaves via sole-owner copy-on-write (which consumes the last
-        // Arc, so no table can still point here) or Drop.
-        match &self.entry {
-            Some(entry) => &entry.buf,
-            None => unreachable!("shared page already reclaimed"),
-        }
-    }
-}
-
-impl Drop for SharedPage {
-    fn drop(&mut self) {
-        if let Some(entry) = self.entry.take() {
-            self.pool.state().free_page(entry);
-        }
-    }
-}
-
-/// One entry of a cache's page table: exclusively owned and mutable (the tail page and
-/// every page of a cache that shares nothing), or sealed and refcounted-shared.
+/// One entry of a cache's page table: exclusively owned and mutable (every page the
+/// cache has not published), or published and refcounted-shared.
 #[derive(Debug)]
 enum PageRef {
     /// Exclusively owned: reads and writes are lock-free plain memory access.
     Owned(PageEntry),
-    /// Sealed read-only page shared with other caches through an atomic refcount.
+    /// A keyed read-only page shared with the pool's prefix cache and other caches.
     Shared(Arc<SharedPage>),
 }
 
@@ -160,57 +179,29 @@ impl PageRef {
     fn buf(&self) -> &[u8] {
         match self {
             PageRef::Owned(entry) => &entry.buf,
-            PageRef::Shared(page) => page.buf(),
+            PageRef::Shared(page) => &page.buf,
         }
     }
 
     fn is_shared(&self) -> bool {
         matches!(self, PageRef::Shared(_))
     }
-
-    /// The pool page id this table entry is mapped to (used by the debug audits).
-    fn id(&self) -> usize {
-        match self {
-            PageRef::Owned(entry) => entry.id,
-            PageRef::Shared(page) => match &page.entry {
-                Some(entry) => entry.id,
-                None => unreachable!("shared page already reclaimed"),
-            },
-        }
-    }
 }
 
-/// A donor's sealed prompt-prefix pages, cloned out of its page table by
-/// [`PagedKvCache::share_prefix`] and consumed by [`PagedKvCache::with_shared_prefix`].
-/// Holding this keeps every page alive (refcounted) even if the donor retires before the
-/// recipient is built.
-#[derive(Debug)]
-pub struct SharedPrefix {
-    /// Per-layer clones of the donor's sealed pages (same page count in every layer).
-    pages: Vec<Vec<PageRef>>,
-    /// Prefix positions the pages cover (the recipient's initial sequence length).
-    positions: usize,
-}
-
-impl SharedPrefix {
-    /// Prefix positions covered by the shared pages.
-    #[must_use]
-    pub fn positions(&self) -> usize {
-        self.positions
-    }
-
-    /// Shared pages mapped per layer (full pages plus a partially filled boundary page
-    /// when the prefix does not end on a page boundary).
-    #[must_use]
-    pub fn pages_per_layer(&self) -> usize {
-        self.pages.first().map_or(0, Vec::len)
-    }
-
-    /// Total shared page mappings across all layers.
-    #[must_use]
-    pub fn total_pages(&self) -> usize {
-        self.pages.iter().map(Vec::len).sum()
-    }
+/// What the pool's prefix cache holds of one prompt ([`PagePool::lookup_prefix`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefixHit {
+    /// Leading prompt pages keyed in every layer, which a cache built now would map. At
+    /// most `(prompt_len − 1) / page_positions`, so the last prompt position always runs
+    /// again: its logits seed the first sampled token.
+    pub pages: usize,
+    /// Pages building that cache would take out of [`PagePool::available_pages`]: the
+    /// reservation for the positions past the mapped pages, plus the mapped pages that
+    /// sit home in the pool.
+    pub demand: usize,
+    /// Whether an admitted cache has announced the prompt's next full page: waiting for
+    /// it to publish maps the page instead of prefilling it a second time.
+    pub pending: bool,
 }
 
 /// A preempted cache's contents, swapped out of the page pool into plain host memory:
@@ -241,34 +232,76 @@ impl SpilledKv {
     }
 }
 
-/// The lock-protected side of the pool: which pages are home, which are checked out,
-/// and how many are promised to admitted-but-not-yet-written sequences.
+/// What the pool keeps with a keyed page, home or checked out, until eviction drops it.
+#[derive(Debug)]
+struct Keyed {
+    key: PageKey,
+    /// Chain hash of the prompt page before this one (`None` for a prompt's first page).
+    parent: Option<u64>,
+    /// The prompt tokens whose rows the page holds.
+    tokens: Box<[usize]>,
+    /// The pool's handle on the page; mapping clones it.
+    page: Arc<SharedPage>,
+    /// Page tables that map the page right now; 0 while it is home.
+    holders: usize,
+    /// While the page is home: its release tick, its place in the eviction order.
+    home: Option<u64>,
+}
+
+/// The lock-protected side of the pool: which pages are home (never-keyed, or keyed and
+/// mappable), which are checked out, which keys the caches have published or announced,
+/// and how many pages are promised to admitted-but-not-yet-written sequences.
 #[derive(Debug)]
 struct PoolState {
-    /// Buffer of each page while it sits in the pool; `None` while checked out.
+    /// Buffer of each never-keyed page while it sits in the pool; `None` while checked
+    /// out, or while the page is keyed (its buffer then lives in its [`SharedPage`]).
     buffers: Vec<Option<Box<[u8]>>>,
-    /// Ids of pages currently in the pool and not promised to anyone.
+    /// Ids of never-keyed home pages.
     free: Vec<usize>,
+    /// Keyed home pages by release tick, oldest first: the eviction order.
+    cached: BTreeMap<u64, usize>,
+    /// The next release tick.
+    tick: u64,
+    /// Every keyed page, home or checked out, by key.
+    index: HashMap<PageKey, usize>,
+    /// Each page's key and metadata while it is keyed.
+    keyed: Vec<Option<Keyed>>,
+    /// Chain hashes admitted caches will write and have not yet published or released,
+    /// with how many caches announced each.
+    announced: HashMap<u64, usize>,
     /// Pages promised to admitted sequences but not yet written.
     reserved: usize,
 }
 
 impl PoolState {
-    /// Converts one reserved page into a checked-out page.
+    /// Pages home in the pool: never-keyed ones plus keyed ones, which count as free.
+    fn home_pages(&self) -> usize {
+        self.free.len() + self.cached.len()
+    }
+
+    /// Converts one reserved page into a checked-out page: a never-keyed home page if
+    /// there is one, else the keyed home page released longest ago, whose key goes.
     ///
     /// Panics if nothing is reserved — allocation is only legal against a reservation,
     /// which is what makes admission decisions binding.
     fn alloc_reserved(&mut self) -> PageEntry {
         assert!(self.reserved > 0, "allocating without a reservation");
-        // Invariant: `reserved <= free.len()` (reservations only come from the free
-        // headroom) and every free id's buffer is home — `PagePool::audit` checks both.
-        let Some(id) = self.free.pop() else { unreachable!("reserved pages must be free") };
         self.reserved -= 1;
-        let Some(buf) = self.buffers[id].take() else { unreachable!("free page {id} lost its buffer") };
-        PageEntry { id, buf }
+        // Invariant: `reserved <= home_pages()` (reservations only come from the free
+        // headroom), never-keyed home pages keep their buffers home, and a keyed home
+        // page's only handle is the pool's — `PagePool::audit` checks all three.
+        if let Some(id) = self.free.pop() {
+            let Some(buf) = self.buffers[id].take() else { unreachable!("free page {id} lost its buffer") };
+            return PageEntry { id, buf };
+        }
+        let Some((_, id)) = self.cached.pop_first() else { unreachable!("reserved pages must be home") };
+        let Some(keyed) = self.keyed[id].take() else { unreachable!("cached page {id} lost its key") };
+        self.index.remove(&keyed.key);
+        let Ok(page) = Arc::try_unwrap(keyed.page) else { unreachable!("home page {id} is still mapped") };
+        PageEntry { id, buf: page.buf }
     }
 
-    /// Returns a checked-out page to the pool.
+    /// Returns a checked-out never-keyed page to the pool.
     ///
     /// Panics if the page's home slot is already occupied (double free).
     fn free_page(&mut self, entry: PageEntry) {
@@ -276,17 +309,93 @@ impl PoolState {
         self.buffers[entry.id] = Some(entry.buf);
         self.free.push(entry.id);
     }
+
+    /// Keys `entry` under `key` and hands back its shared handle, with one holder: the
+    /// publishing cache.
+    fn seal_page(&mut self, entry: PageEntry, key: PageKey, parent: Option<u64>, tokens: &[usize]) -> Arc<SharedPage> {
+        let page = Arc::new(SharedPage { id: entry.id, buf: entry.buf });
+        self.index.insert(key, page.id);
+        self.keyed[page.id] =
+            Some(Keyed { key, parent, tokens: tokens.into(), page: Arc::clone(&page), holders: 1, home: None });
+        page
+    }
+
+    /// One more holder for keyed page `id`, taking it back out of the free set if it is
+    /// home.
+    fn share_page(&mut self, id: usize) -> Arc<SharedPage> {
+        let Some(keyed) = &mut self.keyed[id] else { unreachable!("mapping unkeyed page {id}") };
+        if let Some(tick) = keyed.home.take() {
+            self.cached.remove(&tick);
+        }
+        keyed.holders += 1;
+        Arc::clone(&keyed.page)
+    }
+
+    /// One holder fewer for keyed page `id`; the last one sends it home, still keyed, as
+    /// the newest release. Runs on the `Drop` path, so it never panics: a shared page is
+    /// keyed until it goes home, which `PagePool::audit` checks.
+    fn release_keyed(&mut self, id: usize) {
+        let tick = self.tick;
+        let Some(keyed) = &mut self.keyed[id] else { return };
+        keyed.holders = keyed.holders.saturating_sub(1);
+        if keyed.holders == 0 {
+            keyed.home = Some(tick);
+            self.cached.insert(tick, id);
+            self.tick += 1;
+        }
+    }
+
+    /// Withdraws one announcement of `hash`.
+    fn withdraw(&mut self, hash: u64) {
+        if let Some(count) = self.announced.get_mut(&hash) {
+            *count -= 1;
+            if *count == 0 {
+                self.announced.remove(&hash);
+            }
+        }
+    }
+
+    /// The longest run of `prompt`'s leading pages keyed in every one of `layers`
+    /// layers, at most `(prompt.len() − 1) / page_positions` pages: its page count and
+    /// its page ids, page by page, layer by layer. A page joins the run only if its
+    /// recorded tokens and parent key match the prompt's.
+    fn run(&self, layers: usize, page_positions: usize, prompt: &[usize], keys: &[u64]) -> (usize, Vec<usize>) {
+        let cap = (prompt.len().saturating_sub(1) / page_positions).min(keys.len());
+        let mut ids = Vec::with_capacity(cap * layers);
+        for (k, &hash) in keys[..cap].iter().enumerate() {
+            let parent = k.checked_sub(1).map(|p| keys[p]);
+            let tokens = &prompt[k * page_positions..(k + 1) * page_positions];
+            for layer in 0..layers {
+                let found = self.index.get(&(hash, layer)).copied().filter(|&id| {
+                    self.keyed[id].as_ref().is_some_and(|keyed| keyed.parent == parent && *keyed.tokens == *tokens)
+                });
+                let Some(id) = found else {
+                    ids.truncate(k * layers);
+                    return (k, ids);
+                };
+                ids.push(id);
+            }
+        }
+        (cap, ids)
+    }
+
+    /// Of `ids`, the keyed pages that sit home.
+    fn home_among(&self, ids: &[usize]) -> usize {
+        ids.iter().filter(|&&id| self.keyed[id].as_ref().is_some_and(|keyed| keyed.holders == 0)).count()
+    }
 }
 
-/// A fixed-budget allocator of KV-cache pages, shared by every sequence of a serving run.
+/// A fixed-budget allocator of KV-cache pages, shared by every sequence of a serving run,
+/// and the run's prefix cache (see the [module docs](crate::paging)).
 ///
 /// The backing storage of every page is allocated once at construction
 /// (`pages × page_bytes`), mirroring how a real serving system pre-carves an
-/// accelerator's KV-cache arena. Pages move between three states: *free*, *reserved*
-/// (promised to an admitted sequence but not yet written) and *in use* (checked out to a
-/// cache, holding packed rows). [`PagePool::resident_bytes`] reports the in-use
-/// footprint — the measured occupancy a [`ServingReport`] exposes alongside the
-/// theoretical scheme bytes.
+/// accelerator's KV-cache arena. Pages move between four states: *free* and never
+/// keyed, *free* and keyed (home, but still mappable by a matching prompt until an
+/// allocation evicts it), *reserved* (promised to an admitted sequence but not yet
+/// written) and *in use* (checked out to caches, holding packed rows).
+/// [`PagePool::resident_bytes`] reports the in-use footprint — the measured occupancy a
+/// [`ServingReport`] exposes alongside the theoretical scheme bytes.
 ///
 /// The pool is `Send + Sync` (see the [module docs](crate::paging) for the threading
 /// model); every accounting method takes `&self` and locks internally.
@@ -320,6 +429,11 @@ impl PagePool {
             state: Mutex::new(PoolState {
                 buffers: (0..pages).map(|_| Some(vec![0u8; page_bytes].into_boxed_slice())).collect(),
                 free: (0..pages).rev().collect(),
+                cached: BTreeMap::new(),
+                tick: 0,
+                index: HashMap::new(),
+                keyed: (0..pages).map(|_| None).collect(),
+                announced: HashMap::new(),
                 reserved: 0,
             }),
         }
@@ -341,9 +455,9 @@ impl PagePool {
 
     fn state(&self) -> MutexGuard<'_, PoolState> {
         // Recover from poisoning instead of panicking: a worker that panicked mid-step
-        // already propagates through the thread scope, and the Drop paths (caches,
-        // shared pages) must still be able to return pages during that unwinding —
-        // a second panic here would turn a diagnosable failure into an abort.
+        // already propagates through the thread scope, and the Drop paths of the caches
+        // must still be able to return pages during that unwinding — a second panic here
+        // would turn a diagnosable failure into an abort.
         match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -374,16 +488,25 @@ impl PagePool {
         self.pages
     }
 
-    /// Pages not currently holding data (free or merely reserved).
+    /// Pages no cache maps right now (free or merely reserved). Keyed home pages count:
+    /// the prefix cache keeps them mappable only until an allocation needs them.
     #[must_use]
     pub fn free_pages(&self) -> usize {
-        self.state().free.len()
+        self.state().home_pages()
     }
 
-    /// Pages checked out to caches (holding packed rows) right now.
+    /// Keyed home pages: free, but still mappable by a prompt that matches their keys
+    /// (a subset of [`PagePool::free_pages`]).
+    #[must_use]
+    pub fn cached_pages(&self) -> usize {
+        self.state().cached.len()
+    }
+
+    /// Pages checked out to caches (holding packed rows) right now. Keyed home pages are
+    /// not in use.
     #[must_use]
     pub fn in_use_pages(&self) -> usize {
-        self.pages - self.state().free.len()
+        self.pages - self.state().home_pages()
     }
 
     /// Pages promised to admitted sequences but not yet written.
@@ -392,25 +515,47 @@ impl PagePool {
         self.state().reserved
     }
 
-    /// Pages a new reservation could still claim.
+    /// Pages a new reservation could still claim: free pages, keyed home pages included,
+    /// minus reservations.
     #[must_use]
     pub fn available_pages(&self) -> usize {
         let state = self.state();
-        state.free.len() - state.reserved
+        state.home_pages() - state.reserved
     }
 
-    /// Measured pool occupancy in bytes: in-use pages times the page size.
+    /// Measured pool occupancy in bytes: in-use pages times the page size. Keyed home
+    /// pages count as free.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         self.in_use_pages() * self.page_bytes()
     }
 
-    /// Debug-build sanitizer: reconciles the pool's internal accounting — every page
-    /// is either home (free) or checked out (`free + in-use == capacity`), free ids
-    /// are unique and in range with their buffers home, and reservations never exceed
-    /// the free headroom. Compiles to a no-op in release builds, so callers (the
-    /// serving engine at pass boundaries, the churn proptests at every step) invoke it
-    /// unconditionally.
+    /// What the prefix cache holds of `prompt` for a cache of `layers` layers and
+    /// `capacity_positions` positions, as [`PagedKvCache::with_prefix`] would map it
+    /// right now: the mappable pages, what building the cache would take from the
+    /// available pages, and whether the next page is announced. `keys` are the prompt's
+    /// [`prefix_keys`]; with none, nothing maps.
+    #[must_use]
+    pub fn lookup_prefix(&self, layers: usize, capacity_positions: usize, prompt: &[usize], keys: &[u64]) -> PrefixHit {
+        let state = self.state();
+        let (pages, ids) = state.run(layers, self.page_positions, prompt, keys);
+        let cap = (prompt.len().saturating_sub(1) / self.page_positions).min(keys.len());
+        let reserve =
+            PagedKvCache::pages_needed(self, layers, capacity_positions).saturating_sub(layers.saturating_mul(pages));
+        PrefixHit {
+            pages,
+            demand: reserve.saturating_add(state.home_among(&ids)),
+            pending: pages < cap && state.announced.contains_key(&keys[pages]),
+        }
+    }
+
+    /// Debug-build sanitizer: reconciles the pool's internal accounting. Every page is
+    /// home (never-keyed with its buffer home, or keyed and held by the pool alone) or
+    /// checked out; home ids are unique and in range; every keyed page sits in the key
+    /// index under its own key, with the pool's handle plus one per holder; and
+    /// reservations never exceed the free headroom. Compiles to a no-op in release
+    /// builds, so callers (the serving engine at pass boundaries, the churn proptests at
+    /// every step) invoke it unconditionally.
     ///
     /// # Panics
     ///
@@ -426,30 +571,38 @@ impl PagePool {
             assert!(!seen[id], "page {id} appears twice in the free list");
             seen[id] = true;
             assert!(state.buffers[id].is_some(), "free page {id} lost its buffer");
+            assert!(state.keyed[id].is_none(), "never-keyed free page {id} holds a key");
+        }
+        for (&tick, &id) in &state.cached {
+            assert!(!seen[id], "page {id} is home twice");
+            seen[id] = true;
+            let keyed = state.keyed[id].as_ref();
+            assert!(keyed.is_some_and(|k| k.holders == 0 && k.home == Some(tick)), "cached page {id} is mapped");
         }
         let home = state.buffers.iter().filter(|buf| buf.is_some()).count();
-        assert_eq!(home, state.free.len(), "pages home in the pool must be exactly the free pages");
-        assert!(state.reserved <= state.free.len(), "more pages reserved than free");
+        assert_eq!(home, state.free.len(), "buffers home in the pool must be exactly the never-keyed free pages");
+        assert!(state.reserved <= state.home_pages(), "more pages reserved than free");
+        for (key, &id) in &state.index {
+            assert!(state.keyed[id].as_ref().is_some_and(|k| k.key == *key), "key index names page {id} wrongly");
+        }
+        let keyed = state.keyed.iter().flatten();
+        assert_eq!(keyed.clone().count(), state.index.len(), "a keyed page is missing from the key index");
+        for k in keyed {
+            assert_eq!(Arc::strong_count(&k.page), k.holders + 1, "page {} has handles no holder counts", k.page.id);
+            assert_eq!(k.holders == 0, k.home.is_some(), "page {} is home while mapped", k.page.id);
+        }
+        assert!(state.announced.values().all(|&count| count > 0), "an announcement count fell to zero");
     }
 
     /// Reserves `pages` pages for a sequence being admitted. Returns `false` (reserving
     /// nothing) if fewer than `pages` are available.
     pub fn try_reserve(&self, pages: usize) -> bool {
-        self.try_reserve_or_available(pages).is_ok()
-    }
-
-    /// [`PagePool::try_reserve`], reporting the available-page count observed under the
-    /// same lock acquisition on failure — so an admission error can never quote a count
-    /// that contradicts the denial (pages may have been freed by the time a second read
-    /// would run).
-    fn try_reserve_or_available(&self, pages: usize) -> Result<(), usize> {
         let mut state = self.state();
-        let available = state.free.len() - state.reserved;
-        if available < pages {
-            return Err(available);
+        if state.home_pages() - state.reserved < pages {
+            return false;
         }
         state.reserved += pages;
-        Ok(())
+        true
     }
 
     /// Returns an unused reservation of `pages` pages to the available set.
@@ -513,11 +666,12 @@ impl PagedScratch {
 /// docs](crate::paging)).
 ///
 /// Construction reserves the sequence's worst-case page count
-/// (`layers × ⌈capacity_positions / page_positions⌉`) so that appends within the stated
-/// capacity can never fail mid-decode; pages are physically allocated lazily as positions
-/// are written and returned to the pool when the cache is dropped. The cache is
-/// `Send + Sync`: it exclusively owns the buffers of its allocated pages, so decode
-/// workers read and write them without touching the pool lock.
+/// (`layers × ⌈capacity_positions / page_positions⌉`, less any pages mapped from the
+/// prefix cache) so that appends within the stated capacity can never fail mid-decode;
+/// pages are physically allocated lazily as positions are written and returned to the
+/// pool when the cache is dropped. The cache is `Send + Sync`: it exclusively owns the
+/// buffers of its unpublished pages, so decode workers read and write them without
+/// touching the pool lock.
 #[derive(Debug)]
 pub struct PagedKvCache {
     pool: Arc<PagePool>,
@@ -533,15 +687,20 @@ pub struct PagedKvCache {
     tables: Vec<Vec<PageRef>>,
     /// Per-layer appended lengths (layers fill in lock-step during a forward pass).
     lens: Vec<usize>,
-    /// Copy-on-write page copies performed (sole-owner in-place reclaims not counted).
-    cow_copies: usize,
+    /// Leading pages offered to the prefix cache: mapped at construction or offered by
+    /// [`PagedKvCache::publish`] since.
+    offered: usize,
+    /// Chain hashes of the prompt pages this cache will write, announced to the pool and
+    /// not yet withdrawn, the next page to offer first.
+    announced: Vec<u64>,
 }
 
 impl PagedKvCache {
-    /// Pages a cache of `layers` layers and `positions` positions needs from `pool`.
+    /// Pages a cache of `layers` layers and `positions` positions needs from `pool`
+    /// (saturating, so an absurd `positions` reads as more than any pool holds).
     #[must_use]
     pub fn pages_needed(pool: &PagePool, layers: usize, positions: usize) -> usize {
-        layers * positions.div_ceil(pool.page_positions())
+        layers.saturating_mul(positions.div_ceil(pool.page_positions()))
     }
 
     /// Creates a cache for `layers` layers of width `kv_dim`, reserving pages for up to
@@ -563,79 +722,64 @@ impl PagedKvCache {
         scheme: QuantScheme,
         capacity_positions: usize,
     ) -> Result<Self, PagingError> {
-        let codec = RowCodec::for_scheme(scheme);
-        let row_bytes = codec.packed_bytes(kv_dim);
-        assert_eq!(2 * row_bytes, pool.slot_bytes(), "pool slot size does not match kv_dim under this scheme");
-        // Reserve exactly what `pages_needed` promises the scheduler, so the admission
-        // decision and the reservation can never diverge.
-        let needed = Self::pages_needed(pool, layers, capacity_positions);
-        if let Err(available) = pool.try_reserve_or_available(needed) {
-            return Err(PagingError::OutOfPages { needed, available });
-        }
-        let per_layer = capacity_positions.div_ceil(pool.page_positions());
-        Ok(PagedKvCache {
-            pool: Arc::clone(pool),
-            scheme,
-            codec,
-            kv_dim,
-            row_bytes,
-            layer_reserved: vec![per_layer; layers],
-            tables: (0..layers).map(|_| Vec::new()).collect(),
-            lens: vec![0; layers],
-            cow_copies: 0,
-        })
+        Self::with_prefix(pool, layers, kv_dim, scheme, capacity_positions, &[], &[])
     }
 
-    /// Pages a cache of `layers` layers and `positions` positions needs when
-    /// `shared_positions` of them are mapped from a donor's sealed pages: only the pages
-    /// *past* the fully shared ones must be funded (the partially filled boundary page of
-    /// a non-aligned prefix still counts — it is the copy-on-write target of the first
-    /// divergent append).
-    #[must_use]
-    pub fn pages_needed_with_prefix(
-        pool: &PagePool,
-        layers: usize,
-        positions: usize,
-        shared_positions: usize,
-    ) -> usize {
-        let full_shared = shared_positions / pool.page_positions();
-        layers * (positions.div_ceil(pool.page_positions()) - full_shared)
-    }
-
-    /// Creates a cache whose first [`SharedPrefix::positions`] positions are served from
-    /// a donor's sealed pages — no re-prefill, no new pages for the fully shared part.
-    /// Reserves pages only for the remainder of `capacity_positions` (including one
-    /// copy-on-write page per layer for a non-aligned boundary page), so admission under
-    /// prefix sharing is strictly cheaper than a cold admission.
+    /// Creates a cache for `prompt` whose leading positions are mapped from the pool's
+    /// prefix cache, in one pool-locked step: it finds the longest run of the prompt's
+    /// pages keyed in every layer (see [`PagePool::lookup_prefix`]), checks that the
+    /// available pages cover the reservation for the rest of `capacity_positions` plus
+    /// the mapped pages that sit home, and maps the run. The mapped positions are never
+    /// re-prefilled and cost no new page, so admission under prefix sharing is strictly
+    /// cheaper than a cold one. The cache then announces the keys of the prompt's later
+    /// full pages, which it will write and [`PagedKvCache::publish`].
+    ///
+    /// `keys` are the prompt's [`prefix_keys`]; with none, nothing is mapped or
+    /// announced, exactly as [`PagedKvCache::new`].
     ///
     /// # Errors
     ///
-    /// Returns [`PagingError::OutOfPages`] (reserving nothing, dropping the prefix
-    /// handles) if the pool cannot cover the non-shared remainder.
+    /// Returns [`PagingError::OutOfPages`] (mapping and reserving nothing) if the pool
+    /// cannot cover that demand.
     ///
     /// # Panics
     ///
-    /// Panics if the prefix's layer count does not match `layers`, if the pool's slot
-    /// size does not match `kv_dim` under the scheme's codec, or if the prefix does not
-    /// leave room for at least one new position within `capacity_positions`.
-    pub fn with_shared_prefix(
+    /// Panics if the pool's slot size does not match `kv_dim` under the scheme's codec,
+    /// or if `keys` are more than the prompt's full pages.
+    pub fn with_prefix(
         pool: &Arc<PagePool>,
         layers: usize,
         kv_dim: usize,
         scheme: QuantScheme,
         capacity_positions: usize,
-        prefix: SharedPrefix,
+        prompt: &[usize],
+        keys: &[u64],
     ) -> Result<Self, PagingError> {
         let codec = RowCodec::for_scheme(scheme);
         let row_bytes = codec.packed_bytes(kv_dim);
         assert_eq!(2 * row_bytes, pool.slot_bytes(), "pool slot size does not match kv_dim under this scheme");
-        assert_eq!(prefix.pages.len(), layers, "shared prefix layer count mismatch");
-        assert!(prefix.positions < capacity_positions, "shared prefix must leave room for new positions");
-        let needed = Self::pages_needed_with_prefix(pool, layers, capacity_positions, prefix.positions);
-        if let Err(available) = pool.try_reserve_or_available(needed) {
+        let pp = pool.page_positions();
+        assert!(keys.len() <= prompt.len() / pp, "more prefix keys than full prompt pages");
+        let mut state = pool.state();
+        let (pages, ids) = state.run(layers, pp, prompt, keys);
+        // Mapped pages hold fewer positions than the prompt, so they never exceed the
+        // capacity unless the prompt does.
+        let per_layer = capacity_positions.div_ceil(pp).saturating_sub(pages);
+        let needed = layers.saturating_mul(per_layer).saturating_add(state.home_among(&ids));
+        let available = state.home_pages() - state.reserved;
+        if available < needed {
             return Err(PagingError::OutOfPages { needed, available });
         }
-        let per_layer = needed / layers;
+        state.reserved += layers * per_layer;
+        let mut tables: Vec<Vec<PageRef>> = (0..layers).map(|_| Vec::with_capacity(pages)).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            tables[i % layers].push(PageRef::Shared(state.share_page(id)));
+        }
+        let announced = keys[pages..].to_vec();
+        for &hash in &announced {
+            *state.announced.entry(hash).or_default() += 1;
+        }
+        drop(state);
         Ok(PagedKvCache {
             pool: Arc::clone(pool),
             scheme,
@@ -643,9 +787,10 @@ impl PagedKvCache {
             kv_dim,
             row_bytes,
             layer_reserved: vec![per_layer; layers],
-            tables: prefix.pages,
-            lens: vec![prefix.positions; layers],
-            cow_copies: 0,
+            tables,
+            lens: vec![pages * pp; layers],
+            offered: pages,
+            announced,
         })
     }
 
@@ -673,7 +818,7 @@ impl PagedKvCache {
         self.lens.first().copied().unwrap_or(0)
     }
 
-    /// Pages this cache has physically allocated.
+    /// Pages this cache has physically allocated or mapped.
     #[must_use]
     pub fn allocated_pages(&self) -> usize {
         self.tables.iter().map(Vec::len).sum()
@@ -692,32 +837,36 @@ impl PagedKvCache {
         self.lens.iter().map(|len| 2 * len * self.row_bytes).sum()
     }
 
-    /// Page-table entries currently mapped to sealed shared pages.
+    /// Page-table entries mapped to keyed shared pages: mapped at construction or
+    /// published since.
     #[must_use]
     pub fn shared_pages(&self) -> usize {
         self.tables.iter().flatten().filter(|p| p.is_shared()).count()
     }
 
-    /// Page-table entries exclusively owned (allocated or reclaimed/copied by this cache).
+    /// Page-table entries exclusively owned (allocated and not yet published).
     #[must_use]
     pub fn owned_pages(&self) -> usize {
         self.allocated_pages() - self.shared_pages()
     }
 
-    /// Copy-on-write page *copies* this cache has performed (sole-owner in-place
-    /// reclaims, which copy nothing, are not counted).
+    /// Pages guaranteed to become available if this cache is released right now, for
+    /// an admission that maps this cache's first `mapped` pages itself: exclusively owned
+    /// pages, unused reservations, and the shared pages past the first `mapped` that
+    /// this cache holds alone, which go home and count as free. A shared page another
+    /// cache holds stays in use, and one the admission maps comes straight back out of
+    /// the free set, so neither counts, and on a quiescent pool the number is a lower
+    /// bound the preemption planner can rely on.
     #[must_use]
-    pub fn cow_copies(&self) -> usize {
-        self.cow_copies
-    }
-
-    /// Pages guaranteed to become available if this cache is released right now:
-    /// exclusively owned pages plus unused reservations. Shared pages are excluded —
-    /// they only return to the pool if this cache holds the last reference — so the
-    /// number is a lower bound the preemption planner can rely on.
-    #[must_use]
-    pub fn reclaimable_pages(&self) -> usize {
-        self.owned_pages() + self.layer_reserved.iter().sum::<usize>()
+    pub fn reclaimable_pages(&self, mapped: usize) -> usize {
+        // A keyed page's handles are the pool's plus one per holding table.
+        let alone = self
+            .tables
+            .iter()
+            .flat_map(|table| table.iter().skip(mapped))
+            .filter(|page| matches!(page, PageRef::Shared(page) if Arc::strong_count(page) == 2))
+            .count();
+        self.owned_pages() + self.layer_reserved.iter().sum::<usize>() + alone
     }
 
     /// Allocates one page, funding it from this layer's reservation or — past the
@@ -740,101 +889,49 @@ impl PagedKvCache {
         entry
     }
 
-    /// Removes the page at `page_idx` from `layer`'s table in O(1), leaving the other
-    /// entries displaced until the matching [`PagedKvCache::put_page`].
-    fn take_page(&mut self, layer: usize, page_idx: usize) -> PageRef {
-        // `swap` has already bounds-checked `page_idx`, so the table cannot be empty.
-        let last = self.tables[layer].len() - 1;
-        self.tables[layer].swap(page_idx, last);
-        let Some(page) = self.tables[layer].pop() else { unreachable!("page index out of range") };
-        page
-    }
-
-    /// Reinserts a page taken with [`PagedKvCache::take_page`] at its original index.
-    fn put_page(&mut self, layer: usize, page_idx: usize, page: PageRef) {
-        let last = self.tables[layer].len();
-        self.tables[layer].push(page);
-        self.tables[layer].swap(page_idx, last);
-    }
-
-    /// Seals `layer`'s page at `page_idx` into the refcounted shared state (idempotent)
-    /// and returns a handle to it.
-    fn seal_page(&mut self, layer: usize, page_idx: usize) -> Arc<SharedPage> {
-        if let PageRef::Shared(arc) = &self.tables[layer][page_idx] {
-            return Arc::clone(arc);
-        }
-        let PageRef::Owned(entry) = self.take_page(layer, page_idx) else { unreachable!("checked Owned above") };
-        let arc = Arc::new(SharedPage { pool: Arc::clone(&self.pool), entry: Some(entry) });
-        self.put_page(layer, page_idx, PageRef::Shared(Arc::clone(&arc)));
-        arc
-    }
-
-    /// Copy-on-write: guarantees `layer`'s page at `page_idx` is exclusively owned
-    /// before a write. If this cache holds the last reference the page is reclaimed in
-    /// place (the donor retired — no copy); otherwise a fresh page is allocated and the
-    /// shared bytes are copied, leaving every other holder's view untouched.
-    fn ensure_writable(&mut self, layer: usize, page_idx: usize) {
-        if !self.tables[layer][page_idx].is_shared() {
-            return;
-        }
-        let PageRef::Shared(arc) = self.take_page(layer, page_idx) else { unreachable!("checked Shared above") };
-        let entry = match Arc::try_unwrap(arc) {
-            // Sole owner: take the page back exclusively; the pool accounting is
-            // untouched (the page stays checked out, now to this cache alone). The
-            // entry is present for the same invariant `SharedPage::buf` relies on.
-            Ok(mut sole) => match sole.entry.take() {
-                Some(entry) => entry,
-                None => unreachable!("shared page already reclaimed"),
-            },
-            Err(arc) => {
-                let mut entry = self.alloc_page(layer);
-                entry.buf.copy_from_slice(arc.buf());
-                self.cow_copies += 1;
-                entry
-            }
-        };
-        self.put_page(layer, page_idx, PageRef::Owned(entry));
-    }
-
-    /// Seals the pages covering this cache's first `positions` positions and returns
-    /// refcounted handles to them, so a new sequence with the same prompt prefix can map
-    /// them instead of re-prefilling. Full pages are sealed for free; a partially filled
-    /// boundary page is sealed only if the pool can also fund this cache's own future
-    /// copy-on-write of it (one page per still-appending layer) — otherwise the prefix
-    /// is truncated to whole pages, keeping in-capacity appends infallible.
+    /// Publishes every full page of `prompt` this cache has written in every layer and
+    /// not yet offered, keying each under its [`prefix_keys`] entry (`keys`, the same
+    /// keys the cache was built with) and layer, with its tokens and its parent's key.
+    /// A published page is sealed read-only and stays mappable by later prompts until
+    /// the pool evicts it, after this cache and every other holder have released it.
+    /// Each offered page withdraws its announcement.
+    ///
+    /// Pages are offered in order. If another page already holds a key, this cache keeps
+    /// that page and every later one private, so a keyed page's parent stays keyed for as
+    /// long as the page is.
     ///
     /// # Panics
     ///
-    /// Panics if `positions` is 0 or exceeds the cached sequence length.
-    pub fn share_prefix(&mut self, positions: usize) -> SharedPrefix {
-        assert!(positions > 0, "cannot share an empty prefix");
-        assert!(positions <= self.seq_len(), "cannot share positions that are not cached yet");
+    /// Panics if `keys` are more than the prompt's full pages.
+    pub fn publish(&mut self, prompt: &[usize], keys: &[u64]) {
         let pp = self.pool.page_positions();
-        let full = positions / pp;
-        let mut positions = positions;
-        let mut take = full;
-        if !positions.is_multiple_of(pp) {
-            // Sealing the partially filled boundary page makes this cache's own next
-            // append into it a copy-on-write; reserve that headroom now (per layer that
-            // will still write the page) so the write can never fail mid-decode.
-            let headroom = (0..self.tables.len())
-                .filter(|&l| self.lens[l] < (full + 1) * pp && !self.tables[l][full].is_shared())
-                .count();
-            if self.pool.try_reserve(headroom) {
-                for l in 0..self.tables.len() {
-                    if self.lens[l] < (full + 1) * pp && !self.tables[l][full].is_shared() {
-                        self.layer_reserved[l] += 1;
-                    }
-                }
-                take = full + 1;
-            } else {
-                positions = full * pp;
-            }
+        assert!(keys.len() <= prompt.len() / pp, "more prefix keys than full prompt pages");
+        let written = self.lens.iter().copied().min().unwrap_or(0) / pp;
+        let end = written.min(keys.len());
+        if self.offered >= end {
+            return;
         }
-        let pages = (0..self.tables.len())
-            .map(|layer| (0..take).map(|idx| PageRef::Shared(self.seal_page(layer, idx))).collect())
-            .collect();
-        SharedPrefix { pages, positions }
+        let first = self.offered;
+        let mut state = self.pool.state();
+        while self.offered < end {
+            let k = self.offered;
+            if (0..self.tables.len()).any(|layer| state.index.contains_key(&(keys[k], layer))) {
+                self.offered = keys.len();
+                break;
+            }
+            let parent = k.checked_sub(1).map(|p| keys[p]);
+            let tokens = &prompt[k * pp..(k + 1) * pp];
+            for (layer, table) in self.tables.iter_mut().enumerate() {
+                let PageRef::Owned(entry) = &mut table[k] else { unreachable!("page {k} was offered already") };
+                let entry = PageEntry { id: entry.id, buf: std::mem::take(&mut entry.buf) };
+                table[k] = PageRef::Shared(state.seal_page(entry, (keys[k], layer), parent, tokens));
+            }
+            self.offered += 1;
+        }
+        let withdrawn = (self.offered - first).min(self.announced.len());
+        for hash in self.announced.drain(..withdrawn) {
+            state.withdraw(hash);
+        }
     }
 
     /// Copies every page's packed bytes into a host-side [`SpilledKv`] buffer *without*
@@ -859,7 +956,7 @@ impl PagedKvCache {
     /// Swaps this cache out of the pool: copies every page's packed bytes into a
     /// host-side [`SpilledKv`] buffer and releases all pages and reservations — the
     /// preemption primitive. The sequence's cache can later be rebuilt bit-identically
-    /// with [`PagedKvCache::restore`].
+    /// with [`PagedKvCache::restore`]; meanwhile its keyed pages stay mappable.
     pub fn spill(&mut self) -> SpilledKv {
         let spilled = self.checkpoint();
         self.release();
@@ -869,7 +966,7 @@ impl PagedKvCache {
     /// Re-admits a spilled cache: reserves the full `capacity_positions` worst case
     /// (exactly like a cold admission), copies the spilled page bytes back into freshly
     /// allocated pages and restores the appended lengths. The restored cache is
-    /// bit-identical to the spilled one.
+    /// bit-identical to the spilled one; its pages are its own, unpublished.
     ///
     /// # Errors
     ///
@@ -905,9 +1002,8 @@ impl PagedKvCache {
     }
 
     /// Appends one position's key and value rows to `layer`, quantized with the cache's
-    /// scheme and packed straight into the slot. Only a page-boundary crossing (or a
-    /// copy-on-write of a shared boundary page) touches the pool lock; the pack itself
-    /// writes a buffer this cache exclusively owns.
+    /// scheme and packed straight into the slot. Only a page-boundary crossing touches
+    /// the pool lock; the pack itself writes a buffer this cache exclusively owns.
     ///
     /// # Panics
     ///
@@ -923,14 +1019,12 @@ impl PagedKvCache {
         if page_idx == self.tables[layer].len() {
             let entry = self.alloc_page(layer);
             self.tables[layer].push(PageRef::Owned(entry));
-        } else {
-            // Writing into a shared boundary page (a mapped prefix that ends mid-page):
-            // copy-on-write first, so the donor and every other holder keep their view.
-            self.ensure_writable(layer, page_idx);
         }
         let slot_bytes = 2 * self.row_bytes;
+        // Only full pages are ever shared, so the page holding the next position is
+        // always this cache's own.
         let PageRef::Owned(entry) = &mut self.tables[layer][page_idx] else {
-            unreachable!("append target page must be exclusively owned after ensure_writable")
+            unreachable!("a page with free slots is never shared")
         };
         let slot = &mut entry.buf[(t % pp) * slot_bytes..(t % pp + 1) * slot_bytes];
         let (key_slot, value_slot) = slot.split_at_mut(self.row_bytes);
@@ -940,30 +1034,35 @@ impl PagedKvCache {
     }
 
     /// Returns every owned page, every shared-page reference and any unused reservation
-    /// to the pool, emptying the cache. Also invoked by `Drop`, which is how a retiring
-    /// sequence funds the admission of queued ones. Owned pages and reservations are
-    /// returned under one pool-lock acquisition; shared pages only return to the pool if
-    /// this cache held the last reference (each such final drop re-locks briefly).
+    /// to the pool under one lock acquisition, withdraws the cache's announcements and
+    /// empties the cache. Also invoked by `Drop`, which is how a retiring sequence funds
+    /// the admission of queued ones. A keyed page this cache held last goes home still
+    /// keyed; the pages go back deepest first, so the pool evicts a chain's tail before
+    /// its head.
     pub fn release(&mut self) {
-        let mut shared: Vec<Arc<SharedPage>> = Vec::new();
-        {
-            let mut state = self.pool.state();
+        let mut state = self.pool.state();
+        let depth = self.tables.iter().map(Vec::len).max().unwrap_or(0);
+        for idx in (0..depth).rev() {
             for table in &mut self.tables {
-                for page in table.drain(..) {
-                    match page {
-                        PageRef::Owned(entry) => state.free_page(entry),
-                        // Defer: SharedPage::drop takes the pool lock itself.
-                        PageRef::Shared(arc) => shared.push(arc),
+                if table.len() > idx {
+                    match table.pop() {
+                        Some(PageRef::Owned(entry)) => state.free_page(entry),
+                        Some(PageRef::Shared(page)) => state.release_keyed(page.id),
+                        None => {}
                     }
                 }
             }
-            let leftover: usize = self.layer_reserved.iter().sum();
-            assert!(leftover <= state.reserved, "unreserving more pages than reserved");
-            state.reserved -= leftover;
         }
-        drop(shared);
+        for hash in self.announced.drain(..) {
+            state.withdraw(hash);
+        }
+        let leftover: usize = self.layer_reserved.iter().sum();
+        assert!(leftover <= state.reserved, "unreserving more pages than reserved");
+        state.reserved -= leftover;
+        drop(state);
         self.layer_reserved.fill(0);
         self.lens.fill(0);
+        self.offered = 0;
     }
 }
 
@@ -977,8 +1076,10 @@ impl Drop for PagedKvCache {
 /// [`PagePool::audit`], reconciles the caches' page tables against the pool's
 /// accounting: each table is sized exactly for its appended rows, no page is
 /// exclusively owned by two tables (or mapped both exclusively and shared), every
-/// shared mapping still holds its buffer, and the distinct pages reachable from the
-/// caches account for **every** checked-out page — no leak, no double free.
+/// shared mapping is the pool's keyed page for its layer, each keyed page's holder count
+/// equals the tables that map it, the caches' announcements are exactly the pool's, and
+/// the distinct pages reachable from the caches account for **every** checked-out page —
+/// no leak, no double free. Keyed home pages are free and mapped by no table.
 ///
 /// `caches` must enumerate every holder of the pool's pages, and the pool must be
 /// quiescent for the duration of the call (the serving engine audits between scheduler
@@ -995,10 +1096,12 @@ where
         return;
     }
     pool.audit();
+    let pp = pool.page_positions();
     let mut owned = std::collections::HashSet::new();
-    let mut shared = std::collections::HashSet::new();
+    let mut shared: HashMap<usize, usize> = HashMap::new();
+    let mut announced: HashMap<u64, usize> = HashMap::new();
+    let state = pool.state();
     for cache in caches {
-        let pp = pool.page_positions();
         for (layer, table) in cache.tables.iter().enumerate() {
             assert_eq!(
                 table.len(),
@@ -1010,19 +1113,30 @@ where
                     PageRef::Owned(entry) => {
                         assert!(owned.insert(entry.id), "page {} exclusively owned by two tables", entry.id);
                     }
-                    PageRef::Shared(_) => {
-                        shared.insert(page.id());
+                    PageRef::Shared(page) => {
+                        let keyed = state.keyed[page.id].as_ref();
+                        assert!(
+                            keyed.is_some_and(|k| k.key.1 == layer && Arc::ptr_eq(&k.page, page)),
+                            "layer {layer} maps page {} outside the key index",
+                            page.id
+                        );
+                        *shared.entry(page.id).or_default() += 1;
                     }
                 }
             }
         }
+        for &hash in &cache.announced {
+            *announced.entry(hash).or_default() += 1;
+        }
     }
-    for id in &shared {
-        assert!(!owned.contains(id), "page {id} is mapped both exclusively and shared");
+    for (&id, &tables) in &shared {
+        assert!(!owned.contains(&id), "page {id} is mapped both exclusively and shared");
+        assert_eq!(state.keyed[id].as_ref().map(|k| k.holders), Some(tables), "page {id} holder count is off");
     }
+    assert_eq!(announced, state.announced, "announcements disagree with the live caches");
     assert_eq!(
         owned.len() + shared.len(),
-        pool.in_use_pages(),
+        pool.pages - state.home_pages(),
         "checked-out pages not accounted for by any live cache (leak or double free)"
     );
 }
@@ -1200,37 +1314,61 @@ mod tests {
         (reader.key_row(t).to_vec(), reader.value_row(t).to_vec())
     }
 
-    /// The sanitizers must hold through a full share → copy-on-write → spill → restore
-    /// lifecycle (they run after every churn-proptest step too; this pins the happy
-    /// path deterministically).
-    #[test]
-    fn audit_passes_through_share_cow_spill_lifecycle() {
-        let scheme = QuantScheme::mxfp4();
-        let pool = pool_64(scheme);
-        audit_caches(&pool, std::iter::empty());
-        let mut donor = PagedKvCache::new(&pool, 2, 64, scheme, 8).unwrap();
-        for t in 0..6 {
-            for layer in 0..2 {
-                donor.append(layer, &sample_row(64, t), &sample_row(64, t + 100));
+    /// A prompt of `len` tokens, distinct per `salt`.
+    fn prompt(len: usize, salt: usize) -> Vec<usize> {
+        (0..len).map(|i| (i * 7 + salt * 31 + 1) % 128).collect()
+    }
+
+    /// Appends rows to every layer of `cache` until it holds `positions`; position `t`
+    /// gets the key row of salt `t` and the value row of salt `t + 50`.
+    fn fill(cache: &mut PagedKvCache, positions: usize) {
+        for t in cache.seq_len()..positions {
+            for layer in 0..cache.num_layers() {
+                cache.append(layer, &sample_row(64, t), &sample_row(64, t + 50));
             }
         }
+    }
+
+    /// The sanitizers must hold through a full publish → map → spill → release home →
+    /// map back → restore → evict lifecycle (they run after every churn-proptest step
+    /// too; this pins the happy path deterministically).
+    #[test]
+    fn audit_passes_through_publish_map_spill_lifecycle() {
+        let scheme = QuantScheme::mxfp4();
+        let pool = pool_64(scheme); // 16 pages of 4 positions
+        let tokens = prompt(9, 0); // two full pages
+        let keys = prefix_keys(&tokens, 4);
+        audit_caches(&pool, std::iter::empty());
+        let mut donor = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 12, &tokens, &keys).unwrap();
         audit_caches(&pool, [&donor]);
-        let prefix = donor.share_prefix(6);
-        let mut recipient = PagedKvCache::with_shared_prefix(&pool, 2, 64, scheme, 8, prefix).unwrap();
+        fill(&mut donor, 9);
+        donor.publish(&tokens, &keys);
+        assert_eq!(donor.shared_pages(), 4);
+        audit_caches(&pool, [&donor]);
+        let mut recipient = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 12, &tokens, &keys).unwrap();
+        assert_eq!(recipient.seq_len(), 8);
         audit_caches(&pool, [&donor, &recipient]);
-        // Diverge: the recipient's append into the shared boundary page copy-on-writes.
-        for layer in 0..2 {
-            recipient.append(layer, &sample_row(64, 42), &sample_row(64, 142));
-        }
+        fill(&mut recipient, 10);
         audit_caches(&pool, [&donor, &recipient]);
         let spilled = donor.spill();
         audit_caches(&pool, [&donor, &recipient]);
-        let restored = PagedKvCache::restore(&pool, 2, 64, scheme, 8, &spilled).unwrap();
-        audit_caches(&pool, [&donor, &restored, &recipient]);
-        drop(restored);
         drop(recipient);
+        assert_eq!(pool.cached_pages(), 4, "the last holder leaves the prefix keyed at home");
         audit_caches(&pool, [&donor]);
-        pool.audit();
+        let restored = PagedKvCache::restore(&pool, 2, 64, scheme, 12, &spilled).unwrap();
+        audit_caches(&pool, [&donor, &restored]);
+        let again = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 12, &tokens, &keys).unwrap();
+        assert_eq!(again.seq_len(), 8, "the home prefix maps back");
+        audit_caches(&pool, [&donor, &restored, &again]);
+        drop(again);
+        drop(restored);
+        // A cold cache the size of the pool evicts every keyed page.
+        let mut cold = PagedKvCache::new(&pool, 2, 64, scheme, 32).unwrap();
+        fill(&mut cold, 32);
+        assert_eq!(pool.cached_pages(), 0);
+        audit_caches(&pool, [&donor, &cold]);
+        drop(cold);
+        audit_caches(&pool, [&donor]);
     }
 
     /// A page checked out but reachable from no cache is a leak; the cache-level
@@ -1496,106 +1634,146 @@ mod tests {
     fn shared_prefix_maps_pages_without_new_allocations() {
         let scheme = QuantScheme::mxfp4();
         let pool = pool_64(scheme); // 16 pages of 4 positions
-        let mut donor = PagedKvCache::new(&pool, 2, 64, scheme, 8).unwrap();
-        for t in 0..8 {
-            for layer in 0..2 {
-                donor.append(layer, &sample_row(64, t), &sample_row(64, t + 50));
-            }
-        }
-        assert_eq!(pool.in_use_pages(), 4);
-        // Page-aligned prefix: 8 positions = 2 full pages per layer, no headroom needed.
-        let prefix = donor.share_prefix(8);
-        assert_eq!(prefix.positions(), 8);
-        assert_eq!(prefix.pages_per_layer(), 2);
-        assert_eq!(prefix.total_pages(), 4);
-        assert_eq!(pool.reserved_pages(), 0, "aligned sealing reserves nothing");
-        // The recipient maps the 4 shared pages and reserves only its remainder:
+        let tokens = prompt(9, 1);
+        let keys = prefix_keys(&tokens, 4);
+        let mut donor = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 9, &tokens, &keys).unwrap();
+        fill(&mut donor, 9);
+        assert_eq!(pool.in_use_pages(), 6);
+        donor.publish(&tokens, &keys);
+        assert_eq!(donor.shared_pages(), 4, "the two full prompt pages of each layer are published");
+        assert_eq!(pool.in_use_pages(), 6, "publishing moves no page");
+        // The recipient maps the 4 keyed pages and reserves only its remainder:
         // 2 layers * (ceil(12/4) - 2) = 2 pages.
-        let mut recipient = PagedKvCache::with_shared_prefix(&pool, 2, 64, scheme, 12, prefix).unwrap();
+        assert_eq!(pool.lookup_prefix(2, 12, &tokens, &keys), PrefixHit { pages: 2, demand: 2, pending: false });
+        let mut recipient = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 12, &tokens, &keys).unwrap();
         assert_eq!(pool.reserved_pages(), 2);
-        assert_eq!(pool.in_use_pages(), 4, "sharing allocates no new pages");
+        assert_eq!(pool.in_use_pages(), 6, "mapping allocates no new pages");
         assert_eq!(recipient.seq_len(), 8);
         assert_eq!(recipient.shared_pages(), 4);
         assert_eq!(recipient.owned_pages(), 0);
-        // Shared reads decode the donor's rows bit for bit.
+        // Mapped reads decode the donor's rows bit for bit.
         for t in 0..8 {
             let (k, v) = read_layer(&mut recipient, 1, t);
             assert_eq!(k, scheme.quantize_dequantize(&sample_row(64, t)));
             assert_eq!(v, scheme.quantize_dequantize(&sample_row(64, t + 50)));
         }
-        // Divergent appends land in fresh exclusive pages past the shared prefix.
+        // Appends land in fresh exclusive pages past the mapped prefix.
         for t in 8..12 {
             for layer in 0..2 {
                 recipient.append(layer, &sample_row(64, t + 900), &sample_row(64, t + 950));
             }
         }
-        assert_eq!(recipient.cow_copies(), 0, "aligned prefixes never copy-on-write");
-        assert_eq!(pool.in_use_pages(), 6);
+        assert_eq!(pool.in_use_pages(), 8);
         drop(recipient);
-        assert_eq!(pool.in_use_pages(), 4, "shared pages stay resident for the donor");
+        assert_eq!(pool.in_use_pages(), 6, "shared pages stay resident for the donor");
         drop(donor);
         assert_eq!(pool.free_pages(), 16);
+        assert_eq!(pool.cached_pages(), 4, "the prefix stays keyed at home");
         assert_eq!(pool.reserved_pages(), 0);
     }
 
+    /// A keyed page its last holder released counts as free, yet the next matching
+    /// prompt maps it back out of the free set. The page holding the prompt's last
+    /// position is never mapped: its logits must run again.
     #[test]
-    fn copy_on_write_preserves_every_holders_view() {
+    fn keyed_home_pages_count_as_free_and_map_back() {
+        let scheme = QuantScheme::mxfp4_plus();
+        let pool = pool_64(scheme);
+        let tokens = prompt(8, 2); // exactly two full pages
+        let keys = prefix_keys(&tokens, 4);
+        let mut donor = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 8, &tokens, &keys).unwrap();
+        fill(&mut donor, 8);
+        donor.publish(&tokens, &keys);
+        drop(donor);
+        let occupancy = (pool.free_pages(), pool.available_pages(), pool.in_use_pages(), pool.resident_bytes());
+        assert_eq!(occupancy, (16, 16, 0, 0), "keyed home pages count as free");
+        assert_eq!(pool.cached_pages(), 4);
+        // Capacity 10 reserves 2 * (3 - 1) pages and takes page 0 of both layers home.
+        assert_eq!(pool.lookup_prefix(2, 10, &tokens, &keys), PrefixHit { pages: 1, demand: 4 + 2, pending: false });
+        let mut recipient = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 10, &tokens, &keys).unwrap();
+        assert_eq!(recipient.seq_len(), 4);
+        assert_eq!(pool.in_use_pages(), 2, "mapping takes the home pages back out of the free set");
+        assert_eq!(pool.cached_pages(), 2);
+        assert_eq!(pool.available_pages(), 16 - 2 - 4);
+        for t in 0..4 {
+            let (k, _) = read_layer(&mut recipient, 1, t);
+            assert_eq!(k, scheme.quantize_dequantize(&sample_row(64, t)), "home page {t} lost its rows");
+        }
+        drop(recipient);
+        assert_eq!(pool.cached_pages(), 4);
+        audit_caches(&pool, std::iter::empty());
+    }
+
+    /// Allocation takes never-keyed home pages first; only then does it evict keyed
+    /// ones, a chain's deepest page first, so the rest of the chain still maps.
+    #[test]
+    fn allocation_takes_never_keyed_pages_first_and_evicts_a_chains_tail_first() {
+        let scheme = QuantScheme::mxfp4();
+        let pool = PagePool::for_kv_rows(8, 4, RowCodec::for_scheme(scheme), 64).shared();
+        let tokens = prompt(17, 3); // four full pages
+        let keys = prefix_keys(&tokens, 4);
+        let mut donor = PagedKvCache::with_prefix(&pool, 1, 64, scheme, 17, &tokens, &keys).unwrap();
+        fill(&mut donor, 17);
+        donor.publish(&tokens, &keys);
+        drop(donor);
+        assert_eq!((pool.free_pages(), pool.cached_pages()), (8, 4));
+        let mapped = || pool.lookup_prefix(1, 17, &tokens, &keys).pages;
+        let mut cold = PagedKvCache::new(&pool, 1, 64, scheme, 16).unwrap();
+        fill(&mut cold, 16);
+        assert_eq!(mapped(), 4, "four never-keyed pages go before any keyed one");
+        let mut colder = PagedKvCache::new(&pool, 1, 64, scheme, 8).unwrap();
+        fill(&mut colder, 8);
+        assert_eq!(pool.cached_pages(), 2);
+        assert_eq!(mapped(), 2, "eviction takes the chain's two deepest pages");
+        drop(colder);
+        assert_eq!(mapped(), 2);
+        audit_caches(&pool, [&cold]);
+    }
+
+    /// An admitted cache announces the prompt pages it will write: a lookup of a
+    /// matching prompt reads pending until the page is published, and a release
+    /// withdraws what was never published.
+    #[test]
+    fn announced_pages_read_as_pending_until_published_or_released() {
         let scheme = QuantScheme::mxfp4();
         let pool = pool_64(scheme);
-        let mut donor = PagedKvCache::new(&pool, 1, 64, scheme, 8).unwrap();
-        for t in 0..6 {
-            donor.append(0, &sample_row(64, t), &sample_row(64, t + 50));
-        }
-        // Non-aligned prefix: 1 full page + the partial boundary page (positions 4, 5),
-        // sealing which books one COW-headroom page for the still-appending donor.
-        let prefix = donor.share_prefix(6);
-        assert_eq!(prefix.positions(), 6);
-        assert_eq!(prefix.pages_per_layer(), 2);
-        assert_eq!(pool.reserved_pages(), 1, "donor books COW headroom for its sealed boundary page");
-        let mut recipient = PagedKvCache::with_shared_prefix(&pool, 1, 64, scheme, 10, prefix).unwrap();
-        assert_eq!(pool.in_use_pages(), 2);
-        // The recipient's first divergent append writes into the shared boundary page:
-        // copy-on-write (the donor still holds it).
-        recipient.append(0, &sample_row(64, 700), &sample_row(64, 701));
-        assert_eq!(recipient.cow_copies(), 1);
-        assert_eq!(pool.in_use_pages(), 3);
-        // The donor's view of positions 4..6 is untouched by the recipient's write...
-        for t in 4..6 {
-            let (k, _) = read_layer(&mut donor, 0, t);
-            assert_eq!(k, scheme.quantize_dequantize(&sample_row(64, t)), "donor position {t} corrupted");
-        }
-        // ...and the donor's own next append also copy-on-writes (the recipient's copy
-        // dropped the shared handle, so the donor reclaims the page in place, no copy).
-        donor.append(0, &sample_row(64, 800), &sample_row(64, 801));
-        assert_eq!(donor.cow_copies(), 0, "sole owner reclaims in place without copying");
-        assert_eq!(pool.in_use_pages(), 3);
-        // Both caches see their own divergent position 6 and the common prefix.
-        let (dk, _) = read_layer(&mut donor, 0, 6);
-        assert_eq!(dk, scheme.quantize_dequantize(&sample_row(64, 800)));
-        let (rk, _) = read_layer(&mut recipient, 0, 6);
-        assert_eq!(rk, scheme.quantize_dequantize(&sample_row(64, 700)));
-        for t in 0..6 {
-            assert_eq!(read_layer(&mut donor, 0, t), read_layer(&mut recipient, 0, t), "prefix position {t}");
-        }
-        drop(donor);
-        drop(recipient);
-        assert_eq!(pool.free_pages(), 16);
-        assert_eq!(pool.reserved_pages(), 0);
+        let tokens = prompt(13, 4); // three full pages
+        let keys = prefix_keys(&tokens, 4);
+        let mut writer = PagedKvCache::with_prefix(&pool, 1, 64, scheme, 13, &tokens, &keys).unwrap();
+        assert_eq!(pool.lookup_prefix(1, 16, &tokens, &keys), PrefixHit { pages: 0, demand: 4, pending: true });
+        fill(&mut writer, 6);
+        writer.publish(&tokens, &keys);
+        let hit = pool.lookup_prefix(1, 16, &tokens, &keys);
+        assert_eq!((hit.pages, hit.pending), (1, true), "page 1 is still announced");
+        // A prompt that leaves the chain after page 0 waits for nothing.
+        let mut other = tokens[..4].to_vec();
+        other.extend(prompt(9, 5));
+        let other_keys = prefix_keys(&other, 4);
+        let hit = pool.lookup_prefix(1, 16, &other, &other_keys);
+        assert_eq!((hit.pages, hit.pending), (1, false));
+        fill(&mut writer, 13);
+        writer.publish(&tokens, &keys);
+        assert_eq!(pool.lookup_prefix(1, 16, &tokens, &keys), PrefixHit { pages: 3, demand: 1, pending: false });
+        audit_caches(&pool, [&writer]);
+        // A cache released before it publishes withdraws its announcements.
+        let quitter = PagedKvCache::with_prefix(&pool, 1, 64, scheme, 16, &other, &other_keys).unwrap();
+        assert!(pool.lookup_prefix(1, 16, &other, &other_keys).pending);
+        drop(quitter);
+        assert!(!pool.lookup_prefix(1, 16, &other, &other_keys).pending);
+        audit_caches(&pool, [&writer]);
     }
 
     #[test]
     fn shared_pages_outlive_a_retired_donor() {
         let scheme = QuantScheme::mxfp4_plus();
         let pool = pool_64(scheme);
-        let mut donor = PagedKvCache::new(&pool, 2, 64, scheme, 4).unwrap();
-        for t in 0..4 {
-            for layer in 0..2 {
-                donor.append(layer, &sample_row(64, t), &sample_row(64, t + 9));
-            }
-        }
-        let prefix = donor.share_prefix(4);
-        let mut recipient = PagedKvCache::with_shared_prefix(&pool, 2, 64, scheme, 8, prefix).unwrap();
-        drop(donor); // retire the donor: the refcount keeps the shared pages resident
+        let tokens = prompt(5, 6); // one full page
+        let keys = prefix_keys(&tokens, 4);
+        let mut donor = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 5, &tokens, &keys).unwrap();
+        fill(&mut donor, 5);
+        donor.publish(&tokens, &keys);
+        let mut recipient = PagedKvCache::with_prefix(&pool, 2, 64, scheme, 8, &tokens, &keys).unwrap();
+        drop(donor); // retire the donor: the recipient's holds keep the shared pages resident
         assert_eq!(pool.in_use_pages(), 2);
         for t in 0..4 {
             let (k, _) = read_layer(&mut recipient, 0, t);
@@ -1603,23 +1781,6 @@ mod tests {
         }
         drop(recipient);
         assert_eq!(pool.free_pages(), 16);
-        assert_eq!(pool.reserved_pages(), 0);
-    }
-
-    #[test]
-    fn share_prefix_truncates_to_full_pages_when_headroom_is_unavailable() {
-        let scheme = QuantScheme::mxfp4();
-        // 2-page pool, fully used by the donor: sealing the partial boundary page would
-        // need COW headroom the pool cannot fund, so the prefix truncates to whole pages.
-        let pool = PagePool::for_kv_rows(2, 4, RowCodec::for_scheme(scheme), 64).shared();
-        let mut donor = PagedKvCache::new(&pool, 1, 64, scheme, 8).unwrap();
-        for t in 0..6 {
-            donor.append(0, &sample_row(64, t), &sample_row(64, t));
-        }
-        assert_eq!(pool.available_pages(), 0);
-        let prefix = donor.share_prefix(6);
-        assert_eq!(prefix.positions(), 4, "partial page must be dropped without headroom");
-        assert_eq!(prefix.pages_per_layer(), 1);
         assert_eq!(pool.reserved_pages(), 0);
     }
 
@@ -1661,24 +1822,26 @@ mod tests {
     fn spilled_donor_leaves_shared_pages_with_the_recipient() {
         let scheme = QuantScheme::mxfp4();
         let pool = pool_64(scheme);
-        let mut donor = PagedKvCache::new(&pool, 1, 64, scheme, 4).unwrap();
-        for t in 0..4 {
-            donor.append(0, &sample_row(64, t), &sample_row(64, t + 5));
-        }
-        let prefix = donor.share_prefix(4);
-        let mut recipient = PagedKvCache::with_shared_prefix(&pool, 1, 64, scheme, 8, prefix).unwrap();
-        // Preempting the donor spills a byte copy and drops its refs; the recipient's
-        // refcount keeps the page resident.
+        let tokens = prompt(5, 7);
+        let keys = prefix_keys(&tokens, 4);
+        let mut donor = PagedKvCache::with_prefix(&pool, 1, 64, scheme, 5, &tokens, &keys).unwrap();
+        fill(&mut donor, 5);
+        donor.publish(&tokens, &keys);
+        let mut recipient = PagedKvCache::with_prefix(&pool, 1, 64, scheme, 8, &tokens, &keys).unwrap();
+        // Preempting the donor spills a byte copy and drops its holds; the recipient's
+        // hold keeps the page resident.
         let spilled = donor.spill();
         assert_eq!(pool.in_use_pages(), 1);
         let (k, _) = read_layer(&mut recipient, 0, 2);
         assert_eq!(k, scheme.quantize_dequantize(&sample_row(64, 2)));
         // Restoring the donor yields its own exclusive copy, bit-identical.
-        let mut restored = PagedKvCache::restore(&pool, 1, 64, scheme, 4, &spilled).unwrap();
+        let mut restored = PagedKvCache::restore(&pool, 1, 64, scheme, 5, &spilled).unwrap();
+        assert_eq!(restored.shared_pages(), 0);
         assert_eq!(read_layer(&mut restored, 0, 3), read_layer(&mut recipient, 0, 3));
         drop(restored);
         drop(recipient);
         assert_eq!(pool.free_pages(), 16);
+        assert_eq!(pool.cached_pages(), 1, "the last holder leaves the page keyed at home");
         assert_eq!(pool.reserved_pages(), 0);
     }
 

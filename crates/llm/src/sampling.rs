@@ -42,8 +42,8 @@ pub enum SamplingPolicy {
 pub struct Sampling {
     /// The token-selection policy.
     pub policy: SamplingPolicy,
-    /// Softmax temperature applied to the logits before top-k / top-p (must be > 0;
-    /// ignored by greedy).
+    /// Softmax temperature applied to the logits before top-k / top-p (must be finite
+    /// and > 0; ignored by greedy).
     pub temperature: f32,
     /// Base seed of the per-sequence RNG streams (each sequence derives its own stream
     /// from this and its id).
@@ -58,24 +58,38 @@ impl Sampling {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is 0 or `temperature` is not positive.
+    /// Panics if `k` is 0 or `temperature` is not finite and positive.
     #[must_use]
     pub fn top_k(k: usize, temperature: f32, seed: u64) -> Self {
-        assert!(k >= 1, "top-k needs k >= 1");
-        assert!(temperature > 0.0, "temperature must be positive");
-        Sampling { policy: SamplingPolicy::TopK { k }, temperature, seed }
+        Sampling { policy: SamplingPolicy::TopK { k }, temperature, seed }.checked()
     }
 
     /// Top-p (nucleus) sampling at `temperature` with `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not in `(0, 1]` or `temperature` is not positive.
+    /// Panics if `p` is not in `(0, 1]` or `temperature` is not finite and positive.
     #[must_use]
     pub fn top_p(p: f32, temperature: f32, seed: u64) -> Self {
-        assert!(p > 0.0 && p <= 1.0, "top-p needs p in (0, 1]");
-        assert!(temperature > 0.0, "temperature must be positive");
-        Sampling { policy: SamplingPolicy::TopP { p }, temperature, seed }
+        Sampling { policy: SamplingPolicy::TopP { p }, temperature, seed }.checked()
+    }
+
+    /// The parameters the sampler relies on, checked: `k ≥ 1` for top-k, `p` in
+    /// `(0, 1]` for top-p, and for both a finite positive temperature (greedy reads
+    /// neither). The fields are public, so the serving engine checks every submission's
+    /// sampling here too, not only the constructors'.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first parameter out of range.
+    pub(crate) fn checked(self) -> Self {
+        match self.policy {
+            SamplingPolicy::Greedy => return self,
+            SamplingPolicy::TopK { k } => assert!(k >= 1, "top-k needs k >= 1"),
+            SamplingPolicy::TopP { p } => assert!(p > 0.0 && p <= 1.0, "top-p needs p in (0, 1]"),
+        }
+        assert!(self.temperature.is_finite() && self.temperature > 0.0, "temperature must be positive and finite");
+        self
     }
 }
 

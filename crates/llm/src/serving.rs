@@ -23,23 +23,29 @@
 //!
 //! ## Prefix sharing and preemption
 //!
-//! On the paged backend the scheduler exploits the refcounted shared-page ownership
-//! model of [`crate::paging`]:
+//! On the paged backend the page pool is also the engine's prefix cache (see
+//! [`crate::paging`]):
 //!
-//! * **Prefix sharing** — every submitted prompt's full-page chunks are hash-consed
-//!   into a prefix index; when a later submission's prompt starts with a chunk chain a
-//!   resident sequence has already prefilled, admission seals the donor's pages and maps
-//!   them straight into the new sequence's table ([`PagedKvCache::share_prefix`] /
-//!   [`PagedKvCache::with_shared_prefix`]). The shared positions are never re-prefilled
-//!   and cost **zero** new pages — N sequences sharing a long prompt keep one copy of it
-//!   resident. Writes into a shared boundary page copy-on-write, so outputs stay
-//!   bit-identical to unshared decoding ([`ServingReport::shared_pages`],
-//!   [`ServingReport::prefill_tokens_saved`] quantify the win).
+//! * **Prefix sharing** — at every pass boundary the coordinator publishes each full
+//!   prompt page that an active or finishing sequence has written and not yet published
+//!   ([`PagedKvCache::publish`]), keyed by the prompt's chain hash at that page and the
+//!   layer. Admission maps the longest keyed run of a new prompt straight into the new
+//!   sequence's table ([`PagedKvCache::with_prefix`]), whether a live sequence still
+//!   holds those pages or their last holder left the pool passes ago: a released keyed
+//!   page stays home, counted as free, and mappable until an allocation evicts it. The
+//!   mapped positions are never re-prefilled and cost **zero** new pages — N sequences
+//!   sharing a long prompt keep one copy of it resident. Sharing is whole-page and the
+//!   last prompt position always runs again, so outputs stay bit-identical to unshared
+//!   decoding ([`ServingReport::shared_pages`], [`ServingReport::prefill_tokens_saved`]
+//!   quantify the win). When an admitted sequence has announced a prompt's next page
+//!   and not yet written it, admission waits a pass and maps the page rather than
+//!   prefill it a second time.
 //! * **Preemption** — when a higher-priority submission ([`SubmitOptions::priority`])
 //!   cannot reserve its worst case, the scheduler spills strictly lower-priority running
 //!   sequences to host memory ([`PagedKvCache::spill`]) instead of refusing admission;
 //!   the victims re-enter the queue and are later restored bit-identically
-//!   ([`ServingReport::preemptions`] counts the swaps).
+//!   ([`ServingReport::preemptions`] counts the swaps). A victim's keyed pages stay home
+//!   and mappable, so spilling the last holder of a prefix loses no share.
 //!
 //! ## Threading model
 //!
@@ -63,10 +69,10 @@
 //! last row of a chunk that completes its prompt. Each sequence samples with its own
 //! RNG and emits the token in the pass that sampled it, finishing there on its stop
 //! token or budget. The **coordinator** keeps everything that mutates shared scheduling
-//! state: admission (page reservation, priority-then-FCFS order, prefix-share
-//! planning), preemption, eviction, occupancy sampling, and retirement — returning a
-//! finished sequence's pages to the pool between passes, which is what funds mid-run
-//! admissions. Because sequences are independent — everything outside attention is
+//! state: admission (page reservation, priority-then-FCFS order, prefix mapping),
+//! preemption, eviction, occupancy sampling, prefix publication and retirement —
+//! returning a finished sequence's pages to the pool between passes, which is what funds
+//! mid-run admissions. Because sequences are independent — everything outside attention is
 //! row-independent, so a sequence's logits do not depend on its batch-mates, and a
 //! chunk's attention reads the earlier chunks back from the cache exactly as a whole
 //! prefill reads its own rows — the generated streams are **token-identical for every
@@ -133,7 +139,6 @@
 //!   [`ServingEngine::shutdown`] spills them to host buffers immediately; both leave
 //!   the pool drained and report the leftover population as a [`DrainReport`].
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,7 +149,7 @@ use mx_telemetry::{Category, Histogram, LatencySummary, QuantileSummary, Recorde
 use crate::fault::{FaultPlan, FaultState, InjectedFault, RecoveryPolicy};
 use crate::kvcache::{KvBackend, KvCache, LayerKvCache};
 use crate::model::TransformerModel;
-use crate::paging::{PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
+use crate::paging::{prefix_keys, PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
 use crate::sampling::{sample_token, Sampling, SeqRng};
 
 /// Prompt rows one batched forward carries at most: each pass, every sequence still
@@ -229,13 +234,12 @@ pub struct Sequence {
     /// Scheduler pass at which this submission becomes visible to admission
     /// (see [`SubmitOptions::arrival_pass`]).
     pub arrival_pass: usize,
-    /// Whether this sequence may map a matching prompt prefix onto shared pages.
-    share_prefix: bool,
-    /// Chain hashes of the prompt's full pages, computed once at submit time
-    /// (`prefix_hashes[k-1]` covers `prompt[..k * page_positions]`); empty on the f32
-    /// backend. Reused by every admission pass instead of re-hashing the prompt.
+    /// The prompt's prefix-cache keys ([`prefix_keys`]), computed once at submit time:
+    /// `prefix_hashes[k]` covers `prompt[..(k + 1) * page_positions]`. Empty on the f32
+    /// backend and for a sequence submitted without prefix sharing, which then neither
+    /// maps nor publishes a page.
     prefix_hashes: Vec<u64>,
-    /// Prompt positions mapped from a donor's shared pages at admission (0 when nothing
+    /// Prompt positions mapped from the pool's keyed pages at admission (0 when nothing
     /// was shared); prefill skips exactly these positions.
     shared_positions: usize,
     /// This sequence's own RNG stream — owned, so sampling needs no cross-thread state.
@@ -292,8 +296,8 @@ impl Sequence {
         }
     }
 
-    /// Prompt positions this sequence mapped from another sequence's shared pages at
-    /// admission instead of re-prefilling (0 when nothing was shared).
+    /// Prompt positions this sequence mapped from the pool's keyed pages at admission
+    /// instead of re-prefilling (0 when nothing was shared). Always whole pages.
     #[must_use]
     pub fn shared_positions(&self) -> usize {
         self.shared_positions
@@ -312,6 +316,24 @@ impl Sequence {
     /// accounting mid-pass.
     fn finish(&mut self, reason: FinishReason) {
         self.finish = Some(reason);
+    }
+
+    /// The positions its cache may hold: prompt plus generation budget, saturating, so a
+    /// budget past any pool reads as too large for it instead of overflowing.
+    fn capacity(&self) -> usize {
+        self.prompt.len().saturating_add(self.max_new_tokens)
+    }
+
+    /// Publishes the full prompt pages this sequence's paged cache has written into the
+    /// pool's prefix cache (coordinator-only, at the pass boundary and before
+    /// retirement, so live and finishing sequences are one case). A sequence that lost
+    /// its step to a panic publishes nothing: its cache is suspect.
+    fn publish(&mut self) {
+        if let SeqCache::Paged(cache) = &mut self.cache {
+            if !matches!(self.finish, Some(FinishReason::Failed { .. })) {
+                cache.publish(&self.prompt, &self.prefix_hashes);
+            }
+        }
     }
 
     /// Returns a finished paged sequence's pages to the pool (coordinator-only; see the
@@ -455,11 +477,13 @@ pub struct ServingReport {
     pub tokens_per_sec_parallel: f64,
     /// Worker threads the run was configured with (see [`ServingEngine::with_threads`]).
     pub num_threads: usize,
-    /// Page-table entries newly admitted sequences mapped from refcounted shared pages
-    /// instead of allocating and re-prefilling them (summed over the run's admissions).
+    /// Page-table entries newly admitted sequences mapped from the pool's keyed pages
+    /// instead of allocating and re-prefilling them (summed over the run's admissions):
+    /// pages other sequences still held, and keyed home pages, which count as free until
+    /// the mapping takes them back out.
     pub shared_pages: usize,
     /// Prompt positions whose prefill compute was skipped because their KV rows were
-    /// already resident in shared pages.
+    /// mapped from keyed pages; whole pages only.
     pub prefill_tokens_saved: usize,
     /// Times the scheduler preempted a running sequence — spilling its pages to a
     /// host-side buffer and restoring them bit-identically later — to fund a
@@ -472,8 +496,9 @@ pub struct ServingReport {
     /// The same positions held in FP32 — the compression baseline.
     pub theoretical_bytes_fp32: usize,
     /// **Measured** peak cache storage during the run: page-pool occupancy on the paged
-    /// backend, f32 row storage on the baseline backend. This is the number that exposed
-    /// the old accounting gap (f32-resident storage labelled with scheme bytes).
+    /// backend (pages checked out to caches; keyed home pages count as free), f32 row
+    /// storage on the baseline backend. This is the number that exposed the old
+    /// accounting gap (f32-resident storage labelled with scheme bytes).
     pub resident_bytes: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
@@ -575,10 +600,10 @@ pub struct SubmitOptions {
     /// and benches model a high-priority request arriving while lower-priority work
     /// occupies the pool.
     pub arrival_pass: usize,
-    /// Whether this sequence may map a matching prompt prefix onto another sequence's
-    /// sealed shared pages instead of re-prefilling it. Default `true` — sharing is
-    /// bit-identical, so there is no accuracy reason to opt out; disable it to measure
-    /// the unshared baseline.
+    /// Whether this sequence takes part in the pool's prefix cache: maps a matching
+    /// prompt prefix from keyed pages instead of re-prefilling it, and publishes its own
+    /// full prompt pages. Default `true` — sharing is bit-identical, so there is no
+    /// accuracy reason to opt out; disable it to measure the unshared baseline.
     pub share_prefix: bool,
     /// Absolute engine pass by which the sequence must have finished; past it, the
     /// deadline sweep ends the sequence as [`FinishReason::DeadlineExceeded`]. Default
@@ -681,10 +706,6 @@ pub struct ServingEngine<'m> {
     sequences: Vec<Sequence>,
     pool: Option<Arc<PagePool>>,
     num_threads: usize,
-    /// Hash-consed prompt prefixes: chain hash of each full page of prompt positions →
-    /// the ids of the unfinished sequences whose prompts contain that page chunk, in
-    /// submission order (the retire sweep removes finished ones).
-    prefix_index: HashMap<u64, Vec<usize>>,
     /// Telemetry hub the run's recorders shard into (a disabled hub unless
     /// [`ServingEngine::with_telemetry`] configured one).
     telemetry: Arc<Telemetry>,
@@ -716,7 +737,6 @@ impl<'m> ServingEngine<'m> {
             sequences: Vec::new(),
             pool: None,
             num_threads: default_threads(),
-            prefix_index: HashMap::new(),
             telemetry: Telemetry::disabled(),
             last_trace: None,
             faults: None,
@@ -745,7 +765,6 @@ impl<'m> ServingEngine<'m> {
             sequences: Vec::new(),
             pool: Some(pool),
             num_threads: default_threads(),
-            prefix_index: HashMap::new(),
             telemetry: Telemetry::disabled(),
             last_trace: None,
             faults: None,
@@ -850,41 +869,41 @@ impl<'m> ServingEngine<'m> {
     /// Queues a sequence with the given [`SubmitOptions`] and returns the sequence id.
     /// The sequence's RNG stream is derived from the sampling seed and the sequence id,
     /// so runs are reproducible at any thread count. On the paged backend the prompt's
-    /// full-page chunks are hash-consed into the prefix index, making the sequence a
-    /// potential prefix-sharing donor for later submissions (and a recipient, unless
-    /// [`SubmitOptions::without_prefix_sharing`] was set).
+    /// prefix-cache keys are computed here, so the sequence can map a keyed prefix at
+    /// admission and publish its own prompt pages for later submissions (unless
+    /// [`SubmitOptions::without_prefix_sharing`] was set). Nothing is allocated in
+    /// proportion to the generation budget: storage grows as tokens arrive.
     ///
     /// # Panics
     ///
-    /// Panics if the prompt is empty or holds a token id outside the model's vocabulary.
-    /// Such an id would otherwise panic inside the batched forward its prefill shares,
-    /// and roll back every batch-mate with it.
+    /// Panics if the prompt is empty or holds a token id outside the model's vocabulary,
+    /// or if top-k or top-p sampling carries `k = 0`, a `p` outside `(0, 1]` or a
+    /// temperature that is not finite and positive. Such an id would otherwise panic
+    /// inside the batched forward its prefill shares, and roll back every batch-mate
+    /// with it; such a `k` would panic in the sampler on every retry, and such a `p` or
+    /// temperature would sample from meaningless weights without an error.
     pub fn submit_with(&mut self, prompt: &[usize], options: SubmitOptions) -> usize {
         assert!(!prompt.is_empty(), "prompt must be non-empty");
         let vocab = self.model.config().vocab;
         assert!(prompt.iter().all(|&t| t < vocab), "prompt token id out of vocabulary ({vocab})");
+        let sampling = options.sampling.checked();
         let id = self.sequences.len();
-        let mut prefix_hashes = Vec::new();
-        if let Some(pool) = &self.pool {
-            let pp = pool.page_positions();
-            prefix_hashes = prefix_page_hashes(prompt, pp, prompt.len() / pp);
-            for &hash in &prefix_hashes {
-                self.prefix_index.entry(hash).or_default().push(id);
-            }
-        }
+        let prefix_hashes = match &self.pool {
+            Some(pool) if options.share_prefix => prefix_keys(prompt, pool.page_positions()),
+            _ => Vec::new(),
+        };
         self.sequences.push(Sequence {
             id,
             prompt: prompt.to_vec(),
-            generated: Vec::with_capacity(options.max_new_tokens),
+            generated: Vec::new(),
             max_new_tokens: options.max_new_tokens,
             stop_token: options.stop_token,
-            sampling: options.sampling,
+            sampling,
             priority: options.priority,
             arrival_pass: options.arrival_pass,
-            share_prefix: options.share_prefix,
             prefix_hashes,
             shared_positions: 0,
-            rng: SeqRng::new(options.sampling.seed, id as u64),
+            rng: SeqRng::new(sampling.seed, id as u64),
             finish: None,
             cache: SeqCache::Waiting,
             submitted_ns: None,
@@ -909,13 +928,13 @@ impl<'m> ServingEngine<'m> {
     /// Runs the scheduler until every submitted sequence has finished (or been evicted).
     ///
     /// Each pass of the coordinator loop: admit arrived waiting (or preempted) sequences
-    /// whenever their worst case fits the page budget — mapping any matching prompt
-    /// prefix onto shared pages and preempting strictly lower-priority running sequences
-    /// under pressure — step the active sequences in one fork-join across the decode
-    /// workers (each worker runs one batched forward over the next prompt chunk of each
+    /// whenever their worst case fits the page budget — mapping any keyed prompt prefix
+    /// from the pool and preempting strictly lower-priority running sequences under
+    /// pressure — step the active sequences in one fork-join across the decode workers
+    /// (each worker runs one batched forward over the next prompt chunk of each
     /// prefilling sequence of its chunk, within its [`PREFILL_BUDGET`], and one token for
-    /// each of the others), sample peak occupancy, and retire finished sequences so
-    /// their pages fund queued admissions.
+    /// each of the others), sample peak occupancy, publish the full prompt pages written,
+    /// and retire finished sequences so their pages fund queued admissions.
     pub fn run(&mut self) -> ServingReport {
         self.execute(true, usize::MAX)
     }
@@ -1046,10 +1065,10 @@ impl<'m> ServingEngine<'m> {
                 rec.counter(Category::Occupancy, "resident_bytes", self.resident_bytes() as u64);
             }
             for seq in &mut self.sequences {
+                seq.publish();
                 if seq.finish.is_some() && !seq.finish_logged {
                     seq.finish_logged = true;
                     rec.instant(Category::Lifecycle, "retired", "seq", seq.id as u64);
-                    forget_prefix(&mut self.prefix_index, seq);
                 }
                 seq.retire();
             }
@@ -1159,7 +1178,10 @@ impl<'m> ServingEngine<'m> {
                     && s.admitted_ns.is_none()
                     && matches!(s.cache, SeqCache::Waiting)
             })
-            .map(|(i, s)| (i, PagedKvCache::pages_needed(&pool, layers, s.prompt.len() + s.max_new_tokens)))
+            .map(|(i, s)| (i, PagedKvCache::pages_needed(&pool, layers, s.capacity())))
+            // A submission larger than the whole pool is evicted at admission, and is no
+            // load the pool could carry.
+            .filter(|&(_, needed)| needed <= pool.total_pages())
             .collect();
         let committed = pool.total_pages() - pool.free_pages() + pool.reserved_pages();
         let budget = (watermark * pool.total_pages() as f64).ceil() as usize;
@@ -1366,10 +1388,12 @@ impl<'m> ServingEngine<'m> {
         let layers = self.model.config().layers;
         let kv_dim = Self::kv_dim(self.model);
         let scheme = self.model.quant().kv_cache;
-        let capacity = self.sequences[idx].prompt.len() + self.sequences[idx].max_new_tokens;
+        let capacity = self.sequences[idx].capacity();
         let Some(pool) = self.pool.clone() else {
             let seq = &mut self.sequences[idx];
-            seq.cache = SeqCache::F32(KvCache::with_capacity(layers, kv_dim, capacity));
+            // Rows beyond the prompt grow the cache as they arrive, so no budget
+            // allocates anything up front.
+            seq.cache = SeqCache::F32(KvCache::with_capacity(layers, kv_dim, seq.prompt.len()));
             stats.prompt_tokens += seq.prompt.len();
             if seq.admitted_ns.is_none() {
                 seq.admitted_ns = Some(rec.now_nanos());
@@ -1388,8 +1412,7 @@ impl<'m> ServingEngine<'m> {
             // Re-admitting a preempted sequence: the full worst-case reservation again
             // (its prompt was already counted at first admission), then restore the
             // spilled page bytes verbatim.
-            let needed = PagedKvCache::pages_needed(&pool, layers, capacity);
-            self.preempt_until(idx, needed, None, stats, rec);
+            self.preempt_until(idx, stats, rec);
             let restored = match &self.sequences[idx].cache {
                 SeqCache::Spilled { spilled } => {
                     PagedKvCache::restore(&pool, layers, kv_dim, scheme, capacity, spilled)
@@ -1405,62 +1428,28 @@ impl<'m> ServingEngine<'m> {
                 Err(_) => false,
             };
         }
-        let needed_plain = PagedKvCache::pages_needed(&pool, layers, capacity);
-        if needed_plain > pool.total_pages() {
+        if PagedKvCache::pages_needed(&pool, layers, capacity) > pool.total_pages() {
             // Larger than the whole budget: no amount of retirement or preemption can
             // ever admit it — the one true capacity failure Evicted is reserved for.
             self.sequences[idx].finish(FinishReason::Evicted);
             rec.instant(Category::Lifecycle, "evicted", "seq", self.sequences[idx].id as u64);
             return true;
         }
-        let plan = match self.plan_prefix_share(idx) {
-            // A matching donor has not cached the match yet (it was admitted this pass,
-            // or is still prefilling a chunk per pass): defer this admission one pass —
-            // trading a pass of latency for the rest of the shared prefill — without
-            // blocking the queue.
-            Some(SharePlan::Pending) => return true,
-            Some(SharePlan::Ready { donor, positions }) => Some((donor, positions)),
-            None => None,
-        };
-        let needed = match plan {
-            Some((_, positions)) => {
-                // Count the donor's worst-case copy-on-write headroom for a non-aligned
-                // boundary page alongside the recipient's reservation: share_prefix
-                // books it first, so preemption must free enough for both or victims
-                // would be spilled for an admission that stalls anyway.
-                let headroom = if positions.is_multiple_of(pool.page_positions()) { 0 } else { layers };
-                PagedKvCache::pages_needed_with_prefix(&pool, layers, capacity, positions) + headroom
-            }
-            None => needed_plain,
-        };
-        // Never spill the planned donor to fund its own recipient: the victim filter
-        // protects it (spilling it would both destroy the pages about to be shared and
-        // leave the plan pointing at a non-paged cache).
-        self.preempt_until(idx, needed, plan.map(|(donor, _)| donor), stats, rec);
-        let cache = match plan {
-            Some((donor, positions)) => {
-                let prefix = match &mut self.sequences[donor].cache {
-                    SeqCache::Paged(cache) => cache.share_prefix(positions),
-                    _ => unreachable!("planned donor must hold a paged cache"),
-                };
-                // share_prefix may truncate a partial boundary page under pressure;
-                // account what was actually taken.
-                let (shared_positions, shared_pages) = (prefix.positions(), prefix.total_pages());
-                match PagedKvCache::with_shared_prefix(&pool, layers, kv_dim, scheme, capacity, prefix) {
-                    Ok(cache) => {
-                        stats.shared_pages += shared_pages;
-                        stats.prefill_tokens_saved += shared_positions;
-                        self.sequences[idx].shared_positions = shared_positions;
-                        Some(cache)
-                    }
-                    Err(_) => None,
-                }
-            }
-            None => PagedKvCache::new(&pool, layers, kv_dim, scheme, capacity).ok(),
-        };
-        match cache {
-            Some(cache) => {
-                let seq = &mut self.sequences[idx];
+        let seq = &self.sequences[idx];
+        if pool.lookup_prefix(layers, capacity, &seq.prompt, &seq.prefix_hashes).pending {
+            // An admitted sequence is about to write this prompt's next page (it was
+            // admitted this pass, or is still prefilling a chunk per pass): defer this
+            // admission one pass — trading a pass of latency for the rest of the shared
+            // prefill — without blocking the queue.
+            return true;
+        }
+        self.preempt_until(idx, stats, rec);
+        let seq = &mut self.sequences[idx];
+        match PagedKvCache::with_prefix(&pool, layers, kv_dim, scheme, capacity, &seq.prompt, &seq.prefix_hashes) {
+            Ok(cache) => {
+                seq.shared_positions = cache.seq_len();
+                stats.shared_pages += cache.shared_pages();
+                stats.prefill_tokens_saved += cache.seq_len();
                 seq.cache = SeqCache::Paged(cache);
                 stats.prompt_tokens += seq.prompt.len();
                 if seq.admitted_ns.is_none() {
@@ -1471,58 +1460,69 @@ impl<'m> ServingEngine<'m> {
                 rec.instant(Category::Lifecycle, "admitted", "seq", seq.id as u64);
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
+    /// Pages sequence `idx`'s admission lacks right now: what it would take out of the
+    /// pool's available pages — a spilled sequence's worst-case restore, or a waiting
+    /// one's reservation plus the keyed home pages its prompt maps — beyond what is
+    /// available.
+    fn shortfall(&self, idx: usize) -> usize {
+        let Some(pool) = &self.pool else { return 0 };
+        let layers = self.model.config().layers;
+        let seq = &self.sequences[idx];
+        let demand = match seq.cache {
+            SeqCache::Spilled { .. } => PagedKvCache::pages_needed(pool, layers, seq.capacity()),
+            _ => pool.lookup_prefix(layers, seq.capacity(), &seq.prompt, &seq.prefix_hashes).demand,
+        };
+        demand.saturating_sub(pool.available_pages())
+    }
+
     /// Preempts strictly lower-priority running sequences — spilling their pages to
-    /// host memory via [`PagedKvCache::spill`] — until `needed` pages are available for
-    /// sequence `idx` or no eligible victim remains. Victims are chosen lowest priority
-    /// first, youngest (highest id) first within a class; `protected` (the planned
-    /// prefix-share donor, when there is one) is never spilled. Preempted sequences
-    /// re-enter admission as [`SeqCache::Spilled`] and resume bit-identically once
-    /// restored.
-    fn preempt_until(
-        &mut self,
-        idx: usize,
-        needed: usize,
-        protected: Option<usize>,
-        stats: &mut RunStats,
-        rec: &mut Recorder,
-    ) {
-        let Some(pool) = self.pool.clone() else { return };
-        let eligible = |i: usize, s: &Sequence, priority: i32| {
+    /// host memory via [`PagedKvCache::spill`] — until sequence `idx`'s admission fits
+    /// ([`ServingEngine::shortfall`]) or no eligible victim remains. Victims are chosen
+    /// lowest priority first, youngest (highest id) first within a class. A victim
+    /// that was the last holder of the prefix `idx` maps leaves those pages home and
+    /// keyed, so the admission maps them all the same. Preempted sequences re-enter
+    /// admission as [`SeqCache::Spilled`] and resume bit-identically once restored.
+    fn preempt_until(&mut self, idx: usize, stats: &mut RunStats, rec: &mut Recorder) {
+        let priority = self.sequences[idx].priority;
+        let eligible = |i: usize, s: &Sequence| {
             i != idx
-                && Some(i) != protected
                 && s.finish.is_none()
                 && s.prefilled()
                 && s.priority < priority
                 && matches!(s.cache, SeqCache::Paged(_))
         };
         // Spilling is wasted work if even every eligible victim together cannot fund the
-        // admission: check the guaranteed-reclaimable total (exclusively owned pages plus
-        // unused reservations; shared pages may stay resident with other holders) first
-        // and bail without demoting anyone when it cannot reach `needed`.
-        let priority = self.sequences[idx].priority;
+        // admission: check the guaranteed-reclaimable total first (exclusively owned
+        // pages, unused reservations and the keyed pages a victim holds alone, short of
+        // the prompt pages it shares with the admission, which would only be mapped
+        // back) and bail without demoting anyone when it cannot cover the shortfall.
+        let keys = &self.sequences[idx].prefix_hashes;
         let reclaimable: usize = self
             .sequences
             .iter()
             .enumerate()
-            .filter(|(i, s)| eligible(*i, s, priority))
+            .filter(|(i, s)| eligible(*i, s))
             .map(|(_, s)| match &s.cache {
-                SeqCache::Paged(cache) => cache.reclaimable_pages(),
+                SeqCache::Paged(cache) => {
+                    let common = s.prefix_hashes.iter().zip(keys).take_while(|(a, b)| a == b).count();
+                    cache.reclaimable_pages(common)
+                }
                 _ => 0,
             })
             .sum();
-        if pool.available_pages() + reclaimable < needed {
+        if reclaimable < self.shortfall(idx) {
             return;
         }
-        while pool.available_pages() < needed {
+        while self.shortfall(idx) > 0 {
             let victim = self
                 .sequences
                 .iter()
                 .enumerate()
-                .filter(|(i, s)| eligible(*i, s, priority))
+                .filter(|(i, s)| eligible(*i, s))
                 .min_by_key(|(i, s)| (s.priority, std::cmp::Reverse(*i)))
                 .map(|(i, _)| i);
             let Some(victim) = victim else { return };
@@ -1535,65 +1535,6 @@ impl<'m> ServingEngine<'m> {
             rec.instant(Category::Lifecycle, "preempted", "seq", seq.id as u64);
             stats.preemptions += 1;
         }
-    }
-
-    /// Longest shareable prompt prefix for waiting sequence `idx`: looks up the
-    /// hash-consed per-page chain hashes of its prompt in the prefix index (longest
-    /// first), verifies the candidate donor's actual tokens and cached length (guarding
-    /// against hash collisions), then extends token-by-token into the donor's partially
-    /// filled boundary page. Capped at `prompt_len - 1`: the last prompt position must
-    /// be re-run to produce the logits the first generated token is sampled from.
-    ///
-    /// When the longest match belongs to live donors none of which has cached it yet (a
-    /// donor admitted this pass, or one still prefilling its prompt a chunk per pass),
-    /// the plan is [`SharePlan::Pending`], telling admission to check again next pass
-    /// instead of prefilling the rest of the prefix a second time.
-    fn plan_prefix_share(&self, idx: usize) -> Option<SharePlan> {
-        let pool = self.pool.as_ref()?;
-        let seq = &self.sequences[idx];
-        if !seq.share_prefix {
-            return None;
-        }
-        let pp = pool.page_positions();
-        let prompt = &seq.prompt;
-        let max_shared = prompt.len() - 1;
-        let max_pages = max_shared / pp;
-        if max_pages == 0 {
-            return None;
-        }
-        // The chain hashes were computed once at submit time; max_pages never exceeds
-        // the stored count (it is capped at (prompt_len - 1) / pp).
-        let hashes = &seq.prefix_hashes;
-        for pages in (1..=max_pages).rev() {
-            let mut pending = false;
-            for &donor_idx in self.prefix_index.get(&hashes[pages - 1]).into_iter().flatten() {
-                if donor_idx == idx {
-                    continue;
-                }
-                let donor = &self.sequences[donor_idx];
-                let SeqCache::Paged(cache) = &donor.cache else { continue };
-                if donor.finish.is_some() || donor.prompt.len() < pages * pp {
-                    continue;
-                }
-                if donor.prompt[..pages * pp] != prompt[..pages * pp] {
-                    continue;
-                }
-                let limit = max_shared.min(donor.prompt.len());
-                let mut shared = pages * pp;
-                while shared < limit && prompt[shared] == donor.prompt[shared] {
-                    shared += 1;
-                }
-                if cache.seq_len() < shared {
-                    pending = true;
-                    continue;
-                }
-                return Some(SharePlan::Ready { donor: donor_idx, positions: shared });
-            }
-            if pending {
-                return Some(SharePlan::Pending);
-            }
-        }
-        None
     }
 
     /// Current measured cache storage across the engine (see
@@ -1611,19 +1552,6 @@ impl<'m> ServingEngine<'m> {
                 .sum(),
         }
     }
-}
-
-/// Admission's prefix-sharing decision for one waiting sequence.
-enum SharePlan {
-    /// Map `positions` prompt positions from `donor`'s sealed pages.
-    Ready {
-        /// Index of the donor sequence.
-        donor: usize,
-        /// Prompt positions to share.
-        positions: usize,
-    },
-    /// A matching donor exists but has not cached the match yet — defer one pass.
-    Pending,
 }
 
 /// Per-run accumulators the coordinator threads through admission and stepping.
@@ -1894,41 +1822,6 @@ fn forward_on<B: KvBackend>(
     }
 }
 
-/// Removes a finished sequence from the prefix index entries of its prompt pages,
-/// dropping the entries it leaves empty. A finished sequence never donates again, so
-/// admission's plans do not change; the index keeps only live sequences.
-fn forget_prefix(index: &mut HashMap<u64, Vec<usize>>, seq: &Sequence) {
-    for hash in &seq.prefix_hashes {
-        if let Some(ids) = index.get_mut(hash) {
-            ids.retain(|&id| id != seq.id);
-            if ids.is_empty() {
-                index.remove(hash);
-            }
-        }
-    }
-}
-
-/// One mixing step of the chained prompt-prefix hash (FNV/SplitMix-style, deterministic
-/// across platforms).
-fn prefix_hash_step(hash: u64, token: usize) -> u64 {
-    (hash ^ (token as u64).wrapping_add(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0x0100_0000_01b3).rotate_left(23)
-}
-
-/// Chained token hashes of `prompt`, recorded at every full-page boundary up to `pages`
-/// pages — the hash-consing keys of the engine's prefix index. `hashes[k-1]` covers
-/// `prompt[..k * page_positions]`.
-fn prefix_page_hashes(prompt: &[usize], page_positions: usize, pages: usize) -> Vec<u64> {
-    let mut hashes = Vec::with_capacity(pages);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for (i, &token) in prompt.iter().take(pages * page_positions).enumerate() {
-        hash = prefix_hash_step(hash, token);
-        if (i + 1).is_multiple_of(page_positions) {
-            hashes.push(hash);
-        }
-    }
-    hashes
-}
-
 /// Default worker count: the machine's available parallelism (1 if unknown).
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -1939,6 +1832,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::quant_config::ModelQuantConfig;
+    use crate::sampling::SamplingPolicy;
 
     fn model(quant: ModelQuantConfig) -> TransformerModel {
         TransformerModel::new(ModelConfig::tiny_test(5), quant)
@@ -1986,10 +1880,11 @@ mod tests {
         assert_eq!(report.theoretical_bytes, 2 * 2 * expected_rows * per_row);
         assert!(report.theoretical_compression() > 7.0, "4.25-bit cache must compress FP32 by ~7.5x");
         // The satellite fix this field exists for: the f32 backend's *measured* storage
-        // is full f32 — here the admission-time capacity reservations of 9 and 7
-        // positions (prompt + budget) across 2 layers, K and V, 64 floats per row —
-        // not the scheme's width.
-        assert_eq!(report.resident_bytes, 2 * 2 * (9 + 7) * 64 * 4);
+        // is full f32 — here the row storage as it grew: each cache reserves its
+        // prompt's rows at admission and doubles as decode rows arrive (4 → 8 and
+        // 2 → 4 → 8 positions), across 2 layers, K and V, 64 floats per row — not the
+        // scheme's width.
+        assert_eq!(report.resident_bytes, 2 * 2 * (8 + 8) * 64 * 4);
         assert!(report.resident_bytes >= report.theoretical_bytes_fp32);
         assert!(report.resident_compression() <= 1.0 + 1e-9);
         assert!(report.decode_tokens_per_sec > 0.0);
@@ -2270,8 +2165,8 @@ mod tests {
     #[test]
     fn prefix_sharing_skips_prefill_and_stays_token_identical() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
-        // 4-position pages: a 10-token common prefix spans 2 full shared pages plus a
-        // partial boundary page (copy-on-write exercised on both donor and recipient).
+        // 4-position pages: a 10-token common prefix spans 2 full pages, which are
+        // shared, plus a partial boundary page, which every sequence prefills itself.
         let prefix: Vec<usize> = (0..10).map(|i| (i * 13 + 3) % 128).collect();
         let prompts: Vec<Vec<usize>> = (0..4)
             .map(|s| {
@@ -2301,12 +2196,12 @@ mod tests {
         for (stream, p) in shared_streams.iter().zip(&prompts) {
             assert_eq!(stream, &model.generate_greedy(p, 8), "shared stream diverges from solo generation");
         }
-        // Sequences 1..4 each mapped the 10-position prefix from sequence 0's pages.
-        assert_eq!(shared_positions, vec![0, 10, 10, 10]);
+        // Sequences 1..4 each mapped the 2 full prefix pages sequence 0 published.
+        assert_eq!(shared_positions, vec![0, 8, 8, 8]);
         assert_eq!(plain_positions, vec![0; 4]);
-        // 3 recipients x 2 layers x 3 pages (2 full + 1 boundary) mapped, 30 positions saved.
-        assert_eq!(shared_report.shared_pages, 3 * 2 * 3);
-        assert_eq!(shared_report.prefill_tokens_saved, 30);
+        // 3 recipients x 2 layers x 2 full pages mapped, 24 positions saved.
+        assert_eq!(shared_report.shared_pages, 3 * 2 * 2);
+        assert_eq!(shared_report.prefill_tokens_saved, 24);
         assert_eq!(plain_report.shared_pages, 0);
         assert_eq!(plain_report.prefill_tokens_saved, 0);
         assert!(
@@ -2318,25 +2213,9 @@ mod tests {
     }
 
     #[test]
-    fn finished_sequences_leave_the_prefix_index() {
-        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
-        let prefix: Vec<usize> = (0..10).map(|i| (i * 13 + 3) % 128).collect();
-        let mut engine = ServingEngine::paged_with(&model, 64, 4).with_threads(1);
-        for s in 0..4 {
-            let mut prompt = prefix.clone();
-            prompt.push(90 + s);
-            engine.submit_with(&prompt, SubmitOptions::new(8));
-        }
-        assert_eq!(engine.prefix_index.len(), 2, "two full pages of the shared prompt prefix");
-        let report = engine.run();
-        assert!(report.shared_pages > 0);
-        assert!(engine.prefix_index.is_empty(), "finished sequences must not stay donor candidates");
-    }
-
-    #[test]
     fn identical_prompts_still_rerun_the_last_position() {
-        // A fully identical prompt can share everything except the last position, whose
-        // logits seed the first sampled token.
+        // A fully identical prompt shares every whole page short of the last position,
+        // whose logits seed the first sampled token: 11 positions hold 2 full pages.
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let prompt: Vec<usize> = (0..12).map(|i| (i * 7 + 1) % 128).collect();
         let mut engine = ServingEngine::paged_with(&model, 64, 4).with_threads(1);
@@ -2344,7 +2223,7 @@ mod tests {
             engine.submit_with(&prompt, SubmitOptions::new(6));
         }
         engine.run();
-        assert_eq!(engine.sequences()[1].shared_positions(), 11);
+        assert_eq!(engine.sequences()[1].shared_positions(), 8);
         let solo = model.generate_greedy(&prompt, 6);
         for seq in engine.sequences() {
             assert_eq!(seq.generated, solo, "sequence {}", seq.id);
@@ -2374,13 +2253,13 @@ mod tests {
     }
 
     #[test]
-    fn planned_share_donor_is_never_preempted_for_its_own_recipient() {
-        // Regression: a high-priority arrival planning to share a *lower-priority*
-        // donor's prefix must not pick that donor as a preemption victim — spilling it
-        // would destroy the pages about to be shared (and used to panic the
-        // coordinator). 8-page pool: the donor (32-token prompt, 3 pages/layer) leaves
-        // 2 pages free; the sharer needs 4 beyond the shared prefix, so pressure is
-        // real and the donor is the only lower-priority sequence.
+    fn a_preempted_last_holder_leaves_its_prefix_mappable() {
+        // A high-priority arrival sharing a lower-priority sequence's prompt prefix may
+        // spill that sequence, the prefix's only holder: its keyed pages go home and the
+        // arrival maps them all the same. 8-page pool: the holder (32-token prompt, 3
+        // pages/layer) leaves 2 pages free; the sharer needs 4 beyond the shared
+        // prefix, so pressure is real and the holder is the only lower-priority
+        // sequence.
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let common: Vec<usize> = (0..32).map(|i| (i * 11 + 2) % 128).collect();
         let mut sharer_prompt = common.clone();
@@ -2389,7 +2268,8 @@ mod tests {
         engine.submit_with(&common, SubmitOptions::new(7));
         engine.submit_with(&sharer_prompt, SubmitOptions::new(25).priority(1).arrival_pass(2));
         let report = engine.run();
-        assert_eq!(report.preemptions, 0, "the only candidate victim is the planned donor: protected");
+        assert_eq!(report.preemptions, 1, "the holder is spilled to fund the sharer");
+        assert_eq!(engine.sequences()[1].shared_positions(), 32, "the spilled holder's pages still map");
         assert_eq!(report.evicted, 0);
         assert_eq!(report.finished_length, 2);
         assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&common, 7));
@@ -2453,9 +2333,10 @@ mod tests {
     #[test]
     fn a_recipient_waits_for_a_prefilling_donor_to_cache_the_whole_match() {
         // The donor's prompt is longer than one forward's budget, so it is still
-        // prefilling when the recipient arrives a pass later, with 64 of the 90 matching
-        // positions cached. The recipient waits a pass and then shares all 90 rather
-        // than 64 and prefilling the other 26 itself.
+        // prefilling when the recipient arrives a pass later, with 4 of the 5 matching
+        // whole pages published. The recipient waits a pass for the announced fifth page
+        // and then maps all 80 positions rather than 64 and prefilling the other 16
+        // itself.
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let donor: Vec<usize> = (0..PREFILL_BUDGET + 36).map(|i| (i * 5 + 3) % 128).collect();
         let mut recipient = donor[..90].to_vec();
@@ -2464,13 +2345,61 @@ mod tests {
         engine.submit_with(&donor, SubmitOptions::new(6));
         engine.submit_with(&recipient, SubmitOptions::new(6).arrival_pass(1));
         let report = engine.run();
-        assert_eq!(engine.sequences()[1].shared_positions(), 90);
-        assert_eq!(report.prefill_tokens_saved, 90);
+        assert_eq!(engine.sequences()[1].shared_positions(), 80);
+        assert_eq!(report.prefill_tokens_saved, 80);
         assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&donor, 6));
         assert_eq!(engine.sequences()[1].generated, model.generate_greedy(&recipient, 6));
         let pool = engine.pool().unwrap();
         assert_eq!(pool.in_use_pages(), 0);
         assert_eq!(pool.reserved_pages(), 0);
+    }
+
+    #[test]
+    fn huge_generation_budgets_allocate_nothing_up_front() {
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        for budget in [1usize << 40, usize::MAX] {
+            // The paged backend evicts a request no pool could ever hold and serves the
+            // rest of the run as usual...
+            let mut paged = ServingEngine::paged(&model, 16).with_threads(1);
+            paged.submit_with(&[1, 2, 3], SubmitOptions::new(budget));
+            paged.submit_with(&[4, 5], SubmitOptions::new(3));
+            paged.run_for(8);
+            assert_eq!(paged.sequences()[0].finish_reason(), Some(FinishReason::Evicted), "budget {budget}");
+            assert_eq!(paged.sequences()[1].generated, model.generate_greedy(&[4, 5], 3), "budget {budget}");
+            assert_eq!(paged.pool().unwrap().in_use_pages(), 0);
+            // ...and the f32 backend serves it, its storage growing as tokens arrive.
+            let mut flat = ServingEngine::new(&model).with_threads(1);
+            flat.submit_with(&[1, 2, 3], SubmitOptions::new(budget));
+            let report = flat.run_for(4);
+            let seq = &flat.sequences()[0];
+            assert_eq!(seq.generated, model.generate_greedy(&[1, 2, 3], 4), "budget {budget}");
+            assert_eq!(seq.finish_reason(), None);
+            assert!(report.resident_bytes < 1 << 20, "budget {budget}: {} bytes resident", report.resident_bytes);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "top-k needs k >= 1")]
+    fn submit_rejects_top_k_of_zero() {
+        let model = model(ModelQuantConfig::BASELINE);
+        let sampling = Sampling { policy: SamplingPolicy::TopK { k: 0 }, temperature: 1.0, seed: 0 };
+        ServingEngine::new(&model).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
+    }
+
+    #[test]
+    #[should_panic(expected = "top-p needs p in (0, 1]")]
+    fn submit_rejects_top_p_outside_the_unit_interval() {
+        let model = model(ModelQuantConfig::BASELINE);
+        let sampling = Sampling { policy: SamplingPolicy::TopP { p: 0.0 }, temperature: 1.0, seed: 0 };
+        ServingEngine::paged(&model, 16).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature must be positive and finite")]
+    fn submit_rejects_a_nan_temperature() {
+        let model = model(ModelQuantConfig::BASELINE);
+        let sampling = Sampling { policy: SamplingPolicy::TopK { k: 4 }, temperature: f32::NAN, seed: 0 };
+        ServingEngine::new(&model).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! * **Model:** [`TransformerModel::forward_batch_with_scratch`] over ragged segments —
 //!   1-row decodes at mixed contexts, a fresh-cache prefill, a prefill that continues a
-//!   cache, and a donor/recipient pair decoding over shared-prefix pages across a
-//!   copy-on-write boundary — gives every segment the bits of its own one-segment
-//!   forward, on the f32 and paged backends, with code-panel and matrix-store weights.
+//!   cache, and a donor/recipient pair decoding over the donor's published prefix pages,
+//!   each into a boundary page of its own — gives every segment the bits of its own
+//!   one-segment forward, on the f32 and paged backends, with code-panel and
+//!   matrix-store weights.
 //! * **Engine:** a fault addressed to one job of a batched pass costs only that
 //!   sequence: it alone is retried, its batch-mates still share the pass's batched
 //!   forward and are never rolled back, and every stream equals the fault-free run.
@@ -14,8 +15,8 @@ use std::sync::{Mutex, MutexGuard};
 use mx_formats::kernels::force_scalar;
 use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::{
-    Category, EventKind, FaultKind, FaultPlan, KvBackend, KvCache, ModelConfig, ModelQuantConfig, PagePool,
-    PagedKvCache, ServingEngine, SubmitOptions, TelemetryConfig, TransformerModel,
+    prefix_keys, Category, EventKind, FaultKind, FaultPlan, KvBackend, KvCache, ModelConfig, ModelQuantConfig,
+    PagePool, PagedKvCache, ServingEngine, SubmitOptions, TelemetryConfig, TransformerModel,
 };
 
 /// `force_scalar` is process-global: tests in this file take turns so a model built by
@@ -27,7 +28,8 @@ fn serialized() -> MutexGuard<'static, ()> {
 }
 
 /// Positions per page of the paged caches: the 10-token shared prefix spans two full
-/// pages plus a partially filled boundary page.
+/// pages, which the recipient maps, plus a partially filled boundary page, which it
+/// prefills itself.
 const PAGE_POSITIONS: usize = 4;
 /// Capacity of every cache, in positions.
 const CAPACITY: usize = 32;
@@ -37,7 +39,7 @@ fn tokens(len: usize, salt: usize) -> Vec<usize> {
 }
 
 /// `(cached prefix, new tokens)` of every segment. The last two share a 10-token prefix:
-/// the donor, then the recipient (on the paged backend it maps the donor's pages).
+/// the donor, then the recipient (on the paged backend it maps the donor's full pages).
 fn layout() -> Vec<(Vec<usize>, Vec<usize>)> {
     let shared = tokens(10, 5);
     vec![
@@ -73,14 +75,15 @@ fn paged_segments(model: &TransformerModel, pool: &std::sync::Arc<PagePool>) -> 
             (new, prefilled(model, cache, &prefix))
         })
         .collect();
+    let shared = tokens(10, 5);
+    let keys = prefix_keys(&shared, PAGE_POSITIONS);
     let donor = &mut segments.last_mut().expect("layout holds the donor").1;
-    let shared = donor.seq_len();
-    assert_ne!(shared % PAGE_POSITIONS, 0, "the shared prefix must end inside a page");
-    let prefix = donor.share_prefix(shared);
-    assert_eq!(prefix.positions(), shared, "the boundary page must be shared too");
-    let recipient = PagedKvCache::with_shared_prefix(pool, layers, kv_dim, scheme, CAPACITY, prefix)
+    assert_ne!(donor.seq_len() % PAGE_POSITIONS, 0, "the shared prefix must end inside a page");
+    donor.publish(&shared, &keys);
+    let recipient = PagedKvCache::with_prefix(pool, layers, kv_dim, scheme, CAPACITY, &shared, &keys)
         .expect("pool fits the recipient");
-    segments.push((recipient_tokens, recipient));
+    assert_eq!(recipient.seq_len(), 2 * PAGE_POSITIONS, "the recipient maps the two full pages");
+    segments.push((recipient_tokens, prefilled(model, recipient, &shared[2 * PAGE_POSITIONS..])));
     segments
 }
 

@@ -71,8 +71,9 @@ fn chunked_prefill_is_token_identical_across_backends_threads_and_schemes() {
                     );
                 }
                 if paged {
-                    // The recipients mapped the donor's 70 shared positions.
-                    assert!(report.prefill_tokens_saved >= 2 * 70, "{label}: {}", report.prefill_tokens_saved);
+                    // The recipients mapped the 4 full pages (64 positions) of the 70 they
+                    // share with the donor.
+                    assert!(report.prefill_tokens_saved >= 2 * 64, "{label}: {}", report.prefill_tokens_saved);
                     let pool = engine.pool().expect("paged engine has a pool");
                     assert_eq!(pool.in_use_pages(), 0, "{label}: pages leaked");
                     assert_eq!(pool.reserved_pages(), 0, "{label}: reservations leaked");
@@ -170,8 +171,10 @@ fn a_fault_in_mid_prefill_costs_only_its_sequence() {
     // The short sequence prefills in pass 0 and decodes from pass 1 on; the long one
     // takes four chunks. At one thread the jobs run short, long, short, long, so job 4 is
     // the long sequence's second chunk; at two threads each sits alone on a worker, and
-    // worker 1's second job is that chunk.
-    for (threads, worker, job) in [(1usize, 0usize, 4u64), (2, 1, 2)] {
+    // worker 1's second job is that chunk. The long prompt's first chunk is 59 rows at
+    // one thread (the short prompt takes 5 of the budget) and 64 at two: 3 or 4 full
+    // pages, which the pass boundary publishes.
+    for (threads, worker, job, published) in [(1usize, 0usize, 4u64, 48usize), (2, 1, 2, 64)] {
         let plan = FaultPlan::seeded(1).inject(FaultKind::WorkerPanic { worker, job });
         let mut engine = ServingEngine::paged(&model, 64)
             .with_threads(threads)
@@ -186,11 +189,13 @@ fn a_fault_in_mid_prefill_costs_only_its_sequence() {
         assert_eq!(attempts, vec![0, 1], "{threads} threads: only the prefilling sequence retried");
         assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&short, 12), "{threads} threads");
         assert_eq!(engine.sequences()[1].generated, model.generate_greedy(&long, NEW_TOKENS), "{threads} threads");
-        // The fault struck after the long prompt's first chunk: one chunk lost, then
-        // four more from scratch.
+        // The fault struck after the long prompt's first chunk, whose full pages were
+        // published: the retry maps them from the prefix cache and prefills the rest in
+        // three more chunks.
         let trace = engine.take_trace().expect("telemetry was enabled");
         let chunks = |seq: u64| trace.events().iter().filter(|e| e.name == "prefill_chunk" && e.arg == seq).count();
-        assert_eq!((chunks(0), chunks(1)), (1, 5), "{threads} threads");
+        assert_eq!((chunks(0), chunks(1)), (1, 4), "{threads} threads");
+        assert_eq!(report.prefill_tokens_saved, published, "{threads} threads");
         let pool = engine.pool().expect("paged engine has a pool");
         assert_eq!(pool.in_use_pages(), 0);
         assert_eq!(pool.reserved_pages(), 0);

@@ -12,8 +12,8 @@
 use mx_llm::{
     Category, DrainReport, Event, EventKind, FaultKind, FaultPlan, FinishReason, Histogram, KvCache, LatencySummary,
     LayerKvCache, ModelConfig, ModelQuantConfig, MonotonicClock, PagePool, PagedKvCache, PagedLayerReader,
-    PagedScratch, PagingError, QuantileSummary, RecoveryPolicy, Sampling, Sequence, ServingEngine, ServingReport,
-    SharedPrefix, SpilledKv, SubmitOptions, Telemetry, TelemetryConfig, TestClock, Trace, TransformerModel,
+    PagedScratch, PagingError, PrefixHit, QuantileSummary, RecoveryPolicy, Sampling, Sequence, ServingEngine,
+    ServingReport, SpilledKv, SubmitOptions, Telemetry, TelemetryConfig, TestClock, Trace, TransformerModel,
 };
 
 fn model() -> TransformerModel {
@@ -38,7 +38,7 @@ fn serving_stack_is_send_and_sync() {
     assert_send_sync::<SubmitOptions>();
     assert_send_sync::<SpilledKv>();
     assert_send_sync::<PagingError>();
-    assert_send_sync::<SharedPrefix>();
+    assert_send_sync::<PrefixHit>();
     assert_send_sync::<PagedLayerReader<'static>>();
     assert_send_sync::<FinishReason>();
     // Fault-tolerance surface (ISSUE-9): plans are built on one thread and installed on

@@ -1,12 +1,12 @@
-//! ISSUE-5 acceptance tests for refcounted shared pages: prefix sharing, copy-on-write
-//! and preemption in the paged serving engine.
+//! Acceptance tests for refcounted shared pages: prefix sharing and preemption in the
+//! paged serving engine.
 //!
 //! * a shared-prefix batch decodes **bit-identically** to the same batch without
 //!   sharing, on the f32 and paged backends, at 1 and 4 worker threads;
 //! * resident bytes shrink as the shared-prefix sequence count grows (one copy of the
 //!   prompt pages instead of N), measured through `ServingReport`;
-//! * a non-aligned prefix exercises copy-on-write while the donor keeps decoding —
-//!   still token-identical;
+//! * a prefix that ends mid-page shares its full pages while every holder prefills its
+//!   own boundary page and keeps decoding — still token-identical;
 //! * a high-priority arrival preempts a low-priority running sequence (spill → restore)
 //!   and both resume bit-identically at 1 and 4 threads, with `FinishReason::Evicted`
 //!   reserved for true capacity failure.
@@ -19,7 +19,7 @@ fn model() -> TransformerModel {
 }
 
 /// A batch of prompts sharing a `common`-token prefix (spanning full pages plus a
-/// non-aligned boundary under 16-position pages), each diverging afterwards.
+/// partial boundary page under 16-position pages), each diverging afterwards.
 fn shared_prefix_prompts(n: usize, common: usize) -> Vec<Vec<usize>> {
     let prefix: Vec<usize> = (0..common).map(|i| (i * 19 + 5) % 128).collect();
     (0..n)
@@ -38,7 +38,8 @@ fn shared_prefix_prompts(n: usize, common: usize) -> Vec<Vec<usize>> {
 #[test]
 fn shared_prefix_batch_is_token_identical_across_backends_and_threads() {
     let model = model();
-    // 35 common tokens = 2 full 16-position pages + a 3-position boundary (COW target).
+    // 35 common tokens = 2 full 16-position pages, which are shared, + a 3-position
+    // boundary, which every sequence prefills.
     let prompts = shared_prefix_prompts(4, 35);
     let new_tokens = 16;
 
@@ -81,9 +82,9 @@ fn shared_prefix_batch_is_token_identical_across_backends_and_threads() {
     }
 
     // The sharing actually happened and was measured: 3 recipients each mapped
-    // 2 layers x 3 pages and skipped 35 prefill positions.
-    assert_eq!(shared_1.shared_pages, 3 * 2 * 3);
-    assert_eq!(shared_1.prefill_tokens_saved, 3 * 35);
+    // 2 layers x 2 whole pages and skipped 32 prefill positions.
+    assert_eq!(shared_1.shared_pages, 3 * 2 * 2);
+    assert_eq!(shared_1.prefill_tokens_saved, 3 * 32);
     assert_eq!(plain_1.shared_pages, 0);
     assert!(shared_1.resident_bytes < plain_1.resident_bytes, "sharing must shrink peak residency");
 }
@@ -123,13 +124,15 @@ fn resident_bytes_shrink_as_shared_sequence_count_grows() {
     assert!(savings.windows(2).all(|w| w[0] < w[1]), "savings must grow with the sequence count: {savings:?}");
 }
 
-/// Copy-on-write under decode pressure: a non-aligned shared boundary page is written by
-/// donor *and* recipients while all of them keep decoding, at 1 and 4 threads. Every
-/// stream must still match solo generation (no holder ever observes another's write).
+/// A prefix ending mid-page under decode pressure: every holder maps the shared full page
+/// and writes its own copy of the boundary page while all of them keep decoding, at 1
+/// and 4 threads. Every stream must still match solo generation (no holder ever
+/// observes another's write). Before sharing became whole-page, the boundary page was
+/// shared too and copied on write.
 #[test]
 fn copy_on_write_boundary_stays_token_identical_under_parallel_decode() {
     let model = model();
-    // 21 common tokens: 1 full page + a 5-position boundary page shared by all.
+    // 21 common tokens: 1 full page shared by all + a 5-position boundary page each.
     let prompts = shared_prefix_prompts(6, 21);
     let run = |threads: usize| {
         let mut engine = ServingEngine::paged(&model, 96).with_threads(threads);
@@ -137,16 +140,16 @@ fn copy_on_write_boundary_stays_token_identical_under_parallel_decode() {
             engine.submit_with(p, SubmitOptions::new(24));
         }
         let report = engine.run();
-        assert!(report.prefill_tokens_saved > 0, "boundary sharing must engage at {threads} threads");
+        assert!(report.prefill_tokens_saved > 0, "prefix sharing must engage at {threads} threads");
         let pool = engine.pool().unwrap();
         assert_eq!(pool.in_use_pages(), 0);
         engine.sequences().iter().map(|s| s.generated.clone()).collect::<Vec<_>>()
     };
     let sequential = run(1);
     let parallel = run(4);
-    assert_eq!(sequential, parallel, "COW workload diverges between 1 and 4 threads");
+    assert_eq!(sequential, parallel, "mid-page prefix workload diverges between 1 and 4 threads");
     for (stream, p) in sequential.iter().zip(&prompts) {
-        assert_eq!(stream, &model.generate_greedy(p, 24), "COW corrupted a stream");
+        assert_eq!(stream, &model.generate_greedy(p, 24), "a shared page corrupted a stream");
     }
 }
 
@@ -205,9 +208,9 @@ fn eviction_is_reserved_for_true_capacity_failure() {
 }
 
 /// Sharing composes with continuous batching: recipients can arrive in later admission
-/// waves (after the donor already decoded past its prompt) and still map its prompt
-/// pages — donors stay shareable for their whole residency, not just right after
-/// prefill.
+/// waves (after the first holder already decoded past its prompt) and still map its
+/// prompt pages — published pages stay mappable for the holder's whole residency, not
+/// just right after prefill.
 #[test]
 fn late_arrivals_share_a_long_resident_donor() {
     let model = model();
@@ -217,8 +220,7 @@ fn late_arrivals_share_a_long_resident_donor() {
     engine.submit_with(&prompts[1], SubmitOptions::new(8).arrival_pass(6));
     engine.submit_with(&prompts[2], SubmitOptions::new(8).arrival_pass(12));
     let report = engine.run();
-    // Both late arrivals shared the 2 full prompt pages per layer (the donor's boundary
-    // page may or may not still be partial by then; full pages are guaranteed).
+    // Both late arrivals shared the 2 full prompt pages per layer.
     assert!(report.prefill_tokens_saved >= 2 * 32, "late arrivals must share the resident prompt");
     assert_eq!(report.shared_pages % 2, 0);
     for (seq, p) in engine.sequences().iter().zip(&prompts) {

@@ -6,9 +6,10 @@
 //! f32-contiguous baseline backend to show the measured-residency gap, then re-run
 //! across 1/2/4 decode worker threads to show that the thread count changes the wall
 //! clock but never a single token. Two more scenarios demonstrate the refcounted
-//! shared-page features: a shared-system-prompt batch (prefix sharing + copy-on-write,
-//! resident bytes near one prompt copy instead of N) and a high-priority arrival that
-//! preempts a low-priority sequence (spill → restore, bit-identical resume).
+//! shared-page features: a shared-system-prompt batch (whole prompt pages published to
+//! the pool's prefix cache and mapped by every later request, resident bytes near one
+//! prompt copy instead of N) and a high-priority arrival that preempts a low-priority
+//! sequence (spill → restore, bit-identical resume).
 //!
 //! Run with: `cargo run --release --example continuous_batching` (add `--smoke` for the
 //! CI-sized workload, `--trace <path>` to record the run and export a Chrome trace-event
@@ -197,9 +198,10 @@ fn main() {
         );
     }
 
-    // Prefix sharing: N requests with one system prompt. The shared run maps the prompt
-    // pages behind refcounts (one resident copy + copy-on-write boundaries); the
-    // unshared run pays N full copies and N prefills. Tokens must not change.
+    // Prefix sharing: N requests with one system prompt. The shared run maps the prompt's
+    // full pages behind refcounts (one resident copy; each request prefills its own
+    // boundary page); the unshared run pays N full copies and N prefills. Tokens must
+    // not change.
     let shared_seqs = if smoke { 4 } else { 8 };
     let common = if smoke { 19 } else { 67 };
     let system_prompt: Vec<usize> = (0..common).map(|i| (i * 19 + 5) % cfg.vocab).collect();
