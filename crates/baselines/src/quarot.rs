@@ -166,8 +166,8 @@ mod tests {
     // Note: on these synthetic operands the Hadamard rotation removes the planted channel
     // outliers essentially perfectly, so QuaRot INT4 can beat MXFP4+ in raw matmul MSE.
     // The paper's Table 7 finds the opposite on real models because rotation fails to
-    // reduce some layers' outliers (e.g. Llama-3.1 down projections); EXPERIMENTS.md
-    // records this as a known divergence of the synthetic substrate.
+    // reduce some layers' outliers (e.g. Llama-3.1 down projections). This is a known
+    // divergence of the synthetic substrate.
     #[test]
     fn quarot_int4_improves_over_plain_int4() {
         let a = outlier_activations(8, 256);

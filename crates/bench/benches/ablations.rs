@@ -1,8 +1,8 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md: block size,
-//! the MX+ / MX++ conversion cost, top-k outlier promotion and the BM split used by the
-//! software Tensor-Core path.
+//! Ablation benchmarks for the format's design choices: block size, the MX+ / MX++
+//! conversion cost, top-k outlier promotion and the BM split used by the software
+//! Tensor-Core path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mx_bench::harness::Harness;
 use mx_formats::block::fake_quantize_row;
 use mx_formats::mxplus::MxPlusBlock;
 use mx_formats::mxpp::fake_quantize_row_pp;
@@ -10,65 +10,43 @@ use mx_formats::topk::quantize_row_topk;
 use mx_formats::{ElementType, QuantScheme};
 use mx_tensor::ActivationProfile;
 
-fn row() -> Vec<f32> {
-    ActivationProfile::llm(4096, 17).sample(1, 0).into_data()
-}
+/// Elements per ablation row.
+const ROW: usize = 4096;
 
-fn ablation_block_size(c: &mut Criterion) {
-    let row = row();
-    let mut group = c.benchmark_group("ablation_block_size_mxfp4");
-    group.sample_size(30);
+fn main() {
+    let mut h = Harness::from_args("ablations");
+    let row = ActivationProfile::llm(ROW, 17).sample(1, 0).into_data();
+    let work = ROW as f64;
     for block in [16usize, 32, 64, 128] {
-        group.bench_with_input(BenchmarkId::from_parameter(block), &block, |b, &k| {
-            b.iter(|| fake_quantize_row(ElementType::E2M1, k, std::hint::black_box(&row)));
+        h.time(&format!("block_size_{block}"), "elements", work, "MXFP4", || {
+            fake_quantize_row(ElementType::E2M1, block, std::hint::black_box(&row))
         });
     }
-    group.finish();
-}
 
-fn ablation_mx_plus_variants(c: &mut Criterion) {
-    let row = row();
-    let mut group = c.benchmark_group("ablation_mx_plus_variants");
-    group.sample_size(30);
-    group.bench_function("mx", |b| b.iter(|| fake_quantize_row(ElementType::E2M1, 32, std::hint::black_box(&row))));
-    group.bench_function("mx_plus", |b| {
-        b.iter(|| QuantScheme::mxfp4_plus().quantize_dequantize(std::hint::black_box(&row)))
+    h.time("variant_mx", "elements", work, "MXFP4", || {
+        fake_quantize_row(ElementType::E2M1, 32, std::hint::black_box(&row))
     });
-    group.bench_function("mx_plus_plus", |b| {
-        b.iter(|| fake_quantize_row_pp(ElementType::E2M1, 32, std::hint::black_box(&row)))
+    h.time("variant_mx_plus", "elements", work, "MXFP4+", || {
+        QuantScheme::mxfp4_plus().quantize_dequantize(std::hint::black_box(&row))
     });
-    group.finish();
-}
+    h.time("variant_mx_plus_plus", "elements", work, "MXFP4++", || {
+        fake_quantize_row_pp(ElementType::E2M1, 32, std::hint::black_box(&row))
+    });
 
-fn ablation_topk(c: &mut Criterion) {
-    let row = row();
-    let mut group = c.benchmark_group("ablation_topk_promotion");
-    group.sample_size(30);
     for k in [0usize, 1, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| quantize_row_topk(k, std::hint::black_box(&row)));
+        h.time(&format!("topk_promotion_{k}"), "elements", work, "MXFP4", || {
+            quantize_row_topk(k, std::hint::black_box(&row))
         });
     }
-    group.finish();
-}
 
-fn ablation_bm_split(c: &mut Criterion) {
     // Cost of splitting the BM into BM_H + BM_L for every block of a row (the per-kernel
     // fragment preparation work of the software integration, Algorithm 1).
-    let row = row();
     let blocks: Vec<MxPlusBlock> = row.chunks(32).map(|c| MxPlusBlock::quantize(ElementType::E2M1, c)).collect();
-    let mut group = c.benchmark_group("ablation_bm_split");
-    group.sample_size(30);
-    group.bench_function("split_all_blocks", |b| {
-        b.iter(|| {
-            std::hint::black_box(&blocks)
-                .iter()
-                .map(|blk| blk.split_bm())
-                .fold((0.0_f32, 0.0_f32), |acc, (h, l)| (acc.0 + h, acc.1 + l))
-        })
+    h.time("bm_split", "elements", work, "MXFP4+", || {
+        std::hint::black_box(&blocks)
+            .iter()
+            .map(|blk| blk.split_bm())
+            .fold((0.0_f32, 0.0_f32), |acc, (h, l)| (acc.0 + h, acc.1 + l))
     });
-    group.finish();
+    h.finish();
 }
-
-criterion_group!(benches, ablation_block_size, ablation_mx_plus_variants, ablation_topk, ablation_bm_split);
-criterion_main!(benches);

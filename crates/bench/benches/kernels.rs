@@ -1,25 +1,17 @@
-//! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the
-//! scalar reference at each packed bit width, the paged attention decode (the fused 4-bit
-//! page kernels) vs the forced-scalar pipeline, and the panel GEMM over the `llama2_7b`
-//! toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run, which keeps the
-//! row-major `f32` weights and `matmul`.
+//! Benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the scalar
+//! reference at each packed bit width, the paged attention decode (the fused 4-bit page
+//! kernels) vs the forced-scalar pipeline, the MXFP4+ block quantizer, and the panel GEMM
+//! over the `llama2_7b` toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run,
+//! which keeps the row-major `f32` weights and `matmul`.
 //!
-//! The `--json <path>` mode replaces the criterion run with deterministic hand-timed
-//! sweeps (best-of-N over fixed iteration counts) and writes one throughput entry per
-//! label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`, `qdq_mxfp4plus`,
-//! `pack_row_mxfp4plus`, `gemm_m1_llama2_7b`, ... — each carrying the dispatched
-//! `throughput`, the `scalar_throughput` reference (forced scalar), and their ratio. The
-//! committed `BENCH_kernels.json` baseline and the CI artifact both come from here;
-//! `bench_gate` compares the `throughput` field per label at the same -15% tolerance as
-//! the serving snapshot.
+//! Each dispatched label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`,
+//! `qdq_mxfp4plus`, `pack_row_mxfp4plus`, `gemm_m1_llama2_7b`, ... — has a `_scalar`
+//! twin timed under forced scalar kernels. `--json <path>` writes them all; the committed
+//! `BENCH_kernels.json` holds the dispatched labels' baselines, which `bench_gate`
+//! compares best-of-N at -15%.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use mx_formats::kernels::{
-    active_backend, force_scalar, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into,
-    unpack_codes_into_scalar,
-};
+use mx_bench::harness::{model_config, Harness};
+use mx_formats::kernels::{force_scalar, pack_codes_into, packed_len, unpack_codes_into};
 use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 use mx_tensor::{Matrix, WeightPanels};
@@ -45,29 +37,32 @@ fn bench_model(forced: bool) -> TransformerModel {
     model
 }
 
-fn pack_unpack(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels_pack_unpack");
-    group.sample_size(10);
+/// Runs `time` on the dispatched kernels, then again under forced scalar kernels; the
+/// second call's label suffix is `_scalar`.
+fn dispatched_then_scalar(mut time: impl FnMut(&str, bool)) {
+    for (suffix, scalar) in [("", false), ("_scalar", true)] {
+        force_scalar(scalar);
+        time(suffix, scalar);
+    }
+    force_scalar(false);
+}
+
+fn pack_unpack(h: &mut Harness) {
     for bits in WIDTHS {
         let codes = sample_codes(bits);
         let mut packed = vec![0u8; packed_len(CODES, bits)];
         let mut out = vec![0u8; CODES];
-        pack_codes_into_scalar(&codes, bits, &mut packed);
-
-        group.bench_with_input(BenchmarkId::new("pack_dispatched", bits), &bits, |b, &bits| {
-            b.iter(|| pack_codes_into(&codes, bits, &mut packed));
-        });
-        group.bench_with_input(BenchmarkId::new("pack_scalar", bits), &bits, |b, &bits| {
-            b.iter(|| pack_codes_into_scalar(&codes, bits, &mut packed));
-        });
-        group.bench_with_input(BenchmarkId::new("unpack_dispatched", bits), &bits, |b, &bits| {
-            b.iter(|| unpack_codes_into(&packed, bits, &mut out));
-        });
-        group.bench_with_input(BenchmarkId::new("unpack_scalar", bits), &bits, |b, &bits| {
-            b.iter(|| unpack_codes_into_scalar(&packed, bits, &mut out));
+        pack_codes_into(&codes, bits, &mut packed);
+        let config = format!("{bits}-bit codes x {CODES}");
+        dispatched_then_scalar(|suffix, _| {
+            h.time(&format!("pack_{bits}bit{suffix}"), "codes", CODES as f64, &config, || {
+                pack_codes_into(&codes, bits, &mut packed);
+            });
+            h.time(&format!("unpack_{bits}bit{suffix}"), "codes", CODES as f64, &config, || {
+                unpack_codes_into(&packed, bits, &mut out);
+            });
         });
     }
-    group.finish();
 }
 
 /// One paged serving run; returns (generated token streams, decoded tokens).
@@ -86,7 +81,7 @@ fn paged_run(model: &TransformerModel) -> (Vec<Vec<usize>>, usize) {
     (engine.sequences().iter().map(|s| s.generated.clone()).collect(), report.generated_tokens)
 }
 
-fn fused_attention(c: &mut Criterion) {
+fn fused_attention(h: &mut Harness) {
     let (model, reference_model) = (bench_model(false), bench_model(true));
     // The page kernels must be a pure optimization: identical tokens with or without them.
     let fused = paged_run(&model);
@@ -94,19 +89,11 @@ fn fused_attention(c: &mut Criterion) {
     let reference = paged_run(&reference_model);
     force_scalar(false);
     assert_eq!(fused.0, reference.0, "the page kernels must not change any token");
-
-    let mut group = c.benchmark_group("fused_attention");
-    group.sample_size(10);
-    group.bench_function("paged_fused", |b| b.iter(|| paged_run(&model).1));
-    group.bench_function("paged_forced_scalar", |b| {
-        b.iter(|| {
-            force_scalar(true);
-            let tokens = paged_run(&reference_model).1;
-            force_scalar(false);
-            tokens
-        });
+    let config = model_config(&model);
+    dispatched_then_scalar(|suffix, scalar| {
+        let model = if scalar { &reference_model } else { &model };
+        h.time(&format!("fused_attention_decode{suffix}"), "tokens", fused.1 as f64, &config, || paged_run(model).1);
     });
-    group.finish();
 }
 
 /// One of the 29 projection matrices of the `llama2_7b` toy under A-MXFP4+ (MXFP4
@@ -120,7 +107,8 @@ struct GemmWeight {
     forced: WeightPanels,
 }
 
-fn gemm_weights() -> Vec<GemmWeight> {
+/// Every projection of the `llama2_7b` toy, and the model configuration they come from.
+fn gemm_weights() -> (Vec<GemmWeight>, String) {
     let model = TransformerModel::new(ModelConfig::llama2_7b(), ModelQuantConfig::a_mxfp4_plus());
     let quant = model.quant();
     let weights = model.weights();
@@ -131,7 +119,8 @@ fn gemm_weights() -> Vec<GemmWeight> {
         }
     }
     all.push((&weights.lm_head, quant.lm_head.weights));
-    all.into_iter()
+    let weights = all
+        .into_iter()
         .map(|(w, scheme)| {
             let panels = WeightPanels::cast(w, scheme);
             force_scalar(true);
@@ -139,7 +128,8 @@ fn gemm_weights() -> Vec<GemmWeight> {
             force_scalar(false);
             GemmWeight { w: w.clone(), scheme, panels, forced }
         })
-        .collect()
+        .collect();
+    (weights, model_config(&model))
 }
 
 /// `m` MXFP4+-quantized activation rows of width `k`, as the model feeds the projections.
@@ -183,33 +173,11 @@ fn gemm_pass(weights: &[GemmWeight], inputs: &[Matrix], forced: bool) -> usize {
     pass.map(|(g, a)| a.matmul_panels(if forced { &g.forced } else { &g.panels }).rows()).sum()
 }
 
-fn gemm(c: &mut Criterion) {
-    let weights = gemm_weights();
-    let mut group = c.benchmark_group("panel_gemm_llama2_7b");
-    group.sample_size(10);
-    for m in [1, 32] {
-        assert_gemm_bit_identity(&weights, m);
-        let inputs: Vec<Matrix> = weights.iter().map(|g| gemm_activations(m, g.w.rows())).collect();
-        group.bench_with_input(BenchmarkId::new("dispatched", m), &m, |b, _| {
-            b.iter(|| gemm_pass(&weights, &inputs, false));
-        });
-        group.bench_with_input(BenchmarkId::new("forced_scalar", m), &m, |b, _| {
-            b.iter(|| {
-                force_scalar(true);
-                let rows = gemm_pass(&weights, &inputs, true);
-                force_scalar(false);
-                rows
-            });
-        });
-    }
-    group.finish();
-}
-
 /// GFLOP/s of one pass through all 29 `llama2_7b` projections at M = 1 (decode) and
 /// M = 32 (prefill), after the bit-identity check: the panels on the dispatched path, and
 /// the forced-scalar run, which keeps `f32` weights and `matmul`.
-fn gemm_entries(entries: &mut Vec<String>) {
-    let weights = gemm_weights();
+fn gemm(h: &mut Harness) {
+    let (weights, config) = gemm_weights();
     let (f32_bytes, panel_bytes): (usize, usize) = weights
         .iter()
         .map(|g| (g.forced.storage_bytes(), g.panels.storage_bytes()))
@@ -219,34 +187,16 @@ fn gemm_entries(entries: &mut Vec<String>) {
         f32_bytes as f64 / 1e6,
         panel_bytes as f64 / 1e6
     );
-    for (m, iters) in [(1, 200), (32, 20)] {
+    for m in [1, 32] {
         assert_gemm_bit_identity(&weights, m);
         let inputs: Vec<Matrix> = weights.iter().map(|g| gemm_activations(m, g.w.rows())).collect();
-        let pass = |forced| {
-            std::hint::black_box(gemm_pass(&weights, &inputs, forced));
-        };
-        let fast = best_seconds(|| pass(false), iters, 5);
-        force_scalar(true);
-        let reference = best_seconds(|| pass(true), iters, 5);
-        force_scalar(false);
-        let gflops = |s: f64| gemm_flops(&weights, m) / s / 1e9;
-        let label = format!("gemm_m{m}_llama2_7b");
-        entries.push(mx_bench::snapshot::kernel_entry_json(&label, "gflop", gflops(fast), gflops(reference)));
-        println!("{label}: {:.2} GFLOP/s, {:.2}x the forced-scalar f32 matmul", gflops(fast), reference / fast);
+        let gflop = gemm_flops(&weights, m) / 1e9;
+        dispatched_then_scalar(|suffix, scalar| {
+            h.time(&format!("gemm_m{m}_llama2_7b{suffix}"), "gflop", gflop, &config, || {
+                gemm_pass(&weights, &inputs, scalar)
+            });
+        });
     }
-}
-
-/// Best-of-`reps` seconds per call of `f`, each rep averaging `iters` calls.
-fn best_seconds(mut f: impl FnMut(), iters: usize, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
 }
 
 /// Elements per quantizer call: one KV row of the `llama2_7b` toy is 1024 wide.
@@ -266,101 +216,30 @@ fn sample_row() -> Vec<f32> {
         .collect()
 }
 
-/// Dispatched and forced-scalar elements/sec of the MXFP4+ block quantizer: fake
-/// quantization (`qdq`, the activation path) and the packed-row encode (`pack_row`, the
-/// KV append path).
-fn quantizer_entries(entries: &mut Vec<String>) {
+/// Elements/sec of the MXFP4+ block quantizer: fake quantization (`qdq`, the
+/// activation path) and the packed-row encode (`pack_row`, the KV append path).
+fn quantizer(h: &mut Harness) {
     let scheme = QuantScheme::mxfp4_plus();
     let codec = RowCodec::for_scheme(scheme);
     let row = sample_row();
     let mut out = vec![0.0f32; ROW];
     let mut packed = vec![0u8; codec.packed_bytes(ROW)];
-    let mut qdq = || scheme.quantize_dequantize_into(std::hint::black_box(&row), &mut out);
-    let mut pack = || codec.pack_row_into(std::hint::black_box(&row), &mut packed);
-    let per_sec = |s: f64| ROW as f64 / s;
-    let (qdq_fast, pack_fast) = (best_seconds(&mut qdq, 2000, 5), best_seconds(&mut pack, 2000, 5));
-    force_scalar(true);
-    let (qdq_ref, pack_ref) = (best_seconds(&mut qdq, 100, 5), best_seconds(&mut pack, 100, 5));
-    force_scalar(false);
-    for (label, fast, reference) in [("qdq_mxfp4plus", qdq_fast, qdq_ref), ("pack_row_mxfp4plus", pack_fast, pack_ref)]
-    {
-        entries.push(mx_bench::snapshot::kernel_entry_json(label, "elements", per_sec(fast), per_sec(reference)));
-        println!(
-            "{label}: {:.2} ns/element, {:.1}x the forced-scalar reference",
-            fast * 1e9 / ROW as f64,
-            reference / fast
-        );
-    }
+    let config = format!("MXFP4+ row of {ROW}");
+    dispatched_then_scalar(|suffix, _| {
+        h.time(&format!("qdq_mxfp4plus{suffix}"), "elements", ROW as f64, &config, || {
+            scheme.quantize_dequantize_into(std::hint::black_box(&row), &mut out);
+        });
+        h.time(&format!("pack_row_mxfp4plus{suffix}"), "elements", ROW as f64, &config, || {
+            codec.pack_row_into(std::hint::black_box(&row), &mut packed);
+        });
+    });
 }
-
-/// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
-/// scalar, codes/sec), the paged decode vs its forced-scalar pipeline (tokens/sec), the
-/// MXFP4+ block quantizer (elements/sec) and the panel GEMM (GFLOP/s).
-fn kernels_snapshot() -> String {
-    let mut entries = Vec::new();
-    println!("kernel snapshot: dispatch backend `{}`", active_backend().name());
-    for bits in WIDTHS {
-        let codes = sample_codes(bits);
-        let mut packed = vec![0u8; packed_len(CODES, bits)];
-        let mut out = vec![0u8; CODES];
-        pack_codes_into_scalar(&codes, bits, &mut packed);
-
-        let pack = best_seconds(|| pack_codes_into(&codes, bits, &mut packed), 128, 5);
-        let pack_scalar = best_seconds(|| pack_codes_into_scalar(&codes, bits, &mut packed), 16, 5);
-        let unpack = best_seconds(|| unpack_codes_into(&packed, bits, &mut out), 128, 5);
-        let unpack_scalar = best_seconds(|| unpack_codes_into_scalar(&packed, bits, &mut out), 16, 5);
-        let per_sec = |s: f64| CODES as f64 / s;
-        entries.push(mx_bench::snapshot::kernel_entry_json(
-            &format!("pack_{bits}bit"),
-            "codes",
-            per_sec(pack),
-            per_sec(pack_scalar),
-        ));
-        entries.push(mx_bench::snapshot::kernel_entry_json(
-            &format!("unpack_{bits}bit"),
-            "codes",
-            per_sec(unpack),
-            per_sec(unpack_scalar),
-        ));
-        println!(
-            "kernels {bits}-bit: pack {:.0}x scalar, unpack {:.0}x scalar",
-            pack_scalar / pack,
-            unpack_scalar / unpack
-        );
-    }
-
-    let (model, reference_model) = (bench_model(false), bench_model(true));
-    let tokens = paged_run(&model).1 as f64;
-    let fused = best_seconds(|| drop(paged_run(&model)), 1, 3);
-    force_scalar(true);
-    let reference = best_seconds(|| drop(paged_run(&reference_model)), 1, 3);
-    force_scalar(false);
-    entries.push(mx_bench::snapshot::kernel_entry_json(
-        "fused_attention_decode",
-        "tokens",
-        tokens / fused,
-        tokens / reference,
-    ));
-    println!("fused attention decode: {:.2}x the forced-scalar pipeline", reference / fused);
-    quantizer_entries(&mut entries);
-    gemm_entries(&mut entries);
-
-    mx_bench::snapshot::document_json("kernels", &entries)
-}
-
-criterion_group!(benches, pack_unpack, fused_attention, gemm);
 
 fn main() {
-    // `--json <path>` replaces the criterion run with the deterministic hand-timed
-    // sweep that produces the committed `BENCH_kernels.json` baseline.
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            let path = args.next().expect("--json requires a file path");
-            std::fs::write(&path, kernels_snapshot()).expect("write --json snapshot");
-            println!("wrote kernel throughput snapshot to {path}");
-            return;
-        }
-    }
-    benches();
+    let mut h = Harness::from_args("kernels");
+    pack_unpack(&mut h);
+    fused_attention(&mut h);
+    quantizer(&mut h);
+    gemm(&mut h);
+    h.finish();
 }

@@ -1,18 +1,20 @@
-//! Criterion benchmarks of quantized matrix multiplication: the software fake-quant path
-//! that backs every model-quality experiment, across operand formats.
+//! Benchmarks of quantized matrix multiplication: the software fake-quant path that backs
+//! every model-quality experiment, across operand formats, and the analytic GPU GEMM
+//! model's own cost.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mx_bench::harness::Harness;
 use mx_formats::quantize::MatmulQuantConfig;
 use mx_formats::QuantScheme;
+use mx_gpu_sim::gemm::{gemm_time, GemmConfig, GemmShape};
+use mx_gpu_sim::GpuSpec;
 use mx_tensor::{synth, ActivationProfile};
 
-fn quantized_matmul(c: &mut Criterion) {
-    let profile = ActivationProfile::llm(1024, 3);
-    let a = profile.sample(16, 0);
-    let w = synth::xavier_weights(1024, 256, 1.0, 9);
-
-    let mut group = c.benchmark_group("matmul_16x1024x256");
-    group.sample_size(20);
+fn main() {
+    let mut h = Harness::from_args("matmul");
+    let (m, k, n) = (16, 1024, 256);
+    let a = ActivationProfile::llm(k, 3).sample(m, 0);
+    let w = synth::xavier_weights(k, n, 1.0, 9);
+    let gflop = 2.0 * (m * k * n) as f64 / 1e9;
     for (name, cfg) in [
         ("BF16", MatmulQuantConfig::BASELINE),
         ("MXFP4", MatmulQuantConfig::uniform(QuantScheme::mxfp4())),
@@ -20,27 +22,17 @@ fn quantized_matmul(c: &mut Criterion) {
         ("MXFP4++", MatmulQuantConfig::uniform(QuantScheme::mxfp4_pp())),
         ("MXFP8", MatmulQuantConfig::uniform(QuantScheme::mxfp8())),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            b.iter(|| std::hint::black_box(&a).matmul_quantized(std::hint::black_box(&w), *cfg));
+        h.time(&format!("matmul_{m}x{k}x{n}_{name}"), "gflop", gflop, name, || {
+            std::hint::black_box(&a).matmul_quantized(std::hint::black_box(&w), cfg)
         });
     }
-    group.finish();
-}
 
-fn gpu_model_sweep(c: &mut Criterion) {
-    use mx_gpu_sim::gemm::{gemm_time, GemmConfig, GemmShape};
-    use mx_gpu_sim::GpuSpec;
     let gpu = GpuSpec::rtx5090();
-    let mut group = c.benchmark_group("gpu_model_gemm_time");
-    group.sample_size(30);
-    group.bench_function("decode_shape", |b| {
-        b.iter(|| gemm_time(&gpu, GemmShape::new(4, 5120, 5120), std::hint::black_box(GemmConfig::A_MXFP4_PLUS_SW)))
-    });
-    group.bench_function("prefill_shape", |b| {
-        b.iter(|| gemm_time(&gpu, GemmShape::new(4096, 5120, 5120), std::hint::black_box(GemmConfig::MXFP4_PLUS_HW)))
-    });
-    group.finish();
+    for (label, shape, cfg) in [
+        ("gpu_model_decode_shape", GemmShape::new(4, 5120, 5120), GemmConfig::A_MXFP4_PLUS_SW),
+        ("gpu_model_prefill_shape", GemmShape::new(4096, 5120, 5120), GemmConfig::MXFP4_PLUS_HW),
+    ] {
+        h.time(label, "calls", 1.0, "RTX 5090", || gemm_time(&gpu, shape, std::hint::black_box(cfg)));
+    }
+    h.finish();
 }
-
-criterion_group!(benches, quantized_matmul, gpu_model_sweep);
-criterion_main!(benches);

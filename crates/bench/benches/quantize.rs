@@ -1,16 +1,18 @@
-//! Criterion benchmarks of the block quantization kernels: the software cost of MX, MX+
-//! and MX++ conversion (the substrate behind Table 6's relative quantization times).
+//! Benchmarks of the block quantization kernels: the software cost of MX, MX+ and MX++
+//! conversion (the substrate behind Table 6's relative quantization times).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mx_bench::harness::Harness;
+use mx_formats::layout::PackedMxPlusRow;
+use mx_formats::mxplus::MxPlusFormat;
 use mx_formats::QuantScheme;
 use mx_tensor::ActivationProfile;
 
-fn quantization_kernels(c: &mut Criterion) {
-    let profile = ActivationProfile::llm(4096, 11);
-    let row = profile.sample(1, 0).into_data();
+/// Elements per quantized row.
+const ROW: usize = 4096;
 
-    let mut group = c.benchmark_group("quantize_row_4096");
-    group.sample_size(30);
+fn main() {
+    let mut h = Harness::from_args("quantize");
+    let row = ActivationProfile::llm(ROW, 11).sample(1, 0).into_data();
     for scheme in [
         QuantScheme::mxfp4(),
         QuantScheme::mxfp4_plus(),
@@ -21,27 +23,20 @@ fn quantization_kernels(c: &mut Criterion) {
         QuantScheme::Nvfp4,
         QuantScheme::Nvfp4Plus,
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(scheme.name()), &scheme, |b, s| {
-            b.iter(|| s.quantize_dequantize(std::hint::black_box(&row)));
+        // The label keeps the scheme's short name ("MXFP6", not "MXFP6 (E2M3)").
+        let name = scheme.name();
+        let short = name.split(' ').next().unwrap_or_default();
+        h.time(&format!("quantize_row_{short}"), "elements", ROW as f64, &name, || {
+            scheme.quantize_dequantize(std::hint::black_box(&row))
         });
     }
-    group.finish();
-}
 
-fn packing(c: &mut Criterion) {
-    use mx_formats::layout::PackedMxPlusRow;
-    use mx_formats::mxplus::MxPlusFormat;
-    let profile = ActivationProfile::llm(4096, 13);
-    let row = profile.sample(1, 0).into_data();
+    let row = ActivationProfile::llm(ROW, 13).sample(1, 0).into_data();
     let blocks = MxPlusFormat::MXFP4_PLUS.quantize_row(&row);
-
-    let mut group = c.benchmark_group("mxfp4_plus_packing");
-    group.sample_size(30);
-    group.bench_function("pack", |b| b.iter(|| PackedMxPlusRow::pack(std::hint::black_box(&blocks))));
     let packed = PackedMxPlusRow::pack(&blocks);
-    group.bench_function("unpack", |b| b.iter(|| std::hint::black_box(&packed).unpack().unwrap()));
-    group.finish();
+    h.time("mxfp4_plus_pack", "elements", ROW as f64, "MXFP4+", || {
+        PackedMxPlusRow::pack(std::hint::black_box(&blocks))
+    });
+    h.time("mxfp4_plus_unpack", "elements", ROW as f64, "MXFP4+", || std::hint::black_box(&packed).unpack().unwrap());
+    h.finish();
 }
-
-criterion_group!(benches, quantization_kernels, packing);
-criterion_main!(benches);

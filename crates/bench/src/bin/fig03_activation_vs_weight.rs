@@ -20,6 +20,6 @@ fn main() {
         table::row(&cfg.name, &cells);
     }
     println!("\nPaper shape: weight-only MXFP4 is nearly harmless while activation-only MXFP4 degrades");
-    println!("substantially. Note (EXPERIMENTS.md): with synthetic random weights the weight-only column");
+    println!("substantially. Note: with synthetic random weights the weight-only column");
     println!("degrades more than on trained checkpoints, so the gap is smaller here than in the paper.");
 }

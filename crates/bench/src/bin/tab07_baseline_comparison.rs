@@ -35,6 +35,6 @@ fn main() {
     }
     println!("\nPaper shape: schemes relying on rescaling/rotation alone (SmoothQuant, and per-tensor ANT/");
     println!("OliVe/Tender) trail at 4 bits; MX-granularity variants close most of the gap; MXFP4+ and");
-    println!("MXFP4++ are the strongest standard-format options. See EXPERIMENTS.md for known divergences");
-    println!("(QuaRot benefits more from rotation on synthetic outliers than on real checkpoints).");
+    println!("MXFP4++ are the strongest standard-format options. Known divergence: QuaRot benefits");
+    println!("more from rotation on synthetic outliers than on real checkpoints.");
 }

@@ -1,9 +1,9 @@
 //! # mx-bench
 //!
-//! Harness binaries and Criterion benchmarks that regenerate every table and figure of the
-//! MX+ paper's evaluation. Each binary prints the same rows/series the paper reports; the
-//! mapping from experiment to binary lives in `DESIGN.md`, and `EXPERIMENTS.md` records the
-//! paper-versus-measured comparison.
+//! Harness binaries that regenerate every table and figure of the MX+ paper's evaluation,
+//! and the benches behind the [`harness`]. Each binary prints the same rows/series the
+//! paper reports; the README section *Figure / table → binary index* maps each experiment
+//! to its binary.
 //!
 //! Run an individual experiment with, for example:
 //!
@@ -13,6 +13,8 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+
+pub mod harness;
 
 /// Simple fixed-width table printing for the harness binaries.
 pub mod table {
@@ -40,81 +42,6 @@ pub mod table {
             out.push_str(&format!(" {c:>14}"));
         }
         println!("{out}");
-    }
-}
-
-/// JSON rendering for the bench binaries' `--json <path>` snapshot mode: each entry is
-/// one serving run's throughput plus its latency percentiles, hand-rendered (no serde)
-/// so the bench targets stay dependency-free. `BENCH_serving.json` at the repo root is
-/// the committed baseline CI compares against.
-pub mod snapshot {
-    use mx_llm::{QuantileSummary, ServingReport};
-
-    /// Zeroes non-finite rates so the document stays valid JSON (no `inf`/`NaN` tokens).
-    fn finite(x: f64) -> f64 {
-        if x.is_finite() {
-            x
-        } else {
-            0.0
-        }
-    }
-
-    /// Renders one quantile summary as a JSON object.
-    #[must_use]
-    pub fn quantiles_json(q: &QuantileSummary) -> String {
-        format!(
-            "{{\"count\":{},\"p50_nanos\":{},\"p95_nanos\":{},\"p99_nanos\":{},\"mean_nanos\":{},\"max_nanos\":{}}}",
-            q.count, q.p50_nanos, q.p95_nanos, q.p99_nanos, q.mean_nanos, q.max_nanos
-        )
-    }
-
-    /// Renders one serving run as a snapshot entry named `label`: backend, threads,
-    /// throughput (wall and per-worker) and the four latency quantile blocks.
-    #[must_use]
-    pub fn entry_json(label: &str, report: &ServingReport) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"backend\":\"{}\",\"threads\":{},\"generated_tokens\":{},",
-                "\"tokens_per_sec_wall\":{:.3},\"decode_tokens_per_sec\":{:.3},",
-                "\"ttft\":{},\"tpot\":{},\"pass_latency\":{},\"queue_wait\":{}}}"
-            ),
-            label,
-            report.backend,
-            report.num_threads,
-            report.generated_tokens,
-            finite(report.tokens_per_sec_parallel),
-            finite(report.decode_tokens_per_sec),
-            quantiles_json(&report.latency.ttft),
-            quantiles_json(&report.latency.tpot),
-            quantiles_json(&report.latency.pass_latency),
-            quantiles_json(&report.latency.queue_wait),
-        )
-    }
-
-    /// Wraps entries into the snapshot document the CI artifact stores.
-    #[must_use]
-    pub fn document_json(bench: &str, entries: &[String]) -> String {
-        format!("{{\"bench\":\"{bench}\",\"entries\":[{}]}}\n", entries.join(","))
-    }
-
-    /// Renders one kernel-throughput entry (the kernels bench's `--json` mode): the
-    /// dispatched throughput in `unit`s per second, the scalar-reference throughput,
-    /// and their ratio. `throughput` is deliberately the first field — `bench_gate`
-    /// compares it per label, and the leading position keeps the substring scan away
-    /// from `scalar_throughput`.
-    #[must_use]
-    pub fn kernel_entry_json(label: &str, unit: &str, throughput: f64, scalar_throughput: f64) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"throughput\":{:.1},\"unit\":\"{}_per_sec\",",
-                "\"scalar_throughput\":{:.1},\"speedup_vs_scalar\":{:.3}}}"
-            ),
-            label,
-            finite(throughput),
-            unit,
-            finite(scalar_throughput),
-            finite(throughput / scalar_throughput),
-        )
     }
 }
 
@@ -149,17 +76,5 @@ mod tests {
         table::header("demo", &["a", "b"]);
         table::row("x", &[1.0, 2.0]);
         table::row_str("y", &["p".into(), "q".into()]);
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed() {
-        let q = mx_llm::QuantileSummary { count: 2, p50_nanos: 10, p95_nanos: 20, p99_nanos: 30, ..Default::default() };
-        let json = snapshot::quantiles_json(&q);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"p99_nanos\":30"));
-        let doc = snapshot::document_json("demo", &[json.clone(), json]);
-        assert_eq!(doc.matches("p50_nanos").count(), 2);
-        assert!(doc.ends_with("]}\n"));
-        assert!(!doc.contains("inf") && !doc.contains("NaN"));
     }
 }

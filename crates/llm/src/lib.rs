@@ -19,8 +19,8 @@
 //! *perplexity proxy*: the calibrated BF16 perplexity of the model (taken from the paper's
 //! baseline column) inflated by the measured KL divergence between the quantized and
 //! reference model's next-token distributions over a synthetic token stream. Task accuracy
-//! (Table 2) is likewise a *margin-based proxy*. DESIGN.md discusses why this preserves
-//! the result shape the reproduction targets.
+//! (Table 2) is likewise a *margin-based proxy*. Both proxies preserve the result shape
+//! the reproduction targets.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

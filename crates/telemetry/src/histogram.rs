@@ -177,8 +177,9 @@ impl QuantileSummary {
 /// * `tpot` — time per output token: the decode-step forward latency, one sample per
 ///   generated token that ran a forward pass.
 /// * `pass_latency` — coordinator scheduler-pass wall time, one sample per pass.
-/// * `queue_wait` — arrival → admission (page reservation granted), one sample per
-///   admitted sequence.
+/// * `queue_wait` — the wait an admission (page reservation granted) ends, one sample
+///   per admission after a wait: arrival → first admission, and preemption → restore.
+///   A re-admission after a worker panic adds none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
     /// Time-to-first-token quantiles.
