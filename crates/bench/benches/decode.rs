@@ -1,6 +1,7 @@
 //! Benchmark of the decode hot path under the paper's headline serving configuration
-//! (A-MXFP4+, W-MXFP4): per-token decode against caches of 64-512 positions, a
-//! 4-sequence batched serving run, and the f32-backend thread-scaling sweep.
+//! (A-MXFP4+, W-MXFP4): per-token decode against f32 caches of 64-512 positions and a
+//! 4-sequence batched serving run. The engine's thread-scaling sweep lives in the
+//! `kv_paging` bench.
 //!
 //! Decode reads cached keys/values through borrowed row slices, reuses scratch buffers,
 //! and multiplies against weights direct-cast once; a full-cache copy per step would show
@@ -49,7 +50,7 @@ fn main() {
     }
 
     h.serve("serving_batch4", &config, || {
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 64);
         for s in 0..4usize {
             let prompt: Vec<usize> = (0..8).map(|i| (s * 8 + i) % 128).collect();
             engine.submit_with(&prompt, SubmitOptions::new(32));
@@ -59,23 +60,5 @@ fn main() {
         report
     });
 
-    // Thread-scaling sweep of the f32-contiguous engine (the paged twin lives in the
-    // `kv_paging` bench): 16 resident sequences decoding in lock-step across 1/2/4/8
-    // decode worker threads. The generated streams are bit-identical at every thread
-    // count (pinned by the `mx-llm` tests).
-    const RESIDENT: usize = 16;
-    const NEW_TOKENS: usize = 24;
-    for threads in [1usize, 2, 4, 8] {
-        h.serve(&format!("f32_seqs{RESIDENT}_t{threads}"), &config, || {
-            let mut engine = ServingEngine::new(&model).with_threads(threads);
-            for s in 0..RESIDENT {
-                let prompt: Vec<usize> = (0..8).map(|i| (s * 11 + i * 3) % 128).collect();
-                engine.submit_with(&prompt, SubmitOptions::new(NEW_TOKENS));
-            }
-            let report = engine.run();
-            assert_eq!(report.generated_tokens, RESIDENT * NEW_TOKENS);
-            report
-        });
-    }
     h.finish();
 }

@@ -208,10 +208,9 @@ fn quantiles_json(q: &QuantileSummary) -> String {
 fn report_json(r: &ServingReport) -> String {
     format!(
         concat!(
-            "{{\"backend\":\"{}\",\"threads\":{},\"generated_tokens\":{},\"decode_tokens_per_sec\":{},",
+            "{{\"threads\":{},\"generated_tokens\":{},\"decode_tokens_per_sec\":{},",
             "\"ttft\":{},\"tpot\":{},\"pass_latency\":{},\"queue_wait\":{}}}"
         ),
-        r.backend,
         r.num_threads,
         r.generated_tokens,
         num(r.decode_tokens_per_sec),

@@ -13,11 +13,13 @@
 //! ## Backends
 //!
 //! The decode hot path is generic over a cache *backend* ([`KvBackend`]): this module's
-//! [`KvCache`] stores dequantized `f32` rows (the accuracy / bit-exactness baseline),
-//! while [`PagedKvCache`](crate::paging::PagedKvCache) stores rows genuinely bit-packed
-//! in pool-allocated pages — exclusively owned, or published full prompt pages
-//! refcounted-shared with other sequences under prefix sharing (reads never care which;
-//! writes only ever land in owned pages). Both
+//! [`KvCache`] stores dequantized `f32` rows and is the reference — the model's own
+//! forward, [`TransformerModel::generate_greedy`](crate::model::TransformerModel::generate_greedy)
+//! and the evaluation harness run over it — while
+//! [`PagedKvCache`](crate::paging::PagedKvCache), which the serving engine serves from,
+//! stores rows genuinely bit-packed in pool-allocated pages — exclusively owned, or
+//! published full prompt pages refcounted-shared with other sequences under prefix
+//! sharing (reads never care which; writes only ever land in owned pages). Both
 //! backends feed attention through a per-layer [`KvLayerReader`], which folds q·k and
 //! accumulates probs×V over a tile of [`TILE_POSITIONS`] cached positions at a time for
 //! a block of query rows ([`KvLayerReader::key_dots`] /
@@ -523,8 +525,8 @@ mod tests {
     #[test]
     fn storage_accounting_ceils_per_row() {
         // kv_dim = 40 under MXFP4: 40 * 4.25 = 170 bits = 21.25 bytes -> 22 bytes per
-        // stored row. The old flattened accounting (2*3*40 elements * 4.25 bits / 8,
-        // ceiled once) reported 128 bytes, undercounting the partial trailing block of
+        // stored row. Flattened accounting (2*3*40 elements * 4.25 bits / 8, ceiled
+        // once) would report 128 bytes, undercounting the partial trailing block of
         // every row.
         assert_eq!(LayerKvCache::row_storage_bytes(40, QuantScheme::mxfp4()), 22);
         let mut cache = LayerKvCache::new(40);

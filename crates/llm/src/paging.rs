@@ -1,8 +1,9 @@
-//! Paged KV-cache storage with true bit-packed MX rows, shared safely across threads.
+//! Paged KV-cache storage with true bit-packed MX rows, shared safely across threads:
+//! the storage the serving engine serves every sequence from.
 //!
-//! The serving engine's original per-sequence [`KvCache`](crate::kvcache::KvCache) stores
-//! the **dequantized f32** of the quantized keys/values — it reports theoretical scheme
-//! bytes while actually holding 32-bit rows. This module closes that gap with two pieces:
+//! The reference [`KvCache`](crate::kvcache::KvCache) holds the **dequantized f32** of
+//! the quantized keys/values, 32-bit rows whatever the scheme. This module stores the
+//! scheme's bits instead, in two pieces:
 //!
 //! * [`PagePool`] — a shared, fixed-budget allocator of pages. Each page holds
 //!   [`PagePool::page_positions`] position *slots*, and each slot stores one key row and
@@ -78,9 +79,9 @@
 //! thread serving many resident sequences carries exactly one pair of row buffers.
 //!
 //! Because [`mx_formats::RowCodec`] round-trips bit-for-bit with
-//! `QuantScheme::quantize_dequantize` — the exact values the f32 backend stores — a
-//! decode over the paged backend is **token-identical** to the same forward over the
-//! f32 [`KvCache`](crate::kvcache::KvCache), on any number of threads.
+//! `QuantScheme::quantize_dequantize` — the exact values the f32 `KvCache` stores — a
+//! decode over paged caches is **token-identical** to the same forward over the f32
+//! [`KvCache`](crate::kvcache::KvCache), on any number of threads.
 //! Dropping a [`PagedKvCache`] returns every page (and any unused reservation) to the
 //! pool, which is what lets the continuous-batching scheduler admit queued sequences as
 //! earlier ones finish.
@@ -625,7 +626,7 @@ impl PagePool {
 /// Per-worker read state of the paged backend's layer readers: the buffers single-row
 /// reads decode into, and counters of what every read decoded.
 ///
-/// Splitting the scratch out of [`PagedKvCache`] (where it used to live) is what lets a
+/// Keeping the scratch out of [`PagedKvCache`] is what lets a
 /// decode worker thread carry **one** pair of buffers across however many resident
 /// sequences it steps, instead of every cache owning its own; it is plain owned data, so
 /// each worker simply constructs its own (`PagedScratch::default()`). Attention decodes

@@ -3,9 +3,9 @@
 //! Every sequence owns its sampling configuration **and its RNG state**
 //! ([`SeqRng`], a SplitMix64 stream seeded from the run seed and the sequence id), so
 //! sampling is deterministic given `(seed, sequence id, logits)` and — because the
-//! quantized decode paths produce bit-identical logits on every backend and thread
-//! count — the sampled token streams are reproducible across the f32 / paged backends
-//! and across any `num_threads`. Thread safety falls out of ownership: no sampler state
+//! quantized decode paths produce bit-identical logits on every cache backend and
+//! thread count — the sampled token streams are reproducible across any `num_threads`.
+//! Thread safety falls out of ownership: no sampler state
 //! is shared between sequences, so there is nothing to lock.
 //!
 //! Greedy sampling ([`SamplingPolicy::Greedy`]) is exactly [`crate::model::argmax`] —

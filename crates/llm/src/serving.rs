@@ -6,25 +6,24 @@
 //! ([`TransformerModel::forward_batch_with_scratch`]) whose projections run once
 //! over every row while attention runs per sequence. A decoding sequence feeds it one
 //! row; a prefilling one feeds the next chunk of its prompt, under a budget of
-//! [`PREFILL_BUDGET`] prompt rows per forward, so a long prompt no longer stalls the
-//! decodes of its pass. Two cache backends are supported:
+//! [`PREFILL_BUDGET`] prompt rows per forward, so a long prompt does not stall the
+//! decodes of its pass.
 //!
-//! * **f32-contiguous** ([`ServingEngine::new`]): every submitted sequence is admitted
-//!   up front with its own pre-reserved [`KvCache`] of dequantized rows — the accuracy /
-//!   bit-exactness baseline.
-//! * **paged-packed** ([`ServingEngine::paged`]): sequences share a fixed-budget
-//!   [`PagePool`] whose pages hold **genuinely bit-packed** rows
-//!   ([`PagedKvCache`]). Admission is a page *reservation* for the sequence's worst case
-//!   (prompt + generation budget), so the scheduler practices true **continuous
-//!   batching**: submissions that do not fit wait in the queue and are admitted mid-run
-//!   as finishing sequences return their pages; submissions whose worst case exceeds the
-//!   whole pool are reported as [`FinishReason::Evicted`] — the *only* thing that
-//!   reason is for, now that preemption handles mere pressure.
+//! Every sequence's KV cache lives in the engine's one fixed-budget [`PagePool`] (sized
+//! by [`ServingEngine::paged`]), whose pages hold **genuinely bit-packed** rows
+//! ([`PagedKvCache`]). Admission is a page *reservation* for the sequence's worst case
+//! (prompt + generation budget), so the scheduler practices true **continuous
+//! batching**: submissions that do not fit wait in the queue and are admitted mid-run
+//! as finishing sequences return their pages; submissions whose worst case exceeds the
+//! whole pool are reported as [`FinishReason::Evicted`] — the *only* thing that reason
+//! is for, since preemption handles mere pressure. The f32
+//! [`KvCache`](crate::kvcache::KvCache) stays the reference:
+//! [`TransformerModel::generate_greedy`] decodes over it, and the engine's greedy
+//! streams equal it token for token.
 //!
 //! ## Prefix sharing and preemption
 //!
-//! On the paged backend the page pool is also the engine's prefix cache (see
-//! [`crate::paging`]):
+//! The page pool is also the engine's prefix cache (see [`crate::paging`]):
 //!
 //! * **Prefix sharing** — at every pass boundary the coordinator publishes each full
 //!   prompt page that an active or finishing sequence has written and not yet published
@@ -147,7 +146,7 @@ use mx_formats::{QuantScheme, RowCodec};
 use mx_telemetry::{Category, Histogram, LatencySummary, QuantileSummary, Recorder, Telemetry, TelemetryConfig, Trace};
 
 use crate::fault::{FaultPlan, FaultState, InjectedFault, RecoveryPolicy};
-use crate::kvcache::{KvBackend, KvCache, LayerKvCache};
+use crate::kvcache::LayerKvCache;
 use crate::model::TransformerModel;
 use crate::paging::{prefix_keys, PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
 use crate::sampling::{sample_token, Sampling, SeqRng};
@@ -189,15 +188,13 @@ pub enum FinishReason {
 enum SeqCache {
     /// Submitted, not yet admitted (no storage held).
     Waiting,
-    /// Active or finished on the f32-contiguous backend (storage retained for inspection).
-    F32(KvCache),
-    /// Active on the paged-packed backend.
+    /// Admitted: the sequence's pages in the pool.
     Paged(PagedKvCache),
     /// Preempted: pages swapped out to a host-side spill buffer, waiting to be
     /// re-admitted and restored bit-identically.
     Spilled { spilled: SpilledKv },
-    /// Finished on the paged backend: pages returned to the pool, only the final
-    /// position count is kept for accounting.
+    /// Finished: pages returned to the pool, only the final position count is kept for
+    /// accounting.
     Retired { positions: usize },
 }
 
@@ -235,9 +232,9 @@ pub struct Sequence {
     /// (see [`SubmitOptions::arrival_pass`]).
     pub arrival_pass: usize,
     /// The prompt's prefix-cache keys ([`prefix_keys`]), computed once at submit time:
-    /// `prefix_hashes[k]` covers `prompt[..(k + 1) * page_positions]`. Empty on the f32
-    /// backend and for a sequence submitted without prefix sharing, which then neither
-    /// maps nor publishes a page.
+    /// `prefix_hashes[k]` covers `prompt[..(k + 1) * page_positions]`. Empty for a
+    /// sequence submitted without prefix sharing, which then neither maps nor publishes a
+    /// page.
     prefix_hashes: Vec<u64>,
     /// Prompt positions mapped from the pool's keyed pages at admission (0 when nothing
     /// was shared); prefill skips exactly these positions.
@@ -291,7 +288,6 @@ impl Sequence {
     pub fn cached_positions(&self) -> usize {
         match &self.cache {
             SeqCache::Waiting => 0,
-            SeqCache::F32(c) => c.seq_len(),
             SeqCache::Paged(c) => c.seq_len(),
             SeqCache::Spilled { spilled } => spilled.positions(),
             SeqCache::Retired { positions } => *positions,
@@ -338,23 +334,15 @@ impl Sequence {
         }
     }
 
-    /// Returns a finished paged sequence's pages to the pool (coordinator-only; see the
+    /// Returns a finished sequence's pages to the pool (coordinator-only; see the
     /// [module docs](crate::serving)). Dropping the paged cache frees its pages — this
     /// is what funds the admission of queued sequences. A finished sequence parked in a
     /// spill buffer (deadline-exceeded while preempted, say) drops the host bytes the
     /// same way, and any recovery checkpoint goes with it.
     fn retire(&mut self) {
         if self.finish.is_some() {
-            match &self.cache {
-                SeqCache::Paged(cache) => {
-                    let positions = cache.seq_len();
-                    self.cache = SeqCache::Retired { positions };
-                }
-                SeqCache::Spilled { spilled } => {
-                    let positions = spilled.positions();
-                    self.cache = SeqCache::Retired { positions };
-                }
-                _ => {}
+            if matches!(self.cache, SeqCache::Paged(_) | SeqCache::Spilled { .. }) {
+                self.cache = SeqCache::Retired { positions: self.cached_positions() };
             }
             self.checkpoint = None;
         }
@@ -404,31 +392,11 @@ impl Sequence {
     }
 }
 
-impl SeqCache {
-    /// The f32 cache of an active f32-backend sequence.
-    fn f32_mut(&mut self) -> Option<&mut KvCache> {
-        match self {
-            SeqCache::F32(cache) => Some(cache),
-            _ => None,
-        }
-    }
-
-    /// The paged cache of an active paged-backend sequence.
-    fn paged_mut(&mut self) -> Option<&mut PagedKvCache> {
-        match self {
-            SeqCache::Paged(cache) => Some(cache),
-            _ => None,
-        }
-    }
-}
-
 /// Throughput and memory report for one [`ServingEngine::run`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Display name of the KV-cache quantization scheme.
     pub scheme: String,
-    /// Cache backend the run used: `"paged-packed"` or `"f32-contiguous"`.
-    pub backend: &'static str,
     /// Number of sequences submitted to the engine.
     pub sequences: usize,
     /// Sequences that finished by exhausting their generation budget.
@@ -495,12 +463,12 @@ pub struct ServingReport {
     /// Cache bytes by scheme math: every position ever cached, at the scheme's average
     /// width (rows byte-ceiled). What the hardware *would* hold with a perfect layout.
     pub theoretical_bytes: usize,
-    /// The same positions held in FP32 — the compression baseline.
+    /// The same positions held in FP32, as the reference [`KvCache`](crate::kvcache::KvCache)
+    /// stores them — the compression baseline.
     pub theoretical_bytes_fp32: usize,
-    /// **Measured** peak cache storage during the run: page-pool occupancy on the paged
-    /// backend (pages checked out to caches; keyed home pages count as free), f32 row
-    /// storage on the baseline backend. This is the number that exposed the old
-    /// accounting gap (f32-resident storage labelled with scheme bytes).
+    /// **Measured** peak cache storage during the run: page-pool occupancy, the pages
+    /// checked out to caches times the page size (keyed home pages count as free). Page
+    /// granularity puts it at or above [`ServingReport::theoretical_bytes`].
     pub resident_bytes: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
@@ -526,9 +494,8 @@ impl ServingReport {
         ratio(self.theoretical_bytes_fp32, self.theoretical_bytes)
     }
 
-    /// Compression of the *measured* resident bytes over theoretical FP32 storage —
-    /// ~1x for the f32 backend (it really stores f32), near the scheme ratio for the
-    /// paged backend (minus page-granularity slack).
+    /// Compression of the *measured* resident bytes over theoretical FP32 storage: near
+    /// the scheme ratio, minus page-granularity slack.
     #[must_use]
     pub fn resident_compression(&self) -> f64 {
         ratio(self.theoretical_bytes_fp32, self.resident_bytes)
@@ -694,19 +661,20 @@ impl SubmitOptions {
 /// use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 ///
 /// let model = TransformerModel::new(ModelConfig::tiny_test(3), ModelQuantConfig::BASELINE);
-/// let mut engine = ServingEngine::new(&model);
+/// let mut engine = ServingEngine::paged(&model, 16);
 /// engine.submit_with(&[1, 2, 3], SubmitOptions::new(4));
 /// engine.submit_with(&[9, 8], SubmitOptions::new(4));
 /// let report = engine.run();
 /// assert_eq!(report.sequences, 2);
 /// assert_eq!(report.generated_tokens, 8);
 /// assert_eq!(report.finished_length, 2);
+/// assert_eq!(engine.sequences()[0].generated, model.generate_greedy(&[1, 2, 3], 4));
 /// ```
 #[derive(Debug)]
 pub struct ServingEngine<'m> {
     model: &'m TransformerModel,
     sequences: Vec<Sequence>,
-    pool: Option<Arc<PagePool>>,
+    pool: Arc<PagePool>,
     num_threads: usize,
     /// Telemetry hub the run's recorders shard into (a disabled hub unless
     /// [`ServingEngine::with_telemetry`] configured one).
@@ -733,34 +701,23 @@ pub struct ServingEngine<'m> {
 }
 
 impl<'m> ServingEngine<'m> {
-    /// Creates an engine serving `model` on the f32-contiguous backend (every submission
-    /// is admitted immediately).
-    #[must_use]
-    pub fn new(model: &'m TransformerModel) -> Self {
-        ServingEngine {
-            model,
-            sequences: Vec::new(),
-            pool: None,
-            num_threads: default_threads(),
-            telemetry: Telemetry::disabled(),
-            last_trace: None,
-            faults: None,
-            recovery: None,
-            shed_watermark: None,
-            pass: 0,
-            queue_wait: Histogram::new(),
-        }
-    }
-
-    /// Creates an engine on the paged-packed backend with a pool of `total_pages` pages
-    /// of [`DEFAULT_PAGE_POSITIONS`] positions each, stored bit-packed under the model's
+    /// Creates an engine serving `model` from a pool of `total_pages` pages of
+    /// [`DEFAULT_PAGE_POSITIONS`] positions each, stored bit-packed under the model's
     /// KV-cache scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_pages` is 0 ([`PagePool::new`] asserts a non-empty pool).
     #[must_use]
     pub fn paged(model: &'m TransformerModel, total_pages: usize) -> Self {
         ServingEngine::paged_with(model, total_pages, DEFAULT_PAGE_POSITIONS)
     }
 
     /// [`ServingEngine::paged`] with an explicit page size in positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_pages` or `page_positions` is 0, which [`PagePool::new`] asserts.
     #[must_use]
     pub fn paged_with(model: &'m TransformerModel, total_pages: usize, page_positions: usize) -> Self {
         let scheme = model.quant().kv_cache;
@@ -769,7 +726,7 @@ impl<'m> ServingEngine<'m> {
         ServingEngine {
             model,
             sequences: Vec::new(),
-            pool: Some(pool),
+            pool,
             num_threads: default_threads(),
             telemetry: Telemetry::disabled(),
             last_trace: None,
@@ -811,12 +768,6 @@ impl<'m> ServingEngine<'m> {
     pub fn with_telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = Telemetry::new(&config);
         self
-    }
-
-    /// Whether event tracing is enabled (see [`ServingEngine::with_telemetry`]).
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_enabled()
     }
 
     /// Installs a deterministic [`FaultPlan`] for subsequent runs (builder-style; see
@@ -863,10 +814,10 @@ impl<'m> ServingEngine<'m> {
         self.last_trace.take()
     }
 
-    /// The shared page pool, when running on the paged backend.
+    /// The shared page pool; always `Some`.
     #[must_use]
     pub fn pool(&self) -> Option<&Arc<PagePool>> {
-        self.pool.as_ref()
+        Some(&self.pool)
     }
 
     fn kv_dim(model: &TransformerModel) -> usize {
@@ -875,11 +826,12 @@ impl<'m> ServingEngine<'m> {
 
     /// Queues a sequence with the given [`SubmitOptions`] and returns the sequence id.
     /// The sequence's RNG stream is derived from the sampling seed and the sequence id,
-    /// so runs are reproducible at any thread count. On the paged backend the prompt's
-    /// prefix-cache keys are computed here, so the sequence can map a keyed prefix at
-    /// admission and publish its own prompt pages for later submissions (unless
+    /// so runs are reproducible at any thread count. The prompt's prefix-cache keys are
+    /// computed here, so the sequence can map a keyed prefix at admission and publish its
+    /// own prompt pages for later submissions (unless
     /// [`SubmitOptions::without_prefix_sharing`] was set). Nothing is allocated in
-    /// proportion to the generation budget: storage grows as tokens arrive.
+    /// proportion to the generation budget: pages are reserved at admission and written
+    /// as tokens arrive.
     ///
     /// # Panics
     ///
@@ -895,10 +847,8 @@ impl<'m> ServingEngine<'m> {
         assert!(prompt.iter().all(|&t| t < vocab), "prompt token id out of vocabulary ({vocab})");
         let sampling = options.sampling.checked();
         let id = self.sequences.len();
-        let prefix_hashes = match &self.pool {
-            Some(pool) if options.share_prefix => prefix_keys(prompt, pool.page_positions()),
-            _ => Vec::new(),
-        };
+        let prefix_hashes =
+            if options.share_prefix { prefix_keys(prompt, self.pool.page_positions()) } else { Vec::new() };
         self.sequences.push(Sequence {
             id,
             prompt: prompt.to_vec(),
@@ -968,11 +918,11 @@ impl<'m> ServingEngine<'m> {
         self.population(report.passes)
     }
 
-    /// Stops immediately: every live paged sequence is spilled to a host-side buffer
+    /// Stops immediately: every live admitted sequence is spilled to a host-side buffer
     /// ([`PagedKvCache::spill`], bit-exact) without running another pass, returning all
     /// of its pages and reservations to the pool. A later [`ServingEngine::run`]
     /// restores and finishes them with token streams identical to an uninterrupted
-    /// run. f32-backend sequences keep their host-memory caches as-is.
+    /// run.
     pub fn shutdown(&mut self) -> DrainReport {
         for seq in &mut self.sequences {
             if seq.finish.is_none() {
@@ -1032,7 +982,7 @@ impl<'m> ServingEngine<'m> {
         let checkpoint_every =
             if self.recovery.is_some() || self.faults.is_some() { policy.checkpoint_every } else { 0 };
         let mut rec = self.telemetry.recorder(0);
-        stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
+        stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
 
         while stats.passes < max_passes {
             let pass = self.pass;
@@ -1043,13 +993,13 @@ impl<'m> ServingEngine<'m> {
                 self.shed_overloaded(&mut rec);
                 self.admit_waiting(stats, &mut rec);
             }
-            stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
+            stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
 
             let (active, mut seqs): (Vec<usize>, Vec<&mut Sequence>) = self
                 .sequences
                 .iter_mut()
                 .enumerate()
-                .filter(|(_, s)| s.finish.is_none() && matches!(s.cache, SeqCache::F32(_) | SeqCache::Paged(_)))
+                .filter(|(_, s)| s.finish.is_none() && matches!(s.cache, SeqCache::Paged(_)))
                 .unzip();
             let chunk = active.len().div_ceil(workers.len()).max(1);
             let faults: Vec<Option<InjectedFault>> = (0..active.len())
@@ -1063,13 +1013,11 @@ impl<'m> ServingEngine<'m> {
 
             // Pool occupancy only grows during a pass (retirement is below), so sampling
             // here captures the exact peak before the coordinator reclaims pages.
-            stats.peak_resident = stats.peak_resident.max(self.resident_bytes());
+            stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
             if rec.is_enabled() {
-                if let Some(pool) = &self.pool {
-                    rec.counter(Category::Occupancy, "in_use_pages", pool.in_use_pages() as u64);
-                    rec.counter(Category::Occupancy, "reserved_pages", pool.reserved_pages() as u64);
-                }
-                rec.counter(Category::Occupancy, "resident_bytes", self.resident_bytes() as u64);
+                rec.counter(Category::Occupancy, "in_use_pages", self.pool.in_use_pages() as u64);
+                rec.counter(Category::Occupancy, "reserved_pages", self.pool.reserved_pages() as u64);
+                rec.counter(Category::Occupancy, "resident_bytes", self.pool.resident_bytes() as u64);
             }
             for seq in &mut self.sequences {
                 seq.publish();
@@ -1170,7 +1118,7 @@ impl<'m> ServingEngine<'m> {
     fn shed_overloaded(&mut self, rec: &mut Recorder) {
         let Some(watermark) = self.shed_watermark else { return };
         let pass = self.pass;
-        let Some(pool) = self.pool.clone() else { return };
+        let pool = &self.pool;
         let layers = self.model.config().layers;
         let mut queued: Vec<(usize, usize)> = self
             .sequences
@@ -1182,7 +1130,7 @@ impl<'m> ServingEngine<'m> {
                 // refusing it now would throw away work instead of refusing load.
                 s.finish.is_none() && s.arrival_pass <= pass && s.attempts == 0 && matches!(s.cache, SeqCache::Waiting)
             })
-            .map(|(i, s)| (i, PagedKvCache::pages_needed(&pool, layers, s.capacity())))
+            .map(|(i, s)| (i, PagedKvCache::pages_needed(pool, layers, s.capacity())))
             // A submission larger than the whole pool is evicted at admission, and is no
             // load the pool could carry.
             .filter(|&(_, needed)| needed <= pool.total_pages())
@@ -1270,18 +1218,15 @@ impl<'m> ServingEngine<'m> {
     }
 
     /// Debug-build pass-boundary sanitizer: reconciles the page pool against every
-    /// live paged cache (see [`crate::paging::audit_caches`]). No-op in release
-    /// builds and on the f32 backend.
+    /// live paged cache (see [`crate::paging::audit_caches`]). No-op in release builds.
     fn audit_pool(&self) {
-        if let Some(pool) = &self.pool {
-            crate::paging::audit_caches(
-                pool,
-                self.sequences.iter().filter_map(|s| match &s.cache {
-                    SeqCache::Paged(cache) => Some(cache),
-                    _ => None,
-                }),
-            );
-        }
+        crate::paging::audit_caches(
+            &self.pool,
+            self.sequences.iter().filter_map(|s| match &s.cache {
+                SeqCache::Paged(cache) => Some(cache),
+                _ => None,
+            }),
+        );
     }
 
     /// Assembles the [`ServingReport`] of a finished run.
@@ -1306,7 +1251,6 @@ impl<'m> ServingEngine<'m> {
         }
         ServingReport {
             scheme: scheme.name(),
-            backend: if self.pool.is_some() { "paged-packed" } else { "f32-contiguous" },
             sequences: self.sequences.len(),
             finished_length: count(FinishReason::Length),
             finished_stop: count(FinishReason::Stop),
@@ -1349,14 +1293,13 @@ impl<'m> ServingEngine<'m> {
     }
 
     /// Admits arrived waiting and preempted sequences: highest priority first, FCFS
-    /// (submission id) within a priority class — the default priority 0 everywhere
-    /// reproduces the old pure-FCFS order exactly. On the f32 backend every sequence is
-    /// admitted; on the paged backend admission reserves the sequence's worst-case page
-    /// count (reduced by any shared prompt prefix), preempting strictly lower-priority
-    /// running sequences when the reservation does not fit, and stalling the queue (not
-    /// skipping ahead) when the head still cannot be funded. Prefill itself is *not*
-    /// done here — the workers prefill an admitted sequence a chunk per pass inside
-    /// their batched forwards, keeping the coordinator to pure bookkeeping.
+    /// (submission id) within a priority class, so equal priorities admit in pure FCFS
+    /// order. Admission reserves the sequence's worst-case page count (reduced by any
+    /// shared prompt prefix), preempting strictly lower-priority running sequences when
+    /// the reservation does not fit, and stalling the queue (not skipping ahead) when the
+    /// head still cannot be funded. Prefill itself is *not* done here — the workers
+    /// prefill an admitted sequence a chunk per pass inside their batched forwards,
+    /// keeping the coordinator to pure bookkeeping.
     fn admit_waiting(&mut self, stats: &mut RunStats, rec: &mut Recorder) {
         let pass = self.pass;
         let mut waiting: Vec<usize> = (0..self.sequences.len())
@@ -1393,19 +1336,10 @@ impl<'m> ServingEngine<'m> {
         let kv_dim = Self::kv_dim(self.model);
         let scheme = self.model.quant().kv_cache;
         let capacity = self.sequences[idx].capacity();
-        let Some(pool) = self.pool.clone() else {
-            let seq = &mut self.sequences[idx];
-            // Rows beyond the prompt grow the cache as they arrive, so no budget
-            // allocates anything up front.
-            seq.cache = SeqCache::F32(KvCache::with_capacity(layers, kv_dim, seq.prompt.len()));
-            stats.prompt_tokens += seq.prompt.len();
-            end_queue_wait(seq, &mut self.queue_wait, rec);
-            rec.instant(Category::Lifecycle, "admitted", "seq", seq.id as u64);
-            return true;
-        };
-        // Every paged admission attempt advances the counter injected reservation
-        // denials are addressed by; a denial stalls the head of the queue for one pass,
-        // exactly like a real transient pool exhaustion.
+        let pool = Arc::clone(&self.pool);
+        // Every admission attempt advances the counter injected reservation denials are
+        // addressed by; a denial stalls the head of the queue for one pass, exactly like
+        // a real transient pool exhaustion.
         if self.faults.as_mut().is_some_and(FaultState::deny_admission) {
             rec.instant(Category::Fault, "reservation_denied", "seq", self.sequences[idx].id as u64);
             return false;
@@ -1469,7 +1403,7 @@ impl<'m> ServingEngine<'m> {
     /// one's reservation plus the keyed home pages its prompt maps — beyond what is
     /// available.
     fn shortfall(&self, idx: usize) -> usize {
-        let Some(pool) = &self.pool else { return 0 };
+        let pool = &self.pool;
         let layers = self.model.config().layers;
         let seq = &self.sequences[idx];
         let demand = match seq.cache {
@@ -1535,22 +1469,6 @@ impl<'m> ServingEngine<'m> {
             seq.queued_ns = Some(rec.now_nanos());
             rec.instant(Category::Lifecycle, "preempted", "seq", seq.id as u64);
             stats.preemptions += 1;
-        }
-    }
-
-    /// Current measured cache storage across the engine (see
-    /// [`ServingReport::resident_bytes`]).
-    fn resident_bytes(&self) -> usize {
-        match &self.pool {
-            Some(pool) => pool.resident_bytes(),
-            None => self
-                .sequences
-                .iter()
-                .map(|s| match &s.cache {
-                    SeqCache::F32(c) => c.resident_bytes(),
-                    _ => 0,
-                })
-                .sum(),
         }
     }
 }
@@ -1780,29 +1698,16 @@ fn step_batch(
 /// last emitted token (one row) or the next `rows` positions of its prompt. Each
 /// sequence that decoded, or whose chunk completed its prompt, then samples its next
 /// token from its own logits row with its own RNG and emits it
-/// ([`Sequence::emit`]).
+/// ([`Sequence::emit`]). Only the rows that get sampled reach the lm_head: each decode
+/// row and the last row of each chunk that completes its prompt.
 fn forward_batch(model: &TransformerModel, seqs: &mut [(&mut Sequence, usize)], scratch: &mut PagedScratch) {
-    // An engine runs one backend, so one of the two calls finds no member.
-    forward_on(model, seqs, SeqCache::f32_mut, &mut ());
-    forward_on(model, seqs, SeqCache::paged_mut, scratch);
-}
-
-/// [`forward_batch`] over the members of `seqs` whose cache `cache_of` selects. Only
-/// the rows that get sampled reach the lm_head: each decode row and the last row of
-/// each chunk that completes its prompt.
-fn forward_on<B: KvBackend>(
-    model: &TransformerModel,
-    seqs: &mut [(&mut Sequence, usize)],
-    cache_of: fn(&mut SeqCache) -> Option<&mut B>,
-    scratch: &mut B::Scratch,
-) {
     let mut sampled = Vec::with_capacity(seqs.len());
     let mut logit_rows = Vec::with_capacity(seqs.len());
     let mut segments = Vec::with_capacity(seqs.len());
     let mut stacked = 0;
     for (i, (seq, rows)) in seqs.iter_mut().enumerate() {
-        let Sequence { prompt, generated, cache, .. } = &mut **seq;
-        let Some(cache) = cache_of(cache) else { continue };
+        // Every member is active, so it holds its pages.
+        let Sequence { prompt, generated, cache: SeqCache::Paged(cache), .. } = &mut **seq else { continue };
         let (tokens, samples) = match generated.last() {
             Some(last) => (std::slice::from_ref(last), true),
             None => {
@@ -1818,9 +1723,6 @@ fn forward_on<B: KvBackend>(
             logit_rows.push(stacked - 1);
         }
         segments.push((tokens, cache));
-    }
-    if segments.is_empty() {
-        return;
     }
     let logits = model.forward_batch_logits_with_scratch(&mut segments, &logit_rows, scratch);
     drop(segments);
@@ -1851,7 +1753,7 @@ mod tests {
     fn batched_decode_matches_sequential_greedy_generation() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let prompts: [&[usize]; 3] = [&[1, 2, 3], &[7, 7], &[10, 20, 30, 40]];
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 64);
         for p in prompts {
             engine.submit_with(p, SubmitOptions::new(6));
         }
@@ -1872,7 +1774,7 @@ mod tests {
     #[test]
     fn report_accounts_tokens_and_cache_bytes() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[1, 2, 3, 4], SubmitOptions::new(5));
         engine.submit_with(&[5, 6], SubmitOptions::new(5));
         let report = engine.run();
@@ -1880,22 +1782,20 @@ mod tests {
         assert_eq!(report.prompt_tokens, 6);
         assert_eq!(report.generated_tokens, 10);
         assert_eq!(report.scheme, "MXFP4");
-        assert_eq!(report.backend, "f32-contiguous");
         assert_eq!(report.finished_length, 2);
         // tiny_test: 2 layers, kv_dim 64. One cached row per prompt token plus one per
         // decode step; the final budgeted token is sampled without its own forward pass.
         let expected_rows = (4 + 4) + (2 + 4);
         let per_row = LayerKvCache::row_storage_bytes(64, QuantScheme::mxfp4());
+        assert_eq!(per_row, 34, "64 4-bit codes plus two shared scales");
         assert_eq!(report.theoretical_bytes, 2 * 2 * expected_rows * per_row);
         assert!(report.theoretical_compression() > 7.0, "4.25-bit cache must compress FP32 by ~7.5x");
-        // The satellite fix this field exists for: the f32 backend's *measured* storage
-        // is full f32 — here the row storage as it grew: each cache reserves its
-        // prompt's rows at admission and doubles as decode rows arrive (4 → 8 and
-        // 2 → 4 → 8 positions), across 2 layers, K and V, 64 floats per row — not the
-        // scheme's width.
-        assert_eq!(report.resident_bytes, 2 * 2 * (8 + 8) * 64 * 4);
-        assert!(report.resident_bytes >= report.theoretical_bytes_fp32);
-        assert!(report.resident_compression() <= 1.0 + 1e-9);
+        // The measured storage is whole pages of packed rows: both sequences are resident
+        // at once, each in one page per layer (8 and 6 of its 16 positions used), and a
+        // page slot holds a packed key row and a packed value row.
+        assert_eq!(report.resident_bytes, 2 * 2 * 16 * (2 * per_row));
+        assert!(report.resident_bytes >= report.theoretical_bytes);
+        assert!(report.resident_compression() > 3.0, "{}", report.resident_compression());
         assert!(report.decode_tokens_per_sec > 0.0);
         // The new timing fields are populated and self-consistent.
         assert!(report.wall_seconds > 0.0);
@@ -1950,7 +1850,7 @@ mod tests {
     #[test]
     fn run_is_idempotent_once_finished() {
         let model = model(ModelQuantConfig::BASELINE);
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[2, 4, 6], SubmitOptions::new(3));
         let first = engine.run();
         assert_eq!(first.generated_tokens, 3);
@@ -1967,7 +1867,7 @@ mod tests {
         // the stop token of a second, stop-aware run.
         let free = model.generate_greedy(&[3, 1, 4], 8);
         let stop = free[3];
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[3, 1, 4], SubmitOptions::new(8).stop_token(stop));
         let report = engine.run();
         let seq = &engine.sequences()[0];
@@ -1984,7 +1884,7 @@ mod tests {
         let model = model(ModelQuantConfig::BASELINE);
         let free = model.generate_greedy(&[2, 2], 4);
         let never = (0..model.config().vocab).find(|t| !free.contains(t)).unwrap();
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[2, 2], SubmitOptions::new(4).stop_token(never));
         engine.run();
         let seq = &engine.sequences()[0];
@@ -1995,7 +1895,7 @@ mod tests {
     #[test]
     fn zero_budget_sequences_finish_without_tokens() {
         let model = model(ModelQuantConfig::BASELINE);
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[1, 2, 3], SubmitOptions::new(0));
         let report = engine.run();
         assert_eq!(report.generated_tokens, 0);
@@ -2008,22 +1908,19 @@ mod tests {
         let quant = ModelQuantConfig::uniform(QuantScheme::mxfp4());
         let model = model(quant);
         let prompts: [&[usize]; 3] = [&[1, 2, 3], &[9, 8], &[5, 5, 5, 5]];
-        let mut flat = ServingEngine::new(&model);
         let mut paged = ServingEngine::paged(&model, 64);
         for p in prompts {
-            flat.submit_with(p, SubmitOptions::new(6));
             paged.submit_with(p, SubmitOptions::new(6));
         }
-        let flat_report = flat.run();
         let paged_report = paged.run();
-        assert_eq!(paged_report.backend, "paged-packed");
-        assert_eq!(paged_report.generated_tokens, flat_report.generated_tokens);
-        for (a, b) in flat.sequences().iter().zip(paged.sequences()) {
-            assert_eq!(a.generated, b.generated, "sequence {} diverges across backends", a.id);
+        assert_eq!(paged_report.generated_tokens, 3 * 6);
+        for (seq, p) in paged.sequences().iter().zip(prompts) {
+            // Packed pages serve the rows the reference f32 cache holds, bit for bit.
+            assert_eq!(seq.generated, model.generate_greedy(p, 6), "sequence {} diverges from the reference", seq.id);
         }
-        // The paged backend's measured bytes sit near the scheme width, well below f32
-        // even with these short sequences half-filling their 16-position pages (the
-        // integration tests pin the >=4x ratio at realistic lengths).
+        // The measured bytes sit near the scheme width, well below f32 even with these
+        // short sequences half-filling their 16-position pages (the integration tests pin
+        // the >=4x ratio at realistic lengths).
         assert!(paged_report.resident_bytes < paged_report.theoretical_bytes_fp32 / 3);
         // All pages returned after the run.
         let pool = paged.pool().unwrap();
@@ -2077,9 +1974,9 @@ mod tests {
     fn explicit_thread_counts_agree_with_the_default_engine() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         let prompts: [&[usize]; 5] = [&[1, 2, 3], &[7, 7], &[10, 20, 30, 40], &[2], &[8, 6, 4]];
-        let mut reference: Option<Vec<Vec<usize>>> = None;
+        let reference: Vec<Vec<usize>> = prompts.iter().map(|p| model.generate_greedy(p, 7)).collect();
         for threads in [1usize, 2, 3, 8] {
-            let mut engine = ServingEngine::new(&model).with_threads(threads);
+            let mut engine = ServingEngine::paged(&model, 64).with_threads(threads);
             for p in prompts {
                 engine.submit_with(p, SubmitOptions::new(7));
             }
@@ -2087,10 +1984,7 @@ mod tests {
             assert_eq!(report.num_threads, threads);
             assert_eq!(report.generated_tokens, 5 * 7);
             let outputs: Vec<Vec<usize>> = engine.sequences().iter().map(|s| s.generated.clone()).collect();
-            match &reference {
-                None => reference = Some(outputs),
-                Some(r) => assert_eq!(r, &outputs, "outputs diverge at {threads} threads"),
-            }
+            assert_eq!(outputs, reference, "outputs diverge at {threads} threads");
         }
     }
 
@@ -2099,7 +1993,7 @@ mod tests {
         let model = model(ModelQuantConfig::BASELINE);
         let sampling = Sampling::top_k(4, 0.9, 1234);
         let run = |threads: usize| {
-            let mut engine = ServingEngine::new(&model).with_threads(threads);
+            let mut engine = ServingEngine::paged(&model, 16).with_threads(threads);
             engine.submit_with(&[3, 1, 4], SubmitOptions::new(12).sampling(sampling));
             engine.submit_with(&[2, 7], SubmitOptions::new(12).sampling(sampling));
             engine.run();
@@ -2115,7 +2009,7 @@ mod tests {
         assert!(a[0].iter().all(|&t| t < model.config().vocab));
         // A different seed almost surely takes a different path within 12 tokens of
         // k=4 sampling; pin it so the seed is demonstrably load-bearing.
-        let mut other = ServingEngine::new(&model);
+        let mut other = ServingEngine::paged(&model, 16);
         other.submit_with(&[3, 1, 4], SubmitOptions::new(12).sampling(Sampling::top_k(4, 0.9, 77)));
         other.run();
         assert_ne!(a[0], other.sequences()[0].generated, "different seeds must decorrelate");
@@ -2124,7 +2018,7 @@ mod tests {
     #[test]
     fn greedy_sampling_field_defaults_preserve_old_submissions() {
         let model = model(ModelQuantConfig::BASELINE);
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[5, 9], SubmitOptions::new(4));
         assert_eq!(engine.sequences()[0].sampling, Sampling::GREEDY);
         engine.run();
@@ -2136,7 +2030,7 @@ mod tests {
         let model = model(ModelQuantConfig::BASELINE);
         // Sample freely once to learn the stream, then stop on its third token.
         let sampling = Sampling::top_p(0.8, 1.0, 99);
-        let mut free = ServingEngine::new(&model);
+        let mut free = ServingEngine::paged(&model, 16);
         free.submit_with(&[6, 2, 8], SubmitOptions::new(10).sampling(sampling));
         free.run();
         let stream = free.sequences()[0].generated.clone();
@@ -2146,7 +2040,7 @@ mod tests {
         if stream[..3].contains(&stop) {
             return;
         }
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 16);
         engine.submit_with(&[6, 2, 8], SubmitOptions::new(10).stop_token(stop).sampling(sampling));
         engine.run();
         let seq = &engine.sequences()[0];
@@ -2385,7 +2279,7 @@ mod tests {
     #[should_panic(expected = "prompt must be non-empty")]
     fn submit_rejects_empty_prompts() {
         let model = model(ModelQuantConfig::BASELINE);
-        ServingEngine::new(&model).submit_with(&[], SubmitOptions::new(4));
+        ServingEngine::paged(&model, 16).submit_with(&[], SubmitOptions::new(4));
     }
 
     #[test]
@@ -2424,8 +2318,8 @@ mod tests {
     fn huge_generation_budgets_allocate_nothing_up_front() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         for budget in [1usize << 40, usize::MAX] {
-            // The paged backend evicts a request no pool could ever hold and serves the
-            // rest of the run as usual...
+            // A request no pool could ever hold is evicted, and the rest of the run is
+            // served as usual.
             let mut paged = ServingEngine::paged(&model, 16).with_threads(1);
             paged.submit_with(&[1, 2, 3], SubmitOptions::new(budget));
             paged.submit_with(&[4, 5], SubmitOptions::new(3));
@@ -2433,14 +2327,6 @@ mod tests {
             assert_eq!(paged.sequences()[0].finish_reason(), Some(FinishReason::Evicted), "budget {budget}");
             assert_eq!(paged.sequences()[1].generated, model.generate_greedy(&[4, 5], 3), "budget {budget}");
             assert_eq!(paged.pool().unwrap().in_use_pages(), 0);
-            // ...and the f32 backend serves it, its storage growing as tokens arrive.
-            let mut flat = ServingEngine::new(&model).with_threads(1);
-            flat.submit_with(&[1, 2, 3], SubmitOptions::new(budget));
-            let report = flat.run_for(4);
-            let seq = &flat.sequences()[0];
-            assert_eq!(seq.generated, model.generate_greedy(&[1, 2, 3], 4), "budget {budget}");
-            assert_eq!(seq.finish_reason(), None);
-            assert!(report.resident_bytes < 1 << 20, "budget {budget}: {} bytes resident", report.resident_bytes);
         }
     }
 
@@ -2449,7 +2335,7 @@ mod tests {
     fn submit_rejects_top_k_of_zero() {
         let model = model(ModelQuantConfig::BASELINE);
         let sampling = Sampling { policy: SamplingPolicy::TopK { k: 0 }, temperature: 1.0, seed: 0 };
-        ServingEngine::new(&model).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
+        ServingEngine::paged(&model, 16).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
     }
 
     #[test]
@@ -2465,13 +2351,13 @@ mod tests {
     fn submit_rejects_a_nan_temperature() {
         let model = model(ModelQuantConfig::BASELINE);
         let sampling = Sampling { policy: SamplingPolicy::TopK { k: 4 }, temperature: f32::NAN, seed: 0 };
-        ServingEngine::new(&model).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
+        ServingEngine::paged(&model, 16).submit_with(&[1, 2], SubmitOptions::new(4).sampling(sampling));
     }
 
     #[test]
     #[should_panic(expected = "at least one decode thread")]
     fn zero_threads_is_rejected() {
         let model = model(ModelQuantConfig::BASELINE);
-        let _ = ServingEngine::new(&model).with_threads(0);
+        let _ = ServingEngine::paged(&model, 16).with_threads(0);
     }
 }

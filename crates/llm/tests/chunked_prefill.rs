@@ -2,9 +2,8 @@
 //! under a per-forward budget of [`PREFILL_BUDGET`] prompt rows.
 //!
 //! * Tokens equal [`TransformerModel::generate_greedy`] for prompts of 1, 63, 64, 65 and
-//!   200 tokens plus a shared-prefix mix, on the f32 and paged backends, at 1, 2 and 4
-//!   threads, under A-MXFP4+ and BASELINE: chunk boundaries and thread counts cannot
-//!   change a token.
+//!   200 tokens plus a shared-prefix mix, at 1, 2 and 4 threads, under A-MXFP4+ and
+//!   BASELINE: chunk boundaries and thread counts cannot change a token.
 //! * No batched forward carries more than [`PREFILL_BUDGET`] prompt rows, and a lone
 //!   200-token prompt takes ⌈200/64⌉ = 4 forwards.
 //! * An injected panic on a sequence in mid-prefill costs only that sequence, and its
@@ -54,31 +53,26 @@ fn chunked_prefill_is_token_identical_across_backends_threads_and_schemes() {
         let model = TransformerModel::new(ModelConfig::tiny_test(41), quant);
         let reference: Vec<Vec<usize>> = workload.iter().map(|(p, _)| model.generate_greedy(p, NEW_TOKENS)).collect();
         for threads in [1usize, 2, 4] {
-            for paged in [false, true] {
-                let mut engine = if paged { ServingEngine::paged(&model, 256) } else { ServingEngine::new(&model) };
-                engine = engine.with_threads(threads);
-                submit_all(&mut engine, &workload);
-                let report = engine.run();
-                let label = format!("{name}, {threads} threads, {}", report.backend);
-                assert_eq!(report.failed + report.retries, 0, "{label}");
-                for (seq, expected) in engine.sequences().iter().zip(&reference) {
-                    assert_eq!(
-                        &seq.generated,
-                        expected,
-                        "{label}: sequence {} ({} prompt tokens)",
-                        seq.id,
-                        seq.prompt.len()
-                    );
-                }
-                if paged {
-                    // The recipients mapped the 4 full pages (64 positions) of the 70 they
-                    // share with the donor.
-                    assert!(report.prefill_tokens_saved >= 2 * 64, "{label}: {}", report.prefill_tokens_saved);
-                    let pool = engine.pool().expect("paged engine has a pool");
-                    assert_eq!(pool.in_use_pages(), 0, "{label}: pages leaked");
-                    assert_eq!(pool.reserved_pages(), 0, "{label}: reservations leaked");
-                }
+            let mut engine = ServingEngine::paged(&model, 256).with_threads(threads);
+            submit_all(&mut engine, &workload);
+            let report = engine.run();
+            let label = format!("{name}, {threads} threads");
+            assert_eq!(report.failed + report.retries, 0, "{label}");
+            for (seq, expected) in engine.sequences().iter().zip(&reference) {
+                assert_eq!(
+                    &seq.generated,
+                    expected,
+                    "{label}: sequence {} ({} prompt tokens)",
+                    seq.id,
+                    seq.prompt.len()
+                );
             }
+            // The recipients mapped the 4 full pages (64 positions) of the 70 they share
+            // with the donor.
+            assert!(report.prefill_tokens_saved >= 2 * 64, "{label}: {}", report.prefill_tokens_saved);
+            let pool = engine.pool().expect("the engine has a pool");
+            assert_eq!(pool.in_use_pages(), 0, "{label}: pages leaked");
+            assert_eq!(pool.reserved_pages(), 0, "{label}: reservations leaked");
         }
     }
 }

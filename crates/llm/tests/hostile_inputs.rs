@@ -4,9 +4,8 @@
 //! the edges of their types — budgets up to `usize::MAX`; NaN, infinite, zero and
 //! negative temperatures and `p`; `k = 0`; token ids at and past the vocabulary;
 //! arrival, deadline, TTFT and backoff passes at `usize::MAX`; priorities at
-//! `i32::MIN` / `i32::MAX` — and serves them on the paged and f32 backends at 1 and 2
-//! threads, with one injected worker panic so the recovery policy is exercised. It
-//! asserts that:
+//! `i32::MIN` / `i32::MAX` — and serves them at 1 and 2 threads, with one injected
+//! worker panic so the recovery policy is exercised. It asserts that:
 //!
 //! * `submit_with` either accepts a submission or rejects it with one of the panics its
 //!   `# Panics` section documents, leaving the sequence table unchanged;
@@ -15,8 +14,8 @@
 //! * every well-formed greedy sequence that finished `Length` equals `generate_greedy`.
 //!
 //! `run()` is never called: a submission arriving at pass `usize::MAX` keeps it idling
-//! by design. `drain()` does finish every resident sequence, and the f32 backend serves
-//! any budget, so there a budget past [`F32_BUDGET_CAP`] also carries a deadline.
+//! by design. `drain()` does finish every resident sequence: a budget no pool could hold
+//! is evicted at admission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -32,12 +31,6 @@ fn model() -> &'static TransformerModel {
     MODEL.get_or_init(|| TransformerModel::new(ModelConfig::tiny_test(41), ModelQuantConfig::a_mxfp4_plus()))
 }
 
-/// Largest budget the f32 backend is left to serve without a deadline.
-const F32_BUDGET_CAP: usize = 64;
-
-/// Pass by which a capped f32 submission must finish.
-const F32_DEADLINE: usize = 24;
-
 /// Draws one entry of `pool`, consuming the low digits of `bits` in base `pool.len()`.
 fn pick<T: Copy>(bits: &mut u64, pool: &[T]) -> T {
     let value = pool[(*bits % pool.len() as u64) as usize];
@@ -46,7 +39,7 @@ fn pick<T: Copy>(bits: &mut u64, pool: &[T]) -> T {
 }
 
 /// One hostile submission derived from 64 random bits: its prompt and options.
-fn submission(mut bits: u64, vocab: usize, paged: bool) -> (Vec<usize>, SubmitOptions) {
+fn submission(mut bits: u64, vocab: usize) -> (Vec<usize>, SubmitOptions) {
     let b = &mut bits;
     let prefix = pick(b, &[0usize, 3, 17, 33]);
     let mut prompt: Vec<usize> = (0..prefix).map(|i| (i * 7 + 3) % vocab).collect();
@@ -73,9 +66,6 @@ fn submission(mut bits: u64, vocab: usize, paged: bool) -> (Vec<usize>, SubmitOp
     opts.deadline_pass = pick(b, &[None, None, None, Some(0), Some(2), Some(usize::MAX)]);
     opts.ttft_deadline = pick(b, &[None, None, None, Some(0), Some(1), Some(usize::MAX)]);
     opts.share_prefix = pick(b, &[true, false]);
-    if !paged && opts.max_new_tokens > F32_BUDGET_CAP {
-        opts.deadline_pass = Some(opts.deadline_pass.map_or(F32_DEADLINE, |d| d.min(F32_DEADLINE)));
-    }
     (prompt, opts)
 }
 
@@ -112,13 +102,13 @@ proptest! {
         let model = model();
         let vocab = model.config().vocab;
         let policy = recovery_policy(policy_bits);
-        for (paged, threads) in [(true, 1usize), (true, 2), (false, 1), (false, 2)] {
+        for threads in [1usize, 2] {
             let plan = FaultPlan::seeded(policy_bits).inject(FaultKind::WorkerPanic { worker: 0, job: panic_job });
-            let engine = if paged { ServingEngine::paged(model, 24) } else { ServingEngine::new(model) };
-            let mut engine = engine.with_threads(threads).with_faults(plan).with_recovery(policy);
+            let mut engine =
+                ServingEngine::paged(model, 24).with_threads(threads).with_faults(plan).with_recovery(policy);
             let mut accepted = Vec::new();
             for &bits in &subs {
-                let (prompt, opts) = submission(bits, vocab, paged);
+                let (prompt, opts) = submission(bits, vocab);
                 let before = engine.sequences().len();
                 let submitted = catch_unwind(AssertUnwindSafe(|| engine.submit_with(&prompt, opts))).is_ok();
                 prop_assert_eq!(submitted, !rejected(&prompt, &opts, vocab), "{:?} {:?}", prompt, opts);
@@ -132,16 +122,15 @@ proptest! {
             engine.run_for(10);
             engine.drain();
 
-            if let Some(pool) = engine.pool() {
-                pool.audit();
-                prop_assert_eq!((pool.in_use_pages(), pool.reserved_pages()), (0, 0), "paged {} t{}", paged, threads);
-            }
+            let pool = engine.pool().unwrap();
+            pool.audit();
+            prop_assert_eq!((pool.in_use_pages(), pool.reserved_pages()), (0, 0), "t{}", threads);
             for (seq, (prompt, opts)) in engine.sequences().iter().zip(&accepted) {
                 if seq.finish_reason() == Some(FinishReason::Length) && opts.sampling.policy == SamplingPolicy::Greedy {
                     prop_assert_eq!(
                         &seq.generated,
                         &model.generate_greedy(prompt, seq.generated.len()),
-                        "paged {} t{}: sequence {} {:?}", paged, threads, seq.id, opts
+                        "t{}: sequence {} {:?}", threads, seq.id, opts
                     );
                 }
             }

@@ -1,10 +1,10 @@
 //! ISSUE-3 acceptance tests for the paged KV-cache subsystem and the continuous-batching
 //! scheduler:
 //!
-//! * a 256-token batched decode over the paged-packed backend is **token-identical** to
-//!   the f32 backend;
-//! * under a 4-bit scheme the paged cache's measured `resident_bytes` is ≥ 4x smaller
-//!   than the f32 baseline's for the same sequence set;
+//! * a 256-token batched decode over packed pages is **token-identical** to
+//!   `TransformerModel::generate_greedy`, which decodes over the f32 `KvCache`;
+//! * under a 4-bit scheme the measured `resident_bytes` is ≥ 4x smaller than the same
+//!   positions held in f32 (`theoretical_bytes_fp32`);
 //! * an over-subscribed run admits late sequences as earlier ones finish, accounts for
 //!   every sequence in the final report, and returns every page to the pool.
 
@@ -23,34 +23,29 @@ fn paged_256_token_batched_decode_is_token_identical_and_4x_smaller() {
     assert_eq!(model.quant().kv_cache, QuantScheme::mxfp4());
     let prompts: [&[usize]; 4] = [&[1, 2, 3, 4], &[9, 8, 7], &[5, 5, 5, 5, 5], &[100, 90, 80]];
 
-    let mut flat = ServingEngine::new(&model);
     let mut paged = ServingEngine::paged(&model, 64);
     for p in prompts {
-        flat.submit_with(p, SubmitOptions::new(64));
         paged.submit_with(p, SubmitOptions::new(64));
     }
-    let flat_report = flat.run();
     let paged_report = paged.run();
 
     // 4 sequences x 64 tokens: a 256-token batched decode.
     assert_eq!(paged_report.generated_tokens, 256);
-    assert_eq!(flat_report.generated_tokens, 256);
 
-    // Token-identical output across backends, sequence by sequence.
-    for (a, b) in flat.sequences().iter().zip(paged.sequences()) {
-        assert_eq!(a.generated, b.generated, "sequence {} diverges between f32 and paged backends", a.id);
-        assert_eq!(a.generated.len(), 64);
+    // Token-identical to the f32-cache reference, sequence by sequence.
+    for (seq, p) in paged.sequences().iter().zip(prompts) {
+        assert_eq!(seq.generated, model.generate_greedy(p, 64), "sequence {} diverges from the reference", seq.id);
+        assert_eq!(seq.generated.len(), 64);
     }
 
-    // The f32 backend measures full f32 row allocations; the paged backend measures
-    // packed pages. MXFP4 packs 64-element rows to 34 bytes vs 256 bytes of f32 (7.5x);
-    // page slack at 16-position granularity still leaves well over the required 4x.
-    assert!(flat_report.resident_bytes >= flat_report.theoretical_bytes_fp32);
+    // The pool measures packed pages. MXFP4 packs 64-element rows to 34 bytes vs 256
+    // bytes of f32 (7.5x); page slack at 16-position granularity still leaves well over
+    // the required 4x.
     assert!(
-        paged_report.resident_bytes * 4 <= flat_report.resident_bytes,
-        "paged resident bytes must be >=4x below the f32 baseline: {} vs {}",
+        paged_report.resident_compression() >= 4.0,
+        "paged resident bytes must be >=4x below f32: {} vs {}",
         paged_report.resident_bytes,
-        flat_report.resident_bytes
+        paged_report.theoretical_bytes_fp32
     );
     // And the measured number sits close to (never below) the theoretical scheme bytes.
     assert!(paged_report.resident_bytes >= paged_report.theoretical_bytes);

@@ -9,8 +9,8 @@
 //! * a pool full of keyed home pages admits a cold high-priority request without
 //!   preempting anyone, and its allocations evict a chain's tail before its head;
 //! * a key whose recorded tokens or parent differ from the prompt's is never mapped;
-//! * sharing on and off, paged and f32, at 1, 2 and 4 threads: the same tokens, and no
-//!   page in use after the run.
+//! * sharing on and off, at 1, 2 and 4 threads: the tokens of `generate_greedy` over the
+//!   f32 `KvCache`, and no page in use after the run.
 
 use std::sync::Arc;
 
@@ -185,21 +185,19 @@ fn sharing_on_and_off_paged_and_f32_runs_are_token_identical() {
         .collect();
     let reference: Vec<Vec<usize>> = workload.iter().map(|(p, o)| model.generate_greedy(p, o.max_new_tokens)).collect();
     for threads in [1usize, 2, 4] {
-        for (label, paged, share) in [("shared", true, true), ("unshared", true, false), ("f32", false, false)] {
-            let mut engine = if paged { ServingEngine::paged(&model, 24) } else { ServingEngine::new(&model) };
-            engine = engine.with_threads(threads);
+        for (label, share) in [("shared", true), ("unshared", false)] {
+            let mut engine = ServingEngine::paged(&model, 24).with_threads(threads);
             for (prompt, opts) in &workload {
                 engine.submit_with(prompt, if share { *opts } else { opts.without_prefix_sharing() });
             }
             let report = engine.run();
             let streams: Vec<Vec<usize>> = engine.sequences().iter().map(|s| s.generated.clone()).collect();
             assert_eq!(streams, reference, "{label} at {threads} threads");
-            if let Some(pool) = engine.pool() {
-                assert_eq!(pool.in_use_pages(), 0, "{label} at {threads} threads: pages leaked");
-                assert_eq!(pool.reserved_pages(), 0, "{label} at {threads} threads: reservations leaked");
-                assert_eq!(report.prefill_tokens_saved > 0, share, "{label} at {threads} threads");
-                assert_eq!(report.prefill_tokens_saved % 16, 0, "whole pages only");
-            }
+            let pool = engine.pool().unwrap();
+            assert_eq!(pool.in_use_pages(), 0, "{label} at {threads} threads: pages leaked");
+            assert_eq!(pool.reserved_pages(), 0, "{label} at {threads} threads: reservations leaked");
+            assert_eq!(report.prefill_tokens_saved > 0, share, "{label} at {threads} threads");
+            assert_eq!(report.prefill_tokens_saved % 16, 0, "whole pages only");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! paged serving engine.
 //!
 //! * a shared-prefix batch decodes **bit-identically** to the same batch without
-//!   sharing, on the f32 and paged backends, at 1 and 4 worker threads;
+//!   sharing and to `generate_greedy` over the f32 `KvCache`, at 1 and 4 worker threads;
 //! * resident bytes shrink as the shared-prefix sequence count grows (one copy of the
 //!   prompt pages instead of N), measured through `ServingReport`;
 //! * a prefix that ends mid-page shares its full pages while every holder prefills its
@@ -33,8 +33,8 @@ fn shared_prefix_prompts(n: usize, common: usize) -> Vec<Vec<usize>> {
 }
 
 /// The tentpole pin: sharing changes memory and prefill work — never a token. The same
-/// shared-prefix batch runs on the paged backend with and without sharing and on the f32
-/// baseline, at 1 and 4 threads; all six runs must agree stream for stream.
+/// shared-prefix batch runs with and without sharing at 1 and 4 threads; all four runs
+/// must agree stream for stream with solo greedy generation over the f32 `KvCache`.
 #[test]
 fn shared_prefix_batch_is_token_identical_across_backends_and_threads() {
     let model = model();
@@ -56,30 +56,17 @@ fn shared_prefix_batch_is_token_identical_across_backends_and_threads() {
         let streams: Vec<Vec<usize>> = engine.sequences().iter().map(|s| s.generated.clone()).collect();
         (report, streams)
     };
-    let f32_run = |threads: usize| {
-        let mut engine = ServingEngine::new(&model).with_threads(threads);
-        for p in &prompts {
-            engine.submit_with(p, SubmitOptions::new(new_tokens));
-        }
-        engine.run();
-        engine.sequences().iter().map(|s| s.generated.clone()).collect::<Vec<Vec<usize>>>()
-    };
+    let reference: Vec<Vec<usize>> = prompts.iter().map(|p| model.generate_greedy(p, new_tokens)).collect();
 
     let (shared_1, streams_shared_1) = paged(true, 1);
     let (_, streams_shared_4) = paged(true, 4);
     let (plain_1, streams_plain_1) = paged(false, 1);
     let (_, streams_plain_4) = paged(false, 4);
-    let streams_f32_1 = f32_run(1);
-    let streams_f32_4 = f32_run(4);
 
-    assert_eq!(streams_shared_1, streams_plain_1, "sharing changed tokens (paged, 1 thread)");
-    assert_eq!(streams_shared_1, streams_shared_4, "shared batch diverges between 1 and 4 threads");
-    assert_eq!(streams_plain_1, streams_plain_4, "unshared batch diverges between 1 and 4 threads");
-    assert_eq!(streams_shared_1, streams_f32_1, "paged-shared diverges from the f32 baseline");
-    assert_eq!(streams_f32_1, streams_f32_4, "f32 batch diverges between 1 and 4 threads");
-    for (stream, p) in streams_shared_1.iter().zip(&prompts) {
-        assert_eq!(stream, &model.generate_greedy(p, new_tokens), "batched stream diverges from solo generation");
-    }
+    assert_eq!(streams_shared_1, reference, "shared batch diverges from solo generation (1 thread)");
+    assert_eq!(streams_shared_4, reference, "shared batch diverges from solo generation (4 threads)");
+    assert_eq!(streams_plain_1, reference, "unshared batch diverges from solo generation (1 thread)");
+    assert_eq!(streams_plain_4, reference, "unshared batch diverges from solo generation (4 threads)");
 
     // The sharing actually happened and was measured: 3 recipients each mapped
     // 2 layers x 2 whole pages and skipped 32 prefill positions.

@@ -156,18 +156,6 @@ impl QuantileSummary {
             max_nanos: h.max(),
         }
     }
-
-    /// Median in seconds (for display).
-    #[must_use]
-    pub fn p50_seconds(&self) -> f64 {
-        self.p50_nanos as f64 / 1e9
-    }
-
-    /// 99th percentile in seconds (for display).
-    #[must_use]
-    pub fn p99_seconds(&self) -> f64 {
-        self.p99_nanos as f64 / 1e9
-    }
 }
 
 /// The per-request latency summary a serving run reports (all values nanoseconds).

@@ -43,11 +43,6 @@ impl Trace {
             .collect()
     }
 
-    /// Events on one lane (0 = coordinator, `1..=N` = workers).
-    pub fn lane_events(&self, lane: u32) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.lane == lane)
-    }
-
     /// Renders the trace as Chrome trace-event JSON (the `{"traceEvents": [...]}`
     /// object form). Deterministic: identical event streams render byte-identically.
     #[must_use]

@@ -28,10 +28,8 @@
 pub mod kernels;
 pub mod matrix;
 pub mod panels;
-pub mod quantized;
 pub mod synth;
 
 pub use matrix::Matrix;
 pub use panels::WeightPanels;
-pub use quantized::QuantizedLinear;
 pub use synth::{ActivationProfile, OutlierSpec};

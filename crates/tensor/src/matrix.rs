@@ -318,6 +318,7 @@ mod tests {
         let w = Matrix::from_fn(64, 16, |r, c| ((r as f32 - c as f32) * 0.11).cos() * 0.1);
         let exact = a.matmul(&w);
         let bf16 = a.matmul_quantized(&w, MatmulQuantConfig::BASELINE);
+        assert_eq!(bf16.shape(), (8, 16));
         assert!(exact.mse(&bf16) < 1e-4);
     }
 
@@ -338,6 +339,25 @@ mod tests {
         let e8 = exact.mse(&a.matmul_quantized(&w, MatmulQuantConfig::uniform(QuantScheme::mxfp8())));
         assert!(e4p < e4, "MXFP4+ matmul error {e4p} must beat MXFP4 {e4}");
         assert!(e8 < e4p);
+    }
+
+    #[test]
+    fn mx_plus_activations_beat_plain_mxfp4() {
+        // A-MXFP4+ changes only the activation scheme against uniform MXFP4, and the
+        // activations carry an outlier channel: MX+ keeps its block's other elements.
+        let a = Matrix::from_fn(8, 256, |r, c| {
+            let v = ((r * 256 + c) as f32 * 0.17).cos() * 0.4;
+            if c % 77 == 5 {
+                v * 30.0
+            } else {
+                v
+            }
+        });
+        let w = Matrix::from_fn(256, 64, |r, c| ((r * 64 + c) as f32 * 0.091).sin() * 0.08);
+        let exact = a.matmul(&w);
+        let plain = exact.mse(&a.matmul_quantized(&w, MatmulQuantConfig::uniform(QuantScheme::mxfp4())));
+        let plus = exact.mse(&a.matmul_quantized(&w, MatmulQuantConfig::a_mxfp4_plus()));
+        assert!(plus < plain, "A-MXFP4+ matmul error {plus} must beat MXFP4 {plain}");
     }
 
     #[test]
@@ -386,9 +406,21 @@ mod tests {
     }
 
     #[test]
+    fn quantize_columns_is_idempotent() {
+        // Re-casting cast weights changes nothing: each cast value is on its block's grid,
+        // and the block's shared scale survives the cast. (Not so under MX+: a plain
+        // element can round up past the block max, which the re-cast then elects.)
+        let w = Matrix::from_fn(64, 16, |r, c| ((r * 16 + c) as f32 * 0.091).sin() * 0.08);
+        for scheme in [QuantScheme::Bf16, QuantScheme::mxfp4(), QuantScheme::mxint8(), QuantScheme::mxfp8()] {
+            let cast = w.quantize_columns(scheme);
+            assert_eq!(cast.quantize_columns(scheme), cast, "{}", scheme.name());
+        }
+    }
+
+    #[test]
     fn quantize_columns_matches_double_transpose() {
-        // The in-place column-block cast must be bit-identical to the old
-        // transpose -> quantize_rows -> transpose path it replaced.
+        // The in-place column-block cast must be bit-identical to
+        // transpose -> quantize_rows -> transpose.
         let w = Matrix::from_fn(96, 33, |r, c| {
             let v = ((r * 33 + c) as f32 * 0.23).sin() * 0.4;
             if r % 41 == 7 {

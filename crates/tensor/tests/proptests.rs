@@ -1,4 +1,4 @@
-//! Property-based tests for the tensor substrate: matmul algebra, quantized-layer
+//! Property-based tests for the tensor substrate: matmul algebra, quantized-matmul
 //! invariants, and the panel GEMM's bit identity with the reference matmul.
 //!
 //! The panel GEMM cases compare `matmul_panels` with `matmul` on `quantize_columns`
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use mx_formats::kernels::force_scalar;
 use mx_formats::quantize::{MatmulQuantConfig, QuantScheme};
-use mx_tensor::{kernels, Matrix, QuantizedLinear, WeightPanels};
+use mx_tensor::{kernels, Matrix, WeightPanels};
 
 static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -178,13 +178,13 @@ proptest! {
         prop_assert!((n1 - n2).abs() <= 1e-3 * n1.max(1.0));
     }
 
-    /// A quantized linear layer's output error against the exact product is bounded and
-    /// decreases (or stays equal) when moving from MXFP4 to MXFP8.
+    /// A quantized linear product's (`matmul_quantized`) output error against the exact
+    /// product decreases (or stays equal) when moving from MXFP4 to MXFP8.
     #[test]
     fn quantized_linear_error_ordering(x in small_matrix(3, 64), w in small_matrix(64, 8)) {
         let exact = x.matmul(&w);
-        let fp4 = QuantizedLinear::new(w.clone(), MatmulQuantConfig::uniform(QuantScheme::mxfp4())).forward(&x);
-        let fp8 = QuantizedLinear::new(w, MatmulQuantConfig::uniform(QuantScheme::mxfp8())).forward(&x);
+        let fp4 = x.matmul_quantized(&w, MatmulQuantConfig::uniform(QuantScheme::mxfp4()));
+        let fp8 = x.matmul_quantized(&w, MatmulQuantConfig::uniform(QuantScheme::mxfp8()));
         prop_assert!(exact.mse(&fp8) <= exact.mse(&fp4) + 1e-9);
     }
 }

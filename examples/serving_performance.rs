@@ -16,10 +16,14 @@ use mxplus::llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, T
 fn measured_serving() {
     let cfg = ModelConfig::llama2_7b();
     println!("\nMeasured: batched serving on the scaled-down {} analogue", cfg.name);
-    println!("4 sequences x 16 prompt tokens x 48 generated tokens, per-sequence KV caches");
-    println!("(theoretical = scheme-math bytes; the f32 backend actually holds 32-bit rows;");
-    println!(" decode tok/s is the summed per-worker rate, wall tok/s the end-to-end throughput)\n");
-    println!("{:>16} {:>12} {:>12} {:>14} {:>12}", "config", "decode tok/s", "wall tok/s", "theory KiB", "vs FP32");
+    println!("4 sequences x 16 prompt tokens x 48 generated tokens, KV cache in packed pages");
+    println!("(theoretical = scheme-math bytes, resident = peak pool pages, vs FP32 = the same");
+    println!(" positions in f32 over resident; decode tok/s is the summed per-worker rate, wall");
+    println!(" tok/s the end-to-end throughput)\n");
+    println!(
+        "{:>16} {:>12} {:>12} {:>14} {:>14} {:>12}",
+        "config", "decode tok/s", "wall tok/s", "theory KiB", "resident KiB", "vs FP32"
+    );
     for quant in [
         ModelQuantConfig::BASELINE,
         ModelQuantConfig::uniform(QuantScheme::mxfp8()),
@@ -27,19 +31,20 @@ fn measured_serving() {
         ModelQuantConfig::a_mxfp4_plus(),
     ] {
         let model = TransformerModel::new(cfg.clone(), quant);
-        let mut engine = ServingEngine::new(&model);
+        let mut engine = ServingEngine::paged(&model, 64);
         for s in 0..4usize {
             let prompt: Vec<usize> = (0..16).map(|i| (s * 31 + i * 7) % cfg.vocab).collect();
             engine.submit_with(&prompt, SubmitOptions::new(48));
         }
         let report = engine.run();
         println!(
-            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>11.1}x",
+            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>14.1} {:>11.1}x",
             quant.name(),
             report.decode_tokens_per_sec,
             report.tokens_per_sec_parallel,
             report.theoretical_bytes as f64 / 1024.0,
-            report.theoretical_compression()
+            report.resident_bytes as f64 / 1024.0,
+            report.resident_compression()
         );
     }
 }
