@@ -318,8 +318,26 @@ mod tests {
         let w = Matrix::from_fn(64, 16, |r, c| ((r as f32 - c as f32) * 0.11).cos() * 0.1);
         let exact = a.matmul(&w);
         let bf16 = a.matmul_quantized(&w, MatmulQuantConfig::BASELINE);
-        assert_eq!(bf16.shape(), (8, 16));
         assert!(exact.mse(&bf16) < 1e-4);
+    }
+
+    #[test]
+    fn quantized_matmul_shape_and_baseline_accuracy() {
+        // A reduction dim of four blocks and outlier activation channels: the BASELINE
+        // (BF16) product keeps the (rows of a) x (cols of w) shape and stays close.
+        let a = Matrix::from_fn(4, 128, |r, c| {
+            let v = ((r * 128 + c) as f32 * 0.17).cos() * 0.4;
+            if c % 77 == 5 {
+                v * 30.0
+            } else {
+                v
+            }
+        });
+        let w = Matrix::from_fn(128, 32, |r, c| ((r * 32 + c) as f32 * 0.091).sin() * 0.08);
+        let exact = a.matmul(&w);
+        let y = a.matmul_quantized(&w, MatmulQuantConfig::BASELINE);
+        assert_eq!(y.shape(), (4, 32));
+        assert!(exact.mse(&y) < 1e-4);
     }
 
     #[test]
