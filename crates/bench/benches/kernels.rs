@@ -13,6 +13,7 @@
 use mx_bench::harness::{model_config, Harness};
 use mx_formats::kernels::{force_scalar, pack_codes_into, packed_len, unpack_codes_into};
 use mx_formats::{QuantScheme, RowCodec};
+use mx_llm::weights::ModelWeights;
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 use mx_tensor::{Matrix, WeightPanels};
 
@@ -111,7 +112,7 @@ struct GemmWeight {
 fn gemm_weights() -> (Vec<GemmWeight>, String) {
     let model = TransformerModel::new(ModelConfig::llama2_7b(), ModelQuantConfig::a_mxfp4_plus());
     let quant = model.quant();
-    let weights = model.weights();
+    let weights = ModelWeights::generate(model.config());
     let mut all: Vec<(&Matrix, QuantScheme)> = Vec::new();
     for lw in &weights.layers {
         for w in [&lw.wq, &lw.wk, &lw.wv, &lw.wo, &lw.w_gate, &lw.w_up, &lw.w_down] {

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::bf16::Bf16;
 use crate::cast;
 use crate::element::ElementType;
 use crate::error::FormatError;
@@ -179,9 +180,10 @@ fn decode_block(element: ElementType, scale: SharedScale, code_bytes: &[u8], bm:
 /// true scheme width instead of as dequantized `f32`.
 ///
 /// The MX and MX+ families pack to their native element widths (4/6/8-bit codes plus one
-/// shared-scale byte per block, plus the MX+ metadata byte); every other
-/// [`QuantScheme`] falls back to [`RowCodec::Dequantized`], which stores the
-/// fake-quantized values as little-endian `f32` bytes. In all cases the round trip
+/// shared-scale byte per block, plus the MX+ metadata byte), BF16 stores its 16 bits per
+/// element ([`RowCodec::Bf16`]), and every other [`QuantScheme`] falls back to
+/// [`RowCodec::Dequantized`], which stores the fake-quantized values as little-endian
+/// `f32` bytes. In all cases the round trip
 /// `pack_row_into` → `unpack_row_into` reproduces `scheme.quantize_dequantize(values)`
 /// **bit for bit**, so a packed store can substitute for an `f32` store without changing
 /// a single output.
@@ -209,6 +211,10 @@ pub enum RowCodec {
     /// index (the 5-bit field of Figure 7 for the standard 32-element block, whose three
     /// reserved bits stay zero) and the packed element codes.
     MxPlus(MxPlusFormat),
+    /// BF16 rows: each element's [`Bf16`] bits, little-endian, 2 bytes per element. BF16
+    /// fake quantization leaves the low 16 bits of every `f32` zero, NaN included, so the
+    /// 16 stored bits are the whole value.
+    Bf16,
     /// Fallback for schemes without a byte-exact code representation here: the row is
     /// fake-quantized and stored as little-endian `f32` bytes (no compression).
     Dequantized(QuantScheme),
@@ -216,12 +222,13 @@ pub enum RowCodec {
 
 impl RowCodec {
     /// The codec that stores rows of `scheme` at their true width: bit-packed for the MX
-    /// and MX+ families, [`RowCodec::Dequantized`] otherwise.
+    /// and MX+ families, 16 bits per element for BF16, [`RowCodec::Dequantized`] otherwise.
     #[must_use]
     pub fn for_scheme(scheme: QuantScheme) -> Self {
         match scheme {
             QuantScheme::Mx(f) => RowCodec::Mx(f),
             QuantScheme::MxPlus(f) => RowCodec::MxPlus(f),
+            QuantScheme::Bf16 => RowCodec::Bf16,
             other => RowCodec::Dequantized(other),
         }
     }
@@ -238,6 +245,7 @@ impl RowCodec {
         match self {
             RowCodec::Mx(f) => row_block_bytes(len, f.block_size, f.element.bits(), 1),
             RowCodec::MxPlus(f) => row_block_bytes(len, f.block_size, f.element.bits(), 2),
+            RowCodec::Bf16 => len * 2,
             RowCodec::Dequantized(_) => len * 4,
         }
     }
@@ -253,6 +261,11 @@ impl RowCodec {
         match self {
             RowCodec::Mx(f) => pack_blocks(f.element, f.block_size, false, values, out),
             RowCodec::MxPlus(f) => pack_blocks(f.element, f.block_size, true, values, out),
+            RowCodec::Bf16 => {
+                for (o, &v) in out.chunks_exact_mut(2).zip(values) {
+                    o.copy_from_slice(&Bf16::from_f32(v).to_bits().to_le_bytes());
+                }
+            }
             RowCodec::Dequantized(scheme) => {
                 for (o, q) in out.chunks_exact_mut(4).zip(scheme.quantize_dequantize(values)) {
                     o.copy_from_slice(&q.to_le_bytes());
@@ -289,6 +302,11 @@ impl RowCodec {
                     let nb = kernels::packed_len(out_chunk.len(), bits);
                     decode_block(f.element, scale, &packed[off + 2..off + 2 + nb], Some(bm), out_chunk);
                     off += 2 + nb;
+                }
+            }
+            RowCodec::Bf16 => {
+                for (o, bytes) in out.iter_mut().zip(packed.chunks_exact(2)) {
+                    *o = Bf16::from_bits(u16::from_le_bytes([bytes[0], bytes[1]])).to_f32();
                 }
             }
             RowCodec::Dequantized(_) => {
@@ -393,7 +411,7 @@ impl RowCodec {
         let (element, block, plus) = match *self {
             RowCodec::Mx(f) => (f.element, f.block_size, false),
             RowCodec::MxPlus(f) => (f.element, f.block_size, true),
-            RowCodec::Dequantized(_) => return None,
+            RowCodec::Bf16 | RowCodec::Dequantized(_) => return None,
         };
         let takes = element.bits() == 4 && block > 0 && block.is_multiple_of(8) && geom.head_dim.is_multiple_of(8);
         takes.then(|| kernels::Blocks4::new(element, block, plus)).flatten()
@@ -629,10 +647,46 @@ mod tests {
         assert_eq!(RowCodec::for_scheme(QuantScheme::mxfp6()).packed_bytes(64), 50);
         // Partial tail blocks are byte-ceiled per block: 40 = 32 + 8 elements.
         assert_eq!(RowCodec::for_scheme(QuantScheme::mxfp4()).packed_bytes(40), 17 + 1 + 4);
-        // Fallback schemes store f32.
-        assert_eq!(RowCodec::for_scheme(QuantScheme::Bf16).packed_bytes(64), 256);
-        assert!(!RowCodec::for_scheme(QuantScheme::Bf16).is_bit_packed());
+        // BF16 stores 2 bytes per element; fallback schemes store f32.
+        assert_eq!(RowCodec::for_scheme(QuantScheme::Bf16).packed_bytes(64), 128);
+        assert!(RowCodec::for_scheme(QuantScheme::Bf16).is_bit_packed());
+        assert_eq!(RowCodec::for_scheme(QuantScheme::Fp32).packed_bytes(64), 256);
+        assert!(!RowCodec::for_scheme(QuantScheme::Fp32).is_bit_packed());
         assert!(RowCodec::for_scheme(QuantScheme::mxfp4()).is_bit_packed());
+    }
+
+    #[test]
+    fn bf16_rows_round_trip_nan_infinities_subnormals_and_signed_zeros() {
+        let row: Vec<f32> = [
+            0x7fc0_0000, // NaN
+            0xffc0_1234, // negative NaN with a payload
+            0x7f80_0001, // signalling NaN whose payload lies in the dropped bits only
+            0x7f80_0000, // +Inf
+            0xff80_0000, // -Inf
+            0x7f7f_ffff, // f32::MAX, which rounds to +Inf
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x0000_8000, // subnormal tie to even
+            0x0000_0000, // +0.0
+            0x8000_0000, // -0.0
+            0x3f80_8000, // 1 + 2^-8, a tie to even
+            0x3f80_8001, // just above that tie
+        ]
+        .into_iter()
+        .map(f32::from_bits)
+        .chain(sample_row(19))
+        .collect();
+        let codec = RowCodec::for_scheme(QuantScheme::Bf16);
+        assert_eq!(codec, RowCodec::Bf16);
+        let mut packed = vec![0xaa_u8; codec.packed_bytes(row.len())];
+        assert_eq!(packed.len(), 2 * row.len());
+        codec.pack_row_into(&row, &mut packed);
+        let mut restored = vec![0.0_f32; row.len()];
+        codec.unpack_row_into(&packed, &mut restored);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&restored), bits(&QuantScheme::Bf16.quantize_dequantize(&row)));
+        assert!(restored[..3].iter().all(|v| v.is_nan()) && restored[5] == f32::INFINITY);
+        assert_eq!(bits(&restored[9..11]), [0x0000_0000, 0x8000_0000], "signed zeros keep their sign");
     }
 
     #[test]
@@ -648,7 +702,7 @@ mod tests {
     fn page_decoders_reject_strides_past_the_buffer() {
         // A stride whose row offsets overflow `usize` must be rejected, not wrapped into
         // the buffer — by both entry points and for every codec, whether or not the
-        // fused kernels take its rows (MXFP6 and f32 rows they never take).
+        // fused kernels take its rows (MXFP6 and BF16 rows they never take).
         let geom = AttnGeometry { heads: 1, head_dim: 32, group: 1 };
         let entry_points = |scheme: QuantScheme| {
             let codec = RowCodec::for_scheme(scheme);

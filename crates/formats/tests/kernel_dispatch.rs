@@ -2,9 +2,9 @@
 //! scalar reference: every bit width (1..=8) × row lengths including partial tail
 //! bytes × forced-scalar vs auto dispatch, plus — for every MX/MX+ element type and
 //! block sizes around the fused-kernel limit — the fast block quantizer against the
-//! reference codecs and the `RowCodec` round trip under both dispatch modes, on
-//! edge-case rows (raw bit patterns, grid points and midpoints, the MX+ flush boundary,
-//! values near `f32::MAX`).
+//! reference codecs and the `RowCodec` round trip under both dispatch modes (BF16 rows
+//! included), on edge-case rows (raw bit patterns, grid points and midpoints, the MX+
+//! flush boundary, values near `f32::MAX`).
 //!
 //! The forced-scalar cases flip a process-global switch, so everything that toggles it
 //! runs under one mutex; concurrently running tests see identical *outputs* either way
@@ -207,16 +207,16 @@ proptest! {
     fn row_codec_bytes_and_decode_are_dispatch_invariant(
         seed in 0u64..1_000_000,
         len in prop_oneof![1usize..=8, 28usize..=36, 60usize..=68, 120usize..=132],
-        cast_idx in 0usize..CASTS.len(),
+        // One past the last cast is BF16, whose rows draw on the E4M3 grid.
+        cast_idx in 0usize..=CASTS.len(),
         block_idx in 0usize..BLOCK_SIZES.len(),
         kind in 0usize..5,
     ) {
-        let (element, plus) = CASTS[cast_idx];
         let block = BLOCK_SIZES[block_idx];
-        let scheme = if plus {
-            QuantScheme::MxPlus(MxPlusFormat { element, block_size: block })
-        } else {
-            QuantScheme::Mx(MxFormat::with_block_size(element, block))
+        let (element, scheme) = match CASTS.get(cast_idx) {
+            Some(&(element, true)) => (element, QuantScheme::MxPlus(MxPlusFormat { element, block_size: block })),
+            Some(&(element, false)) => (element, QuantScheme::Mx(MxFormat::with_block_size(element, block))),
+            None => (ElementType::E4M3, QuantScheme::Bf16),
         };
         let row = edge_row(kind, element, block, len, seed);
         let codec = RowCodec::for_scheme(scheme);

@@ -175,9 +175,9 @@ proptest! {
     }
 
     /// The packed-row codec invariant the paged KV cache depends on: for every scheme
-    /// across the 4/6/8-bit element widths (and the f32 fallback), and for row lengths
-    /// that are not multiples of the block size, `pack → unpack` reproduces the scheme's
-    /// fake quantization bit for bit, at exactly the codec's advertised byte count.
+    /// across the 4/6/8-bit element widths (and BF16 and the f32 fallback), and for row
+    /// lengths that are not multiples of the block size, `pack → unpack` reproduces the
+    /// scheme's fake quantization bit for bit, at exactly the codec's advertised byte count.
     #[test]
     fn packed_row_codec_round_trips_every_scheme(values in prop::collection::vec(finite_value(), 1..200)) {
         for scheme in [
@@ -195,8 +195,9 @@ proptest! {
             QuantScheme::mxint8(),
             QuantScheme::mxfp8_plus(),
             QuantScheme::mxint8_plus(),
-            // f32 fallback codec
+            // 16-bit codec
             QuantScheme::Bf16,
+            // f32 fallback codec
             QuantScheme::mxfp4_pp(),
             QuantScheme::Nvfp4Plus,
         ] {

@@ -31,6 +31,15 @@
 //! [`Matrix::matmul_panels`], which is bit-identical to [`Matrix::matmul`] on the
 //! `quantize_columns` weights at every row count; with the row-independence of
 //! everything else, a sequence's logits do not depend on what it was batched with.
+//!
+//! The model keeps only what the forward reads: those panels, the embedding and the
+//! norms. Construction casts each projection as soon as it is drawn and drops the raw
+//! `f32` matrix before drawing the next, so on the `llama2_7b` toy the model holds
+//! 2.6 MB where the raw weights alone take 13.9 MB. [`TransformerModel::weights`]
+//! regenerates the raw weights on its first call, for code that rebuilds the forward
+//! from them; nothing in the forward reads that copy.
+
+use std::sync::OnceLock;
 
 use mx_tensor::{kernels, Matrix, WeightPanels};
 use serde::{Deserialize, Serialize};
@@ -40,75 +49,61 @@ use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader, TILE_POSIT
 use crate::quant_config::ModelQuantConfig;
 use crate::weights::ModelWeights;
 
-/// Per-layer weights after the one-time direct cast with the configured weight schemes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CastLayerWeights {
-    wq: WeightPanels,
-    wk: WeightPanels,
-    wv: WeightPanels,
-    wo: WeightPanels,
-    w_gate: WeightPanels,
-    w_up: WeightPanels,
-    w_down: WeightPanels,
-}
-
-/// All weight operands quantized once (column-blocked along the reduction dimension,
-/// exactly as `matmul_quantized` would per call) and held only as [`WeightPanels`]: the
-/// block quantizer's 4-bit codes under MXFP4/MXINT4 weights on the AVX2 backend, the
-/// fake-quantized row-major `f32` matrix under every other scheme or backend. Multiplying
-/// against them with [`Matrix::matmul_panels`] is bit-identical to `matmul_quantized`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CastWeights {
-    layers: Vec<CastLayerWeights>,
-    lm_head: WeightPanels,
-}
-
-impl CastWeights {
-    fn cast(weights: &ModelWeights, quant: &ModelQuantConfig) -> Self {
-        let w = quant.linear.weights;
-        CastWeights {
-            layers: weights
-                .layers
-                .iter()
-                .map(|lw| CastLayerWeights {
-                    wq: WeightPanels::cast(&lw.wq, w),
-                    wk: WeightPanels::cast(&lw.wk, w),
-                    wv: WeightPanels::cast(&lw.wv, w),
-                    wo: WeightPanels::cast(&lw.wo, w),
-                    w_gate: WeightPanels::cast(&lw.w_gate, w),
-                    w_up: WeightPanels::cast(&lw.w_up, w),
-                    w_down: WeightPanels::cast(&lw.w_down, w),
-                })
-                .collect(),
-            lm_head: WeightPanels::cast(&weights.lm_head, quant.lm_head.weights),
-        }
-    }
-}
-
 /// A decoder-only transformer with pluggable quantization of every dot-product operand.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransformerModel {
     config: ModelConfig,
-    weights: ModelWeights,
+    /// What the forward reads: the embedding, the norm gains and biases, and every
+    /// projection and the lm_head quantized once (column-blocked along the reduction
+    /// dimension, exactly as `matmul_quantized` would per call) and held only as
+    /// [`WeightPanels`] — the block quantizer's 4-bit codes under MXFP4/MXINT4 weights on
+    /// the AVX2 backend, the fake-quantized row-major `f32` matrix under every other
+    /// scheme or backend. Multiplying against them with [`Matrix::matmul_panels`] is
+    /// bit-identical to `matmul_quantized`.
+    weights: ModelWeights<WeightPanels>,
     quant: ModelQuantConfig,
-    cast: CastWeights,
+    /// The raw `f32` weights, regenerated on the first [`TransformerModel::weights`] call.
+    raw: RawWeights,
     /// The `head_dim / 2` rotary frequencies ([`kernels::rope_freqs`]); empty without RoPE.
     rope_freqs: Vec<f32>,
 }
 
+/// The raw `f32` weights behind [`TransformerModel::weights`], filled on first use. Not
+/// part of the model's value: a clone starts empty and equality ignores it, so neither
+/// depends on whether `weights()` has run.
+#[derive(Debug, Default)]
+struct RawWeights(OnceLock<ModelWeights>);
+
+impl Clone for RawWeights {
+    fn clone(&self) -> Self {
+        RawWeights::default()
+    }
+}
+
+impl PartialEq for RawWeights {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 impl TransformerModel {
     /// Builds the model, generating deterministic weights from the configuration's seed
-    /// and direct-casting them once for the forward pass.
+    /// and direct-casting them once for the forward pass. Each projection is cast as soon
+    /// as it is drawn and dropped before the next is drawn, so at most one raw `f32`
+    /// projection is alive at a time and none is kept.
     #[must_use]
     pub fn new(config: ModelConfig, quant: ModelQuantConfig) -> Self {
-        let weights = ModelWeights::generate(&config);
-        let cast = CastWeights::cast(&weights, &quant);
+        let weights = ModelWeights::generate_cast(
+            &config,
+            |w| WeightPanels::cast(&w, quant.linear.weights),
+            |w| WeightPanels::cast(&w, quant.lm_head.weights),
+        );
         let rope_freqs = if config.rope_theta > 0.0 {
             kernels::rope_freqs(config.head_dim(), config.rope_theta)
         } else {
             Vec::new()
         };
-        TransformerModel { config, weights, quant, cast, rope_freqs }
+        TransformerModel { config, weights, quant, raw: RawWeights::default(), rope_freqs }
     }
 
     /// The model configuration.
@@ -123,10 +118,14 @@ impl TransformerModel {
         self.quant
     }
 
-    /// The model weights.
+    /// The raw `f32` weights the model was cast from: [`ModelWeights::generate`] of its
+    /// configuration. The model does not keep them and the forward never reads them. The
+    /// first call regenerates them, every projection at full `f32` size (13.9 MB on the
+    /// `llama2_7b` toy), and the model holds that copy from then on. They exist for code
+    /// that rebuilds the forward from the raw weights, such as a layer-by-layer replay.
     #[must_use]
     pub fn weights(&self) -> &ModelWeights {
-        &self.weights
+        self.raw.0.get_or_init(|| ModelWeights::generate(&self.config))
     }
 
     /// Creates an empty KV cache sized for this model.
@@ -265,7 +264,7 @@ impl TransformerModel {
             x = self.layer_forward(layer, &x, segments, &batch, scratch, &mut attn);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.quantize_rows(self.quant.lm_head.activations).matmul_panels(&self.cast.lm_head)
+        normed.quantize_rows(self.quant.lm_head.activations).matmul_panels(&self.weights.lm_head)
     }
 
     /// The RoPE table of one forward: row `r` holds the `(sin, cos)` of every rotary
@@ -486,7 +485,6 @@ impl TransformerModel {
         attn: &mut AttnScratch,
     ) -> Matrix {
         let lw = &self.weights.layers[layer];
-        let cast = &self.cast.layers[layer];
         let cfg = &self.config;
         let keep = batch.logit_rows.filter(|_| layer + 1 == cfg.layers);
 
@@ -496,7 +494,7 @@ impl TransformerModel {
             // Quantize the shared activation operand once for all three projections
             // and multiply against the pre-cast weights.
             let a = normed.quantize_rows(self.quant.linear.activations);
-            (a.matmul_panels(&cast.wq), a.matmul_panels(&cast.wk), a.matmul_panels(&cast.wv))
+            (a.matmul_panels(&lw.wq), a.matmul_panels(&lw.wk), a.matmul_panels(&lw.wv))
         };
         let mut attn_out = Matrix::zeros(x.rows(), cfg.heads * cfg.head_dim());
         for ((_, cache), span) in segments.iter_mut().zip(&batch.spans) {
@@ -527,7 +525,7 @@ impl TransformerModel {
             }
         };
 
-        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&cast.wo);
+        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&lw.wo);
         let x = x.add(&attn_proj);
 
         // --- MLP ---
@@ -539,13 +537,13 @@ impl TransformerModel {
             MlpKind::GatedSilu => {
                 let (gate, up) = {
                     let a = normed.quantize_rows(self.quant.linear.activations);
-                    (a.matmul_panels(&cast.w_gate), a.matmul_panels(&cast.w_up))
+                    (a.matmul_panels(&lw.w_gate), a.matmul_panels(&lw.w_up))
                 };
-                project(&cast.w_down, &self.gated_silu_hidden(&gate, &up))
+                project(&lw.w_down, &self.gated_silu_hidden(&gate, &up))
             }
             MlpKind::Gelu => {
-                let fc1 = project(&cast.w_gate, &normed);
-                project(&cast.w_down, &self.gelu_hidden(&fc1))
+                let fc1 = project(&lw.w_gate, &normed);
+                project(&lw.w_down, &self.gelu_hidden(&fc1))
             }
         };
         x.add(&mlp_out)
@@ -738,7 +736,7 @@ mod tests {
         // The packed-page backend must reproduce the f32 backend exactly — same logits at
         // every step — because the row codec round-trips the scheme's quantization bit
         // for bit. Checked under an MX scheme (bit-packed pages) and the baseline
-        // (fallback f32 pages).
+        // (16-bit BF16 pages).
         use crate::paging::{PagePool, PagedKvCache};
         use mx_formats::RowCodec;
         for quant in [ModelQuantConfig::uniform(QuantScheme::mxfp4()), ModelQuantConfig::BASELINE] {

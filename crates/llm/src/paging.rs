@@ -8,7 +8,8 @@
 //! * [`PagePool`] — a shared, fixed-budget allocator of pages. Each page holds
 //!   [`PagePool::page_positions`] position *slots*, and each slot stores one key row and
 //!   one value row **genuinely bit-packed** with [`mx_formats::RowCodec`] (4/6/8-bit
-//!   element codes + shared scales for the MX/MX+ families; `f32` fallback otherwise).
+//!   element codes + shared scales for the MX/MX+ families, 16 bits per element for BF16,
+//!   `f32` fallback otherwise).
 //!   The pool hands out pages against *reservations*, so a scheduler can admit a sequence
 //!   only when its worst-case footprint fits, and occupancy
 //!   ([`PagePool::resident_bytes`]) is a **measured** number, not scheme math.

@@ -468,8 +468,16 @@ pub struct ServingReport {
     pub theoretical_bytes_fp32: usize,
     /// **Measured** peak cache storage during the run: page-pool occupancy, the pages
     /// checked out to caches times the page size (keyed home pages count as free). Page
-    /// granularity puts it at or above [`ServingReport::theoretical_bytes`].
+    /// granularity puts it at or above the scheme bytes of the positions the caches held
+    /// at that moment. Those are every position of [`ServingReport::theoretical_bytes`]
+    /// only when all sequences are resident at once, so a run that admits its sequences
+    /// in waves can read below it.
     pub resident_bytes: usize,
+    /// The positions the admitted caches held when [`ServingReport::resident_bytes`]
+    /// peaked, held in FP32: the baseline [`ServingReport::resident_compression`]
+    /// compares the peak with. A position shared through the prefix cache counts once
+    /// per sequence that maps it.
+    pub resident_bytes_fp32: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
     /// tracing ([`ServingEngine::with_telemetry`]) is enabled. TPOT takes one sample per
@@ -494,11 +502,13 @@ impl ServingReport {
         ratio(self.theoretical_bytes_fp32, self.theoretical_bytes)
     }
 
-    /// Compression of the *measured* resident bytes over theoretical FP32 storage: near
-    /// the scheme ratio, minus page-granularity slack.
+    /// Compression of the *measured* peak resident bytes over the same positions held
+    /// in FP32: the scheme ratio minus page-granularity slack, so at most
+    /// [`ServingReport::theoretical_compression`] unless prefix sharing maps one page
+    /// into several sequences.
     #[must_use]
     pub fn resident_compression(&self) -> f64 {
-        ratio(self.theoretical_bytes_fp32, self.resident_bytes)
+        ratio(self.resident_bytes_fp32, self.resident_bytes)
     }
 }
 
@@ -982,7 +992,7 @@ impl<'m> ServingEngine<'m> {
         let checkpoint_every =
             if self.recovery.is_some() || self.faults.is_some() { policy.checkpoint_every } else { 0 };
         let mut rec = self.telemetry.recorder(0);
-        stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
+        self.sample_peak(stats);
 
         while stats.passes < max_passes {
             let pass = self.pass;
@@ -993,7 +1003,7 @@ impl<'m> ServingEngine<'m> {
                 self.shed_overloaded(&mut rec);
                 self.admit_waiting(stats, &mut rec);
             }
-            stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
+            self.sample_peak(stats);
 
             let (active, mut seqs): (Vec<usize>, Vec<&mut Sequence>) = self
                 .sequences
@@ -1013,7 +1023,7 @@ impl<'m> ServingEngine<'m> {
 
             // Pool occupancy only grows during a pass (retirement is below), so sampling
             // here captures the exact peak before the coordinator reclaims pages.
-            stats.peak_resident = stats.peak_resident.max(self.pool.resident_bytes());
+            self.sample_peak(stats);
             if rec.is_enabled() {
                 rec.counter(Category::Occupancy, "in_use_pages", self.pool.in_use_pages() as u64);
                 rec.counter(Category::Occupancy, "reserved_pages", self.pool.reserved_pages() as u64);
@@ -1229,16 +1239,24 @@ impl<'m> ServingEngine<'m> {
         );
     }
 
+    /// Folds the pool's occupancy and the positions the admitted caches hold now into the
+    /// run's peak: the highest occupancy, and of two samples at that occupancy the one
+    /// holding more positions.
+    fn sample_peak(&self, stats: &mut RunStats) {
+        let positions = self.sequences.iter().filter(|s| matches!(s.cache, SeqCache::Paged(_)));
+        let sample = (self.pool.resident_bytes(), positions.map(Sequence::cached_positions).sum());
+        (stats.peak_resident, stats.peak_positions) = sample.max((stats.peak_resident, stats.peak_positions));
+    }
+
     /// Assembles the [`ServingReport`] of a finished run.
     fn report(&self, run_start: Instant, stats: &RunStats) -> ServingReport {
         let wall_seconds = run_start.elapsed().as_secs_f64();
         let scheme = self.model.quant().kv_cache;
         let kv_dim = Self::kv_dim(self.model);
         let layers = self.model.config().layers;
-        let theoretical = |s: QuantScheme| {
-            let per_row = LayerKvCache::row_storage_bytes(kv_dim, s);
-            self.sequences.iter().map(|q| 2 * layers * q.cached_positions() * per_row).sum()
-        };
+        // A position's K and V rows in every layer.
+        let position_bytes = |s: QuantScheme| 2 * layers * LayerKvCache::row_storage_bytes(kv_dim, s);
+        let positions: usize = self.sequences.iter().map(Sequence::cached_positions).sum();
         let count = |r: FinishReason| self.sequences.iter().filter(|s| s.finish == Some(r)).count();
         // TTFT comes from per-sequence hub-clock anchors; TPOT and pass latency
         // accumulated into histograms as the run stepped, queue wait as the engine
@@ -1279,9 +1297,10 @@ impl<'m> ServingEngine<'m> {
             shared_pages: stats.shared_pages,
             prefill_tokens_saved: stats.prefill_tokens_saved,
             preemptions: stats.preemptions,
-            theoretical_bytes: theoretical(scheme),
-            theoretical_bytes_fp32: theoretical(QuantScheme::Fp32),
+            theoretical_bytes: positions * position_bytes(scheme),
+            theoretical_bytes_fp32: positions * position_bytes(QuantScheme::Fp32),
             resident_bytes: stats.peak_resident,
+            resident_bytes_fp32: stats.peak_positions * position_bytes(QuantScheme::Fp32),
             latency: LatencySummary {
                 ttft: QuantileSummary::from_histogram(&ttft),
                 tpot: QuantileSummary::from_histogram(&stats.tpot),
@@ -1488,7 +1507,10 @@ struct RunStats {
     generated: usize,
     prefill_time: Duration,
     decode_time: Duration,
+    /// Peak pool occupancy in bytes, and the positions the admitted caches held then
+    /// ([`ServingEngine::sample_peak`]).
     peak_resident: usize,
+    peak_positions: usize,
     shared_pages: usize,
     prefill_tokens_saved: usize,
     preemptions: usize,
@@ -1802,6 +1824,30 @@ mod tests {
         assert!(report.tokens_per_sec_parallel > 0.0);
         assert!(report.num_threads >= 1);
         assert!(report.wall_seconds >= report.decode_time.as_secs_f64() / report.num_threads as f64);
+    }
+
+    #[test]
+    fn resident_compression_compares_the_peak_with_the_positions_it_held() {
+        // Six sequences through a pool that holds two at a time (one 16-position page per
+        // layer each), so they are admitted in waves and the peak never holds every
+        // position the run cached. Prompts shorter than a page share nothing.
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        let mut engine = ServingEngine::paged(&model, 4);
+        for s in 0..6 {
+            engine.submit_with(&[1 + s, 2 + s, 3 + s], SubmitOptions::new(8));
+        }
+        let report = engine.run();
+        assert_eq!(report.finished_length, 6);
+        assert_eq!(report.shared_pages, 0);
+        assert_eq!(report.resident_bytes, 4 * 16 * 2 * 34, "two sequences' pages at the peak");
+        assert!(report.resident_bytes < report.theoretical_bytes, "the peak held one wave");
+        assert!(
+            report.resident_compression() <= report.theoretical_compression(),
+            "resident {} vs scheme {}",
+            report.resident_compression(),
+            report.theoretical_compression()
+        );
+        assert!(report.resident_compression() > 4.0, "{}", report.resident_compression());
     }
 
     #[test]

@@ -12,24 +12,26 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig};
 
-/// Weights of one transformer layer.
+/// Weights of one transformer layer: its seven projections as `W` (the raw `f32`
+/// [`Matrix`] by default; see [`ModelWeights::generate_cast`]) and its norm gains and
+/// biases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayerWeights {
+pub struct LayerWeights<W = Matrix> {
     /// Query projection `(hidden, heads * head_dim)`.
-    pub wq: Matrix,
+    pub wq: W,
     /// Key projection `(hidden, kv_heads * head_dim)`.
-    pub wk: Matrix,
+    pub wk: W,
     /// Value projection `(hidden, kv_heads * head_dim)`.
-    pub wv: Matrix,
+    pub wv: W,
     /// Output projection `(hidden, hidden)`.
-    pub wo: Matrix,
+    pub wo: W,
     /// Gate projection for gated MLPs, or the first FC layer for GELU MLPs
     /// `(hidden, intermediate)`.
-    pub w_gate: Matrix,
+    pub w_gate: W,
     /// Up projection `(hidden, intermediate)`; unused (empty) for GELU MLPs.
-    pub w_up: Matrix,
+    pub w_up: W,
     /// Down projection `(intermediate, hidden)`.
-    pub w_down: Matrix,
+    pub w_down: W,
     /// Pre-attention norm gain `(hidden)`.
     pub attn_norm_gain: Vec<f32>,
     /// Pre-attention norm bias (LayerNorm models only).
@@ -40,25 +42,34 @@ pub struct LayerWeights {
     pub mlp_norm_bias: Vec<f32>,
 }
 
-/// All weights of a model.
+/// All weights of a model, with every projection and the lm_head as `W` (the raw `f32`
+/// [`Matrix`] by default).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelWeights {
+pub struct ModelWeights<W = Matrix> {
     /// Token embedding table `(vocab, hidden)`.
     pub embedding: Matrix,
     /// Per-layer weights.
-    pub layers: Vec<LayerWeights>,
+    pub layers: Vec<LayerWeights<W>>,
     /// Final norm gain.
     pub final_norm_gain: Vec<f32>,
     /// Final norm bias.
     pub final_norm_bias: Vec<f32>,
     /// Language-model head `(hidden, vocab)`.
-    pub lm_head: Matrix,
+    pub lm_head: W,
 }
 
-impl ModelWeights {
-    /// Generates the weights for a configuration, deterministically from its seed.
+impl<W> ModelWeights<W> {
+    /// Generates the weights for a configuration, deterministically from its seed, and
+    /// hands each layer projection to `cast_layer` and the lm_head to `cast_head` as
+    /// soon as it is drawn, keeping what they return. Every matrix is drawn from a seed
+    /// of its own, so the bits do not depend on the casts; a cast that drops its matrix
+    /// keeps at most one `f32` projection alive at a time.
     #[must_use]
-    pub fn generate(cfg: &ModelConfig) -> Self {
+    pub fn generate_cast(
+        cfg: &ModelConfig,
+        mut cast_layer: impl FnMut(Matrix) -> W,
+        cast_head: impl FnOnce(Matrix) -> W,
+    ) -> Self {
         let h = cfg.hidden;
         let kv_dim = cfg.head_dim() * cfg.kv_heads;
         let seed = cfg.seed;
@@ -71,19 +82,16 @@ impl ModelWeights {
         let mut layers = Vec::with_capacity(cfg.layers);
         for l in 0..cfg.layers {
             let ls = seed.wrapping_add(1000 + l as u64 * 17);
+            let xavier = |rows, cols, salt| synth::xavier_weights(rows, cols, 1.0, ls ^ salt);
             let gelu_mlp = matches!(cfg.mlp, MlpKind::Gelu);
             layers.push(LayerWeights {
-                wq: synth::xavier_weights(h, h, 1.0, ls ^ 0x01),
-                wk: synth::xavier_weights(h, kv_dim, 1.0, ls ^ 0x02),
-                wv: synth::xavier_weights(h, kv_dim, 1.0, ls ^ 0x03),
-                wo: synth::xavier_weights(h, h, 1.0, ls ^ 0x04),
-                w_gate: synth::xavier_weights(h, cfg.intermediate, 1.0, ls ^ 0x05),
-                w_up: if gelu_mlp {
-                    Matrix::zeros(0, 0)
-                } else {
-                    synth::xavier_weights(h, cfg.intermediate, 1.0, ls ^ 0x06)
-                },
-                w_down: synth::xavier_weights(cfg.intermediate, h, 1.0, ls ^ 0x07),
+                wq: cast_layer(xavier(h, h, 0x01)),
+                wk: cast_layer(xavier(h, kv_dim, 0x02)),
+                wv: cast_layer(xavier(h, kv_dim, 0x03)),
+                wo: cast_layer(xavier(h, h, 0x04)),
+                w_gate: cast_layer(xavier(h, cfg.intermediate, 0x05)),
+                w_up: cast_layer(if gelu_mlp { Matrix::zeros(0, 0) } else { xavier(h, cfg.intermediate, 0x06) }),
+                w_down: cast_layer(xavier(cfg.intermediate, h, 0x07)),
                 attn_norm_gain: outlier_gain(h, &outlier_channels, cfg.outliers.magnitude),
                 attn_norm_bias: vec![0.0; h],
                 mlp_norm_gain: outlier_gain(h, &outlier_channels, cfg.outliers.magnitude),
@@ -96,8 +104,17 @@ impl ModelWeights {
             layers,
             final_norm_gain: vec![1.0; h],
             final_norm_bias: vec![0.0; h],
-            lm_head: synth::xavier_weights(h, cfg.vocab, 1.5, seed ^ 0xe1),
+            lm_head: cast_head(synth::xavier_weights(h, cfg.vocab, 1.5, seed ^ 0xe1)),
         }
+    }
+}
+
+impl ModelWeights {
+    /// Generates the raw `f32` weights for a configuration, deterministically from its
+    /// seed: [`ModelWeights::generate_cast`] keeping every projection as drawn.
+    #[must_use]
+    pub fn generate(cfg: &ModelConfig) -> Self {
+        Self::generate_cast(cfg, |w| w, |w| w)
     }
 
     /// Total number of weight parameters.

@@ -124,11 +124,11 @@ fn tiled_folds(
 }
 
 /// Reader-level pin of the tiled walk, on a GQA layout (4 query heads over 2 KV heads)
-/// with pages of 16 and of 5 positions (tiles then straddle pages), under MX, MX+, 6-bit
-/// and `Dequantized` rows, dispatched and forced scalar: scores folded tile by tile with
-/// `key_dots`, and outputs accumulated with `value_accumulate`, equal the per-position
-/// folds over row reads, bit for bit, on the paged backend (fused page kernels or its
-/// row-by-row decode) and the f32 backend (the provided bodies).
+/// with pages of 16 and of 5 positions (tiles then straddle pages), under MX, MX+, 6-bit,
+/// BF16 and `Dequantized` (FP32) rows, dispatched and forced scalar: scores folded tile
+/// by tile with `key_dots`, and outputs accumulated with `value_accumulate`, equal the
+/// per-position folds over row reads, bit for bit, on the paged backend (fused page
+/// kernels or its row-by-row decode) and the f32 backend (the provided bodies).
 #[test]
 fn tiled_reader_is_bit_identical_to_row_reads() {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -136,7 +136,9 @@ fn tiled_reader_is_bit_identical_to_row_reads() {
     let geom = AttnGeometry { heads, head_dim, group };
     let kv_dim = (heads / group) * head_dim;
     let steps = 37;
-    for scheme in [QuantScheme::mxfp4(), QuantScheme::mxfp4_plus(), QuantScheme::mxfp6(), QuantScheme::Bf16] {
+    for scheme in
+        [QuantScheme::mxfp4(), QuantScheme::mxfp4_plus(), QuantScheme::mxfp6(), QuantScheme::Bf16, QuantScheme::Fp32]
+    {
         for page_positions in [16usize, 5] {
             let pool = PagePool::for_kv_rows(64, page_positions, RowCodec::for_scheme(scheme), kv_dim).shared();
             let mut paged = PagedKvCache::new(&pool, 1, kv_dim, scheme, steps).unwrap();

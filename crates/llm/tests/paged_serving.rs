@@ -3,8 +3,8 @@
 //!
 //! * a 256-token batched decode over packed pages is **token-identical** to
 //!   `TransformerModel::generate_greedy`, which decodes over the f32 `KvCache`;
-//! * under a 4-bit scheme the measured `resident_bytes` is ≥ 4x smaller than the same
-//!   positions held in f32 (`theoretical_bytes_fp32`);
+//! * under a 4-bit scheme the measured `resident_bytes` is ≥ 4x smaller than the
+//!   positions it held, held in f32 (`resident_bytes_fp32`);
 //! * an over-subscribed run admits late sequences as earlier ones finish, accounts for
 //!   every sequence in the final report, and returns every page to the pool.
 
@@ -45,7 +45,7 @@ fn paged_256_token_batched_decode_is_token_identical_and_4x_smaller() {
         paged_report.resident_compression() >= 4.0,
         "paged resident bytes must be >=4x below f32: {} vs {}",
         paged_report.resident_bytes,
-        paged_report.theoretical_bytes_fp32
+        paged_report.resident_bytes_fp32
     );
     // And the measured number sits close to (never below) the theoretical scheme bytes.
     assert!(paged_report.resident_bytes >= paged_report.theoretical_bytes);

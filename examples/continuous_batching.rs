@@ -117,8 +117,14 @@ fn main() {
         report.evicted
     );
     println!(
-        "cache bytes: theoretical {} ({}), peak resident {} (measured packed pages), every position in fp32 {}",
-        report.theoretical_bytes, report.scheme, report.resident_bytes, report.theoretical_bytes_fp32
+        "cache bytes: theoretical {} ({}), every position in fp32 {}; peak resident {} (measured packed pages), \
+         its positions in fp32 {} ({:.1}x)",
+        report.theoretical_bytes,
+        report.scheme,
+        report.theoretical_bytes_fp32,
+        report.resident_bytes,
+        report.resident_bytes_fp32,
+        report.resident_compression()
     );
 
     // Per-request latency (always-on histograms; see ServingReport::latency).

@@ -17,9 +17,9 @@ fn measured_serving() {
     let cfg = ModelConfig::llama2_7b();
     println!("\nMeasured: batched serving on the scaled-down {} analogue", cfg.name);
     println!("4 sequences x 16 prompt tokens x 48 generated tokens, KV cache in packed pages");
-    println!("(theoretical = scheme-math bytes, resident = peak pool pages, vs FP32 = the same");
-    println!(" positions in f32 over resident; decode tok/s is the summed per-worker rate, wall");
-    println!(" tok/s the end-to-end throughput)\n");
+    println!("(theoretical = scheme-math bytes, resident = peak pool pages, vs FP32 = the positions");
+    println!(" held at that peak, in f32, over resident; decode tok/s is the summed per-worker rate,");
+    println!(" wall tok/s the end-to-end throughput)\n");
     println!(
         "{:>16} {:>12} {:>12} {:>14} {:>14} {:>12}",
         "config", "decode tok/s", "wall tok/s", "theory KiB", "resident KiB", "vs FP32"
