@@ -1,8 +1,10 @@
 //! Benchmark of the kernel layer: dispatched word/SIMD pack and unpack vs the scalar
 //! reference at each packed bit width, the paged attention decode (the fused 4-bit page
 //! kernels) vs the forced-scalar pipeline, the MXFP4+ block quantizer, and the panel GEMM
-//! over the `llama2_7b` toy's MXFP4 weights at M = 1 and M = 32 vs the forced-scalar run,
-//! which keeps the row-major `f32` weights and `matmul`.
+//! over the `llama2_7b` toy's MXFP4 weights at M = 1, 4 and 32 vs the forced-scalar run,
+//! which keeps the row-major `f32` weights and `matmul`. Each `gemm_*` label's `config`
+//! names the kernel that ran ([`mx_tensor::panels::panel_kernel`]): `avx512` or `avx2`
+//! for the panels, `matmul` for the `_scalar` twin.
 //!
 //! Each dispatched label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`,
 //! `qdq_mxfp4plus`, `pack_row_mxfp4plus`, `gemm_m1_llama2_7b`, ... — has a `_scalar`
@@ -15,6 +17,7 @@ use mx_formats::kernels::{force_scalar, pack_codes_into, packed_len, unpack_code
 use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::weights::ModelWeights;
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
+use mx_tensor::panels::panel_kernel;
 use mx_tensor::{Matrix, WeightPanels};
 
 /// Codes per pack/unpack call: large enough that the SIMD prefix dominates the tail.
@@ -174,9 +177,10 @@ fn gemm_pass(weights: &[GemmWeight], inputs: &[Matrix], forced: bool) -> usize {
     pass.map(|(g, a)| a.matmul_panels(if forced { &g.forced } else { &g.panels }).rows()).sum()
 }
 
-/// GFLOP/s of one pass through all 29 `llama2_7b` projections at M = 1 (decode) and
-/// M = 32 (prefill), after the bit-identity check: the panels on the dispatched path, and
-/// the forced-scalar run, which keeps `f32` weights and `matmul`.
+/// GFLOP/s of one pass through all 29 `llama2_7b` projections at M = 1 (decode), M = 4
+/// (the 4 decode rows of a `batch_decode` pass) and M = 32 (prefill), after the
+/// bit-identity check: the panels on the dispatched path, and the forced-scalar run,
+/// which keeps `f32` weights and `matmul`.
 fn gemm(h: &mut Harness) {
     let (weights, config) = gemm_weights();
     let (f32_bytes, panel_bytes): (usize, usize) = weights
@@ -188,11 +192,12 @@ fn gemm(h: &mut Harness) {
         f32_bytes as f64 / 1e6,
         panel_bytes as f64 / 1e6
     );
-    for m in [1, 32] {
+    for m in [1, 4, 32] {
         assert_gemm_bit_identity(&weights, m);
         let inputs: Vec<Matrix> = weights.iter().map(|g| gemm_activations(m, g.w.rows())).collect();
         let gflop = gemm_flops(&weights, m) / 1e9;
         dispatched_then_scalar(|suffix, scalar| {
+            let config = format!("{config}, kernel {}", panel_kernel());
             h.time(&format!("gemm_m{m}_llama2_7b{suffix}"), "gflop", gflop, &config, || {
                 gemm_pass(&weights, &inputs, scalar)
             });

@@ -29,7 +29,9 @@
 //! - [`avx2::IntLookup4`], one `pshufb` from codes to the table's entries times `2^m` as
 //!   integers ([`int4_table`]), for consumers that sum what they decode: the fused
 //!   attention page kernels here (`RowCodec::key_dots` / `RowCodec::value_accumulate`)
-//!   and `mx_tensor`'s panel GEMM.
+//!   and, on hosts without AVX-512F, `mx_tensor`'s panel GEMM. Where the CPU has
+//!   AVX-512F, the panel GEMM looks codes up with `vpermps` in the first 16 entries of
+//!   [`decode_table`] instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -815,9 +817,11 @@ pub mod avx2 {
     //! - [`Decode4`] is the exact lookup behind [`decode4_into`](super::decode4_into):
     //!   `f32` table entries, two 8-lane permutes and a blend per 8 codes.
     //! - [`IntLookup4`] serves every consumer that sums what it decodes: the fused page
-    //!   kernels here and `mx_tensor`'s panel GEMM. One `pshufb` per 16 or 32 codes maps
-    //!   each code to its table entry times `2^m` as an `i8`; the consumer converts to
-    //!   `f32` and multiplies by `scale × 2^-m`. Each entry is a small integer times
+    //!   kernels here and, on hosts without AVX-512F, `mx_tensor`'s panel GEMM (with
+    //!   AVX-512F it looks codes up in the `f32` [`decode_table`](super::decode_table)
+    //!   instead). One `pshufb` per 16 or 32 codes maps each code to its table entry
+    //!   times `2^m` as an `i8`; the consumer converts to `f32` and multiplies by
+    //!   `scale × 2^-m`. Each entry is a small integer times
     //!   `2^-m` and the scale a power of two, so that product is the same exact real as
     //!   `table[code] × scale` and rounds alike, subnormal scales and overflow to ±inf
     //!   included; a NaN scale stays NaN. The one difference is E2M1 code 8, which

@@ -327,14 +327,18 @@ impl TransformerModel {
         logits.row(0).to_vec()
     }
 
-    /// Greedy generation of `n` tokens after prefilling `prompt`.
+    /// Greedy generation of `n` tokens after prefilling `prompt`. The `f32` cache is
+    /// reserved for all `prompt.len() + n` positions the run appends before the prefill,
+    /// so it never grows by doubling.
     ///
     /// # Panics
     ///
     /// Panics if the prompt is empty.
     #[must_use]
     pub fn generate_greedy(&self, prompt: &[usize], n: usize) -> Vec<usize> {
-        let (logits, mut cache) = self.prefill(prompt);
+        let kv_dim = self.config.head_dim() * self.config.kv_heads;
+        let mut cache = KvCache::with_capacity(self.config.layers, kv_dim, prompt.len().saturating_add(n));
+        let logits = self.forward(prompt, &mut cache);
         let mut out = Vec::with_capacity(n);
         let mut next = argmax(logits.row(logits.rows() - 1));
         for _ in 0..n {

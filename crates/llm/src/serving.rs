@@ -188,11 +188,12 @@ pub enum FinishReason {
 enum SeqCache {
     /// Submitted, not yet admitted (no storage held).
     Waiting,
-    /// Admitted: the sequence's pages in the pool.
-    Paged(PagedKvCache),
+    /// Admitted: the sequence's pages in the pool. Boxed, like the spill buffer, so a
+    /// retired sequence's table slot stays small.
+    Paged(Box<PagedKvCache>),
     /// Preempted: pages swapped out to a host-side spill buffer, waiting to be
     /// re-admitted and restored bit-identically.
-    Spilled { spilled: SpilledKv },
+    Spilled { spilled: Box<SpilledKv> },
     /// Finished: pages returned to the pool, only the final position count is kept for
     /// accounting.
     Retired { positions: usize },
@@ -215,9 +216,13 @@ struct Checkpoint {
 pub struct Sequence {
     /// Caller-visible id (submission order).
     pub id: usize,
-    /// The prompt the sequence was submitted with.
+    /// The prompt the sequence was submitted with, until it retires. A retired sequence
+    /// keeps its results, not its inputs: retirement empties the prompt (and its prefix
+    /// keys), so the table of every sequence ever submitted grows by little more than
+    /// the tokens generated. A caller that needs a prompt after its sequence finished
+    /// keeps the prompt it submitted.
     pub prompt: Vec<usize>,
-    /// Tokens generated so far.
+    /// Tokens generated so far; shrunk to fit when the sequence retires.
     pub generated: Vec<usize>,
     /// Generation budget for this sequence.
     pub max_new_tokens: usize,
@@ -338,13 +343,18 @@ impl Sequence {
     /// [module docs](crate::serving)). Dropping the paged cache frees its pages — this
     /// is what funds the admission of queued sequences. A finished sequence parked in a
     /// spill buffer (deadline-exceeded while preempted, say) drops the host bytes the
-    /// same way, and any recovery checkpoint goes with it.
+    /// same way, and any recovery checkpoint goes with it. The sequence keeps its results,
+    /// not its inputs: the prompt and its prefix keys go too, and `generated` shrinks to
+    /// fit. No engine path reads a finished sequence's prompt.
     fn retire(&mut self) {
         if self.finish.is_some() {
             if matches!(self.cache, SeqCache::Paged(_) | SeqCache::Spilled { .. }) {
                 self.cache = SeqCache::Retired { positions: self.cached_positions() };
             }
             self.checkpoint = None;
+            self.prompt = Vec::new();
+            self.prefix_hashes = Vec::new();
+            self.generated.shrink_to_fit();
         }
     }
 
@@ -937,7 +947,7 @@ impl<'m> ServingEngine<'m> {
         for seq in &mut self.sequences {
             if seq.finish.is_none() {
                 if let SeqCache::Paged(cache) = &mut seq.cache {
-                    let spilled = cache.spill();
+                    let spilled = Box::new(cache.spill());
                     seq.cache = SeqCache::Spilled { spilled };
                 }
             }
@@ -1193,7 +1203,7 @@ impl<'m> ServingEngine<'m> {
                 seq.generated = cp.generated.clone();
                 seq.rng = cp.rng.clone();
                 seq.shared_positions = cp.shared_positions;
-                seq.cache = SeqCache::Spilled { spilled: cp.spilled.clone() };
+                seq.cache = SeqCache::Spilled { spilled: Box::new(cp.spilled.clone()) };
             }
             None => {
                 // No snapshot yet: replay from scratch. Deterministic prefill plus a
@@ -1233,7 +1243,7 @@ impl<'m> ServingEngine<'m> {
         crate::paging::audit_caches(
             &self.pool,
             self.sequences.iter().filter_map(|s| match &s.cache {
-                SeqCache::Paged(cache) => Some(cache),
+                SeqCache::Paged(cache) => Some(&**cache),
                 _ => None,
             }),
         );
@@ -1377,7 +1387,7 @@ impl<'m> ServingEngine<'m> {
             return match restored {
                 Ok(cache) => {
                     let seq = &mut self.sequences[idx];
-                    seq.cache = SeqCache::Paged(cache);
+                    seq.cache = SeqCache::Paged(Box::new(cache));
                     end_queue_wait(seq, &mut self.queue_wait, rec);
                     rec.instant(Category::Lifecycle, "restored", "seq", seq.id as u64);
                     true
@@ -1407,7 +1417,7 @@ impl<'m> ServingEngine<'m> {
                 seq.shared_positions = cache.seq_len();
                 stats.shared_pages += cache.shared_pages();
                 stats.prefill_tokens_saved += cache.seq_len();
-                seq.cache = SeqCache::Paged(cache);
+                seq.cache = SeqCache::Paged(Box::new(cache));
                 stats.prompt_tokens += seq.prompt.len();
                 end_queue_wait(seq, &mut self.queue_wait, rec);
                 rec.instant(Category::Lifecycle, "admitted", "seq", seq.id as u64);
@@ -1481,7 +1491,7 @@ impl<'m> ServingEngine<'m> {
             let Some(victim) = victim else { return };
             let seq = &mut self.sequences[victim];
             let spilled = match &mut seq.cache {
-                SeqCache::Paged(cache) => cache.spill(),
+                SeqCache::Paged(cache) => Box::new(cache.spill()),
                 _ => unreachable!("victim must hold a paged cache"),
             };
             seq.cache = SeqCache::Spilled { spilled };
@@ -1744,7 +1754,7 @@ fn forward_batch(model: &TransformerModel, seqs: &mut [(&mut Sequence, usize)], 
             sampled.push(i);
             logit_rows.push(stacked - 1);
         }
-        segments.push((tokens, cache));
+        segments.push((tokens, &mut **cache));
     }
     let logits = model.forward_batch_logits_with_scratch(&mut segments, &logit_rows, scratch);
     drop(segments);
@@ -1975,22 +1985,48 @@ mod tests {
     }
 
     #[test]
+    fn retired_sequences_keep_their_results_not_their_inputs() {
+        let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
+        // Each sequence needs 2 layers * ceil((2 + 14)/16) = 2 pages; a 5-page pool holds
+        // two at a time, so after one pass two are running and four still queue.
+        let mut engine = ServingEngine::paged(&model, 5);
+        let prompts: Vec<Vec<usize>> = (0..6usize).map(|s| vec![s + 1, s + 2]).collect();
+        for prompt in &prompts {
+            engine.submit_with(prompt, SubmitOptions::new(14));
+        }
+        engine.run_for(1);
+        for (seq, prompt) in engine.sequences().iter().zip(&prompts) {
+            assert!(!seq.is_finished(), "sequence {} finished in one pass", seq.id);
+            assert_eq!(&seq.prompt, prompt, "queued or running sequence {} lost its prompt", seq.id);
+        }
+        engine.run();
+        for seq in engine.sequences() {
+            assert_eq!(seq.finish_reason(), Some(FinishReason::Length), "sequence {}", seq.id);
+            assert!(seq.prompt.is_empty(), "retired sequence {} kept its prompt", seq.id);
+            assert_eq!(seq.generated.len(), 14, "sequence {}", seq.id);
+            assert_eq!(seq.generated.capacity(), seq.generated.len(), "sequence {}", seq.id);
+        }
+    }
+
+    #[test]
     fn oversubscribed_pool_admits_late_sequences_as_pages_free_up() {
         let model = model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
         // Each sequence needs 2 layers * ceil((2 + 14)/16) = 2 pages; a 5-page pool
         // holds at most two at a time, so 6 submissions must queue.
         let mut engine = ServingEngine::paged(&model, 5);
-        for s in 0..6usize {
-            engine.submit_with(&[s + 1, s + 2], SubmitOptions::new(14));
+        let prompts: Vec<[usize; 2]> = (0..6usize).map(|s| [s + 1, s + 2]).collect();
+        for prompt in &prompts {
+            engine.submit_with(prompt, SubmitOptions::new(14));
         }
         let report = engine.run();
         assert_eq!(report.sequences, 6);
         assert_eq!(report.finished_length, 6);
         assert_eq!(report.evicted, 0);
         assert_eq!(report.generated_tokens, 6 * 14);
-        // Every sequence's output still matches its solo greedy generation.
-        for seq in engine.sequences() {
-            assert_eq!(seq.generated, model.generate_greedy(&seq.prompt, 14), "sequence {}", seq.id);
+        // Every sequence's output still matches its solo greedy generation on the prompt
+        // it was submitted with (a retired sequence no longer holds it).
+        for (seq, prompt) in engine.sequences().iter().zip(&prompts) {
+            assert_eq!(seq.generated, model.generate_greedy(prompt, 14), "sequence {}", seq.id);
         }
         // The final accounting covers every sequence and the pool drained fully.
         let pool = engine.pool().unwrap();

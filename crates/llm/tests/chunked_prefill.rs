@@ -58,14 +58,8 @@ fn chunked_prefill_is_token_identical_across_backends_threads_and_schemes() {
             let report = engine.run();
             let label = format!("{name}, {threads} threads");
             assert_eq!(report.failed + report.retries, 0, "{label}");
-            for (seq, expected) in engine.sequences().iter().zip(&reference) {
-                assert_eq!(
-                    &seq.generated,
-                    expected,
-                    "{label}: sequence {} ({} prompt tokens)",
-                    seq.id,
-                    seq.prompt.len()
-                );
+            for ((seq, expected), (prompt, _)) in engine.sequences().iter().zip(&reference).zip(&workload) {
+                assert_eq!(&seq.generated, expected, "{label}: sequence {} ({} prompt tokens)", seq.id, prompt.len());
             }
             // The recipients mapped the 4 full pages (64 positions) of the 70 they share
             // with the donor.

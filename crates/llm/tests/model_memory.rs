@@ -7,7 +7,11 @@
 //!   norms;
 //! * the peak during the build is at most those kept bytes plus one `f32` projection;
 //! * `weights()` regenerates the raw weights on first call, equal to
-//!   `ModelWeights::generate`, and calling it changes no logit.
+//!   `ModelWeights::generate`, and calling it changes no logit;
+//! * `generate_greedy(prompt, n)` reserves its `f32` cache for the `prompt.len() + n`
+//!   positions it appends, so its live-byte peak stays within that exact cache and a
+//!   small slack for the forward's temporaries: a cache grown by doubling would hold
+//!   512 rows of capacity for the 288 positions of `batch_decode`'s shape.
 //!
 //! The file holds a single test, so no other test allocates while it counts.
 
@@ -77,6 +81,11 @@ static ALLOCATOR: Counting = Counting;
 /// buffer. A few KiB in practice.
 const SLACK: usize = 64 * 1024;
 
+/// Room for what greedy generation allocates besides its cache: the prefill's
+/// activations, logits and attention scratch, and the output tokens. About 0.8 MB on the
+/// `llama2_7b` toy; a cache grown by doubling adds 1.8 MB more.
+const GENERATE_SLACK: usize = 1024 * 1024;
+
 fn f32_bytes(m: &Matrix) -> usize {
     4 * m.data().len()
 }
@@ -125,5 +134,21 @@ fn the_model_keeps_only_what_its_forward_reads() {
         build_peak <= kept + largest_projection + SLACK,
         "building the model peaked at {build_peak} B live: more than the {kept} B it keeps plus one \
          {largest_projection} B projection"
+    );
+
+    // `batch_decode`'s shape: a 32-token prompt and 256 new tokens, 288 cached positions.
+    let prompt: Vec<usize> = (0..32).map(|i| (i * 29 + 3) % config.vocab).collect();
+    let n = 256;
+    let positions = prompt.len() + n;
+    let cache_bytes = config.layers * 2 * positions * config.head_dim() * config.kv_heads * 4;
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let generated = model.generate_greedy(&prompt, n);
+    let generate_peak = PEAK.load(Ordering::SeqCst) - before;
+    assert_eq!(generated.len(), n);
+    assert!(
+        generate_peak <= cache_bytes + GENERATE_SLACK,
+        "generate_greedy peaked at {generate_peak} B live: more than its {cache_bytes} B cache of {positions} \
+         positions plus {GENERATE_SLACK} B"
     );
 }

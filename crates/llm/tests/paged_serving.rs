@@ -60,8 +60,8 @@ fn oversubscribed_continuous_batching_accounts_for_every_sequence() {
     // admitted in waves as earlier sequences retire and return their pages.
     let mut engine = ServingEngine::paged(&model, 6);
     let mut stop = None;
-    for s in 0..8usize {
-        let prompt = [s + 1, s + 2, s + 3];
+    let prompts: Vec<[usize; 3]> = (0..8usize).map(|s| [s + 1, s + 2, s + 3]).collect();
+    for (s, &prompt) in prompts.iter().enumerate() {
         if s == 5 {
             // Give one sequence a stop token it will actually produce, taken from its own
             // free-running generation, to mix finish reasons into the same run.
@@ -78,10 +78,11 @@ fn oversubscribed_continuous_batching_accounts_for_every_sequence() {
     assert_eq!(report.finished_length + report.finished_stop + report.evicted, 8);
     assert_eq!(report.finished_stop, 1);
     assert_eq!(report.evicted, 0);
-    for seq in engine.sequences() {
+    for (seq, prompt) in engine.sequences().iter().zip(&prompts) {
         assert!(seq.is_finished(), "sequence {} left unfinished", seq.id);
-        // Interleaved, wave-admitted decoding still matches solo greedy generation.
-        let solo = model.generate_greedy(&seq.prompt, 13);
+        // Interleaved, wave-admitted decoding still matches solo greedy generation on the
+        // submitted prompt (a retired sequence no longer holds it).
+        let solo = model.generate_greedy(prompt, 13);
         if seq.finish_reason() == Some(FinishReason::Stop) {
             let n = seq.generated.len();
             assert!(n < 13, "stop must cut generation short");

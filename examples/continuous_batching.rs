@@ -53,12 +53,16 @@ fn main() {
             (prompt, max_new, stop)
         })
         .collect();
+    // One more submission can never fit: evicted, not deadlocked.
+    let oversized: &[usize] = &[1, 2, 3];
     let submit_workload = |engine: &mut ServingEngine<'_>| {
         for (prompt, max_new, stop) in &submissions {
             engine.submit_with(prompt, SubmitOptions::new(*max_new).stop_token(*stop));
         }
-        engine.submit_with(&[1, 2, 3], SubmitOptions::new(100_000)); // can never fit: evicted, not deadlocked
+        engine.submit_with(oversized, SubmitOptions::new(100_000));
     };
+    // The prompts in submission order: a retired sequence no longer holds its own.
+    let prompts: Vec<&[usize]> = submissions.iter().map(|(p, ..)| p.as_slice()).chain([oversized]).collect();
 
     let mut engine = ServingEngine::paged(&model, pages);
     if trace_path.is_some() {
@@ -88,11 +92,11 @@ fn main() {
     let report = engine.run();
 
     println!("{:>4} {:>8} {:>8} {:>10} {:>10}", "seq", "prompt", "tokens", "budget", "finish");
-    for seq in engine.sequences() {
+    for (seq, prompt) in engine.sequences().iter().zip(&prompts) {
         println!(
             "{:>4} {:>8} {:>8} {:>10} {:>10}",
             seq.id,
-            seq.prompt.len(),
+            prompt.len(),
             seq.generated.len(),
             seq.max_new_tokens,
             match seq.finish_reason() {
@@ -170,8 +174,10 @@ fn main() {
 
     // Every stream against the f32-cache reference: a stop-token stream is its greedy
     // continuation cut at the stop.
-    for seq in engine.sequences().iter().filter(|s| s.finish_reason() != Some(FinishReason::Evicted)) {
-        let free = model.generate_greedy(&seq.prompt, seq.max_new_tokens);
+    let served =
+        engine.sequences().iter().zip(&prompts).filter(|(s, _)| s.finish_reason() != Some(FinishReason::Evicted));
+    for (seq, prompt) in served {
+        let free = model.generate_greedy(prompt, seq.max_new_tokens);
         let end = seq.stop_token.and_then(|t| free.iter().position(|&g| g == t)).unwrap_or(free.len());
         assert_eq!(seq.generated, free[..end], "sequence {} diverges from generate_greedy", seq.id);
     }
