@@ -493,64 +493,65 @@ impl TransformerModel {
         let keep = batch.logit_rows.filter(|_| layer + 1 == cfg.layers);
 
         // --- Attention ---
-        let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
-        let (mut q, mut k, v) = {
-            // Quantize the shared activation operand once for all three projections
-            // and multiply against the pre-cast weights.
-            let a = normed.quantize_rows(self.quant.linear.activations);
-            (a.matmul_panels(&lw.wq), a.matmul_panels(&lw.wk), a.matmul_panels(&lw.wv))
-        };
-        let mut attn_out = Matrix::zeros(x.rows(), cfg.heads * cfg.head_dim());
-        for ((_, cache), span) in segments.iter_mut().zip(&batch.spans) {
-            self.apply_rotary(&mut q, &mut k, span, &batch.rope);
-            // Append the new keys/values to the cache (stored quantized).
-            for r in span.rows() {
-                cache.append(layer, k.row(r), v.row(r), self.quant.kv_cache);
-            }
-            // Attention of this segment's rows, causal over its cache.
-            let mut reader = cache.layer_reader(layer, scratch);
-            match keep {
-                None => self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out),
-                Some(rows) => {
-                    for &r in rows.iter().filter(|r| span.rows().contains(r)) {
-                        let row = RowSpan { first: r, len: 1, start_pos: span.start_pos + (r - span.first) };
-                        self.attention_zero_copy(&mut reader, &q, &row, attn, &mut attn_out);
+        // Each phase is a block, so its temporaries are freed before the next phase
+        // allocates: a prefill forward's peak heap is one phase's activations, not the
+        // whole layer's.
+        let x = {
+            let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
+            let (mut q, mut k, v) = {
+                // Quantize the shared activation operand once for all three projections
+                // and multiply against the pre-cast weights.
+                let a = normed.quantize_rows(self.quant.linear.activations);
+                (a.matmul_panels(&lw.wq), a.matmul_panels(&lw.wk), a.matmul_panels(&lw.wv))
+            };
+            let mut attn_out = Matrix::zeros(x.rows(), cfg.heads * cfg.head_dim());
+            for ((_, cache), span) in segments.iter_mut().zip(&batch.spans) {
+                self.apply_rotary(&mut q, &mut k, span, &batch.rope);
+                // Append the new keys/values to the cache (stored quantized).
+                for r in span.rows() {
+                    cache.append(layer, k.row(r), v.row(r), self.quant.kv_cache);
+                }
+                // Attention of this segment's rows, causal over its cache.
+                let mut reader = cache.layer_reader(layer, scratch);
+                match keep {
+                    None => self.attention_zero_copy(&mut reader, &q, span, attn, &mut attn_out),
+                    Some(rows) => {
+                        for &r in rows.iter().filter(|r| span.rows().contains(r)) {
+                            let row = RowSpan { first: r, len: 1, start_pos: span.start_pos + (r - span.first) };
+                            self.attention_zero_copy(&mut reader, &q, &row, attn, &mut attn_out);
+                        }
                     }
                 }
             }
-        }
-        // Past attention every operation is row-independent: rows nobody keeps stop here.
-        let kept;
-        let (x, attn_out) = match keep {
-            None => (x, attn_out),
-            Some(rows) => {
-                kept = select_rows(x, rows);
-                (&kept, select_rows(&attn_out, rows))
-            }
+            // Past attention every operation is row-independent: rows nobody keeps stop here.
+            let kept;
+            let (x, attn_out) = match keep {
+                None => (x, attn_out),
+                Some(rows) => {
+                    kept = select_rows(x, rows);
+                    (&kept, select_rows(&attn_out, rows))
+                }
+            };
+
+            let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&lw.wo);
+            x.add(&attn_proj)
         };
 
-        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_panels(&lw.wo);
-        let x = x.add(&attn_proj);
-
         // --- MLP ---
-        let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
         let project = |cast_w: &WeightPanels, activations: &Matrix| {
             activations.quantize_rows(self.quant.linear.activations).matmul_panels(cast_w)
         };
-        let mlp_out = match cfg.mlp {
-            MlpKind::GatedSilu => {
-                let (gate, up) = {
+        let hidden = {
+            let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
+            match cfg.mlp {
+                MlpKind::GatedSilu => {
                     let a = normed.quantize_rows(self.quant.linear.activations);
-                    (a.matmul_panels(&lw.w_gate), a.matmul_panels(&lw.w_up))
-                };
-                project(&lw.w_down, &self.gated_silu_hidden(&gate, &up))
-            }
-            MlpKind::Gelu => {
-                let fc1 = project(&lw.w_gate, &normed);
-                project(&lw.w_down, &self.gelu_hidden(&fc1))
+                    self.gated_silu_hidden(&a.matmul_panels(&lw.w_gate), &a.matmul_panels(&lw.w_up))
+                }
+                MlpKind::Gelu => self.gelu_hidden(&project(&lw.w_gate, &normed)),
             }
         };
-        x.add(&mlp_out)
+        x.add(&project(&lw.w_down, &hidden))
     }
 
     /// Element-wise `silu(gate) * up` of the gated MLP.

@@ -554,6 +554,10 @@ mod avx512 {
 mod tests {
     use super::*;
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     fn weights(k: usize, n: usize) -> Matrix {
         Matrix::from_fn(k, n, |r, c| {
             let v = ((r * 31 + c * 17) as f32 * 0.37).sin() * 0.3;
@@ -638,7 +642,6 @@ mod tests {
         for p in 0..k {
             ordinary.set(p, 9, 0.0);
         }
-        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (name, present, kernel) in kernels {
             if !present {
                 println!("note: the {name} panel kernel is not tested: this CPU lacks it");
@@ -666,7 +669,6 @@ mod tests {
     #[test]
     fn decoded_panels_equal_the_quantize_columns_matrix() {
         let w = weights(100, 40);
-        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for format in [MxFormat::MXFP4, MxFormat::MXINT4] {
             let store = cast_codes4(&w, format).expect("finite weights give code panels");
             let panels = WeightPanels { rows: 100, cols: 40, store };
