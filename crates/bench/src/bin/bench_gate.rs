@@ -200,8 +200,8 @@ mod tests {
 
     #[test]
     fn parses_kernel_snapshot_throughput_not_the_scalar_reference() {
-        // The forced-scalar reference is a label of its own, which shares the dispatched
-        // label's prefix; each keeps its own numbers, in either order.
+        // A label that extends another's name (as the `_scalar` reference twins of older
+        // snapshots do) is a label of its own; each keeps its own numbers, in either order.
         let json = concat!(
             "{\"bench\":\"kernels\",\"entries\":[",
             "{\"label\":\"pack_4bit_scalar\",\"unit\":\"codes_per_sec\",\"median\":900.0,\"max\":1000.0},",

@@ -162,8 +162,8 @@ impl Harness {
     ///   {"label":"pack_4bit","unit":"codes_per_sec","n":11,"median":..,"min":..,"max":..,"mad":..,"config":".."}]}
     /// ```
     ///
-    /// `nproc` is the host's available parallelism and `backend` the kernel dispatch
-    /// backend ([`mx_formats::kernels::active_backend`]). A serving entry adds a
+    /// `nproc` is the host's available parallelism and `backend` the process's kernel
+    /// plan ([`mx_formats::kernels::active_backend`]). A serving entry adds a
     /// `report` object (see [`Harness::serve`]). Exits the process with status 1 if
     /// the file cannot be written.
     pub fn finish(self) {

@@ -17,17 +17,16 @@
 //! Every output equals the scalar reference codecs — [`MxBlock::quantize`] and
 //! [`MxPlusBlock::quantize`], built on [`crate::minifloat`] — bit for bit. The reference
 //! still serves three cases: blocks holding a non-finite value, blocks longer than
-//! [`MAX_FUSED_BLOCK`], and every call while [`kernels::force_scalar`] (or the
-//! `MX_FORCE_SCALAR_KERNELS` environment variable) is in effect, so the one switch that
-//! selects the scalar pack/unpack kernels also selects the whole reference conversion
-//! pipeline.
+//! [`MAX_FUSED_BLOCK`], and every call of a process whose kernel plan is
+//! [`KernelBackend::Scalar`], so the plan that runs the scalar pack/unpack kernels also
+//! runs the whole reference conversion pipeline.
 //!
 //! [`MxBlock::quantize`]: crate::block::MxBlock::quantize
 //! [`MxPlusBlock::quantize`]: crate::mxplus::MxPlusBlock::quantize
 
 use crate::block;
 use crate::element::ElementType;
-use crate::kernels::{self, MAX_FUSED_BLOCK};
+use crate::kernels::{self, KernelBackend, MAX_FUSED_BLOCK};
 use crate::minifloat;
 use crate::mxplus;
 use crate::scale::{SharedScale, E8M0_BIAS, MIN_SHARED_EXP};
@@ -107,7 +106,7 @@ struct Caster {
     element: ElementType,
     plus: bool,
     /// Whether blocks may take the fast core at all: not above [`MAX_FUSED_BLOCK`], and
-    /// not while scalar kernels are forced.
+    /// not on the scalar kernel plan.
     fast: bool,
     grid: Grid,
     bm_grid: Grid,
@@ -121,7 +120,7 @@ impl Caster {
         Caster {
             element,
             plus,
-            fast: block_size <= MAX_FUSED_BLOCK && !kernels::scalar_forced(),
+            fast: block_size <= MAX_FUSED_BLOCK && kernels::active_backend() != KernelBackend::Scalar,
             grid: Grid::element(element),
             bm_grid: Grid::block_max(element),
             zero: if element.is_int() { 0.0 } else { -0.0 },

@@ -12,7 +12,7 @@ use crate::bf16::Bf16;
 use crate::cast;
 use crate::element::ElementType;
 use crate::error::FormatError;
-use crate::kernels::{self, code_at, pack_codes_into, unpack_codes_into, MAX_FUSED_BLOCK};
+use crate::kernels::{self, code_at, pack_codes_into, unpack_codes_into, KernelBackend, MAX_FUSED_BLOCK};
 use crate::minifloat;
 use crate::mxfp::MxFormat;
 use crate::mxplus::{MxPlusBlock, MxPlusFormat};
@@ -134,7 +134,7 @@ impl PackedMxPlusRow {
 /// decoder outputs, minus the per-element bit extraction and decode branching. 4-bit
 /// codes go straight from the packed bytes through [`kernels::decode4_into`]; wider
 /// codes are bulk-unpacked through the dispatched kernel into a stack buffer first.
-/// Forced-scalar mode and oversized blocks take the original random-access reference
+/// The scalar kernel plan and oversized blocks take the original random-access reference
 /// loop.
 fn decode_block(element: ElementType, scale: SharedScale, code_bytes: &[u8], bm: Option<usize>, out: &mut [f32]) {
     if scale.is_zero_block() {
@@ -143,7 +143,7 @@ fn decode_block(element: ElementType, scale: SharedScale, code_bytes: &[u8], bm:
     }
     let s = scale.value();
     let bits = element.bits();
-    if kernels::scalar_forced() || out.len() > MAX_FUSED_BLOCK {
+    if kernels::active_backend() == KernelBackend::Scalar || out.len() > MAX_FUSED_BLOCK {
         for (i, o) in out.iter_mut().enumerate() {
             let c = code_at(code_bytes, bits, i);
             let e = if bm == Some(i) {
@@ -329,8 +329,8 @@ impl RowCodec {
     ///
     /// Returns `false`, writing nothing, unless the kernel takes the rows: 4-bit MX or
     /// MX+ elements in blocks of a multiple of 8, a `head_dim` that is a multiple of 8,
-    /// and the AVX2 backend (so never under [`kernels::force_scalar`]). The caller then
-    /// decodes the rows and folds them itself.
+    /// and a kernel plan that [runs the AVX2 kernels](KernelBackend::runs_avx2) (so never
+    /// the scalar plan). The caller then decodes the rows and folds them itself.
     ///
     /// # Panics
     ///

@@ -1,37 +1,27 @@
 //! Property tests pinning the dispatched pack/unpack kernels bit-exact against the
-//! scalar reference: every bit width (1..=8) × row lengths including partial tail
-//! bytes × forced-scalar vs auto dispatch, plus — for every MX/MX+ element type and
-//! block sizes around the fused-kernel limit — the fast block quantizer against the
-//! reference codecs and the `RowCodec` round trip under both dispatch modes (BF16 rows
-//! included), on edge-case rows (raw bit patterns, grid points and midpoints, the MX+
-//! flush boundary, values near `f32::MAX`).
+//! scalar reference, called directly: every bit width (1..=8) × row lengths including
+//! partial tail bytes, plus — for every MX/MX+ element type and block sizes around the
+//! fused-kernel limit — fake quantization, the `RowCodec` packed bytes and its round
+//! trip (BF16 rows included) against references built from the reference block codecs
+//! (`MxBlock::quantize` / `MxPlusBlock::quantize`) and `pack_codes_into_scalar`, on
+//! edge-case rows (raw bit patterns, grid points and midpoints, the MX+ flush boundary,
+//! values near `f32::MAX`).
 //!
-//! The forced-scalar cases flip a process-global switch, so everything that toggles it
-//! runs under one mutex; concurrently running tests see identical *outputs* either way
-//! (that equality is exactly what this suite proves), only backend identity assertions
-//! need the serialization.
+//! The process's kernel plan is fixed, so these tests run on whichever plan it is; CI
+//! runs them once on the detected plan and once under `MX_FORCE_SCALAR_KERNELS=1`.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 
+use mx_formats::bf16::Bf16;
+use mx_formats::block::MxBlock;
 use mx_formats::kernels::{
-    self, active_backend, force_scalar, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into,
-    unpack_codes_into_scalar, KernelBackend, MAX_FUSED_BLOCK,
+    self, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into, unpack_codes_into_scalar,
+    MAX_FUSED_BLOCK,
 };
 use mx_formats::layout::RowCodec;
-use mx_formats::mxplus::MxPlusFormat;
+use mx_formats::mxplus::{MxPlusBlock, MxPlusFormat};
 use mx_formats::scale::MIN_SHARED_EXP;
 use mx_formats::{ElementType, MxFormat, QuantScheme};
-
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_forced_scalar<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    force_scalar(true);
-    let result = f();
-    force_scalar(false);
-    result
-}
 
 /// Deterministic pseudo-random codes masked to `bits` wide, so a failing case is
 /// reproducible from the printed `(bits, len, seed)` triple alone.
@@ -70,26 +60,6 @@ proptest! {
         unpack_codes_into_scalar(&reference, bits, &mut unpacked_ref);
         prop_assert_eq!(&unpacked, &unpacked_ref);
         prop_assert_eq!(&unpacked, &codes, "round trip bits {} len {}", bits, codes.len());
-    }
-
-    #[test]
-    fn forced_scalar_and_auto_dispatch_produce_identical_bytes(bits in 1u32..=8, len in any_len(), seed in 0u64..1_000_000) {
-        let codes = codes_for(bits, len, seed);
-        let nb = packed_len(codes.len(), bits);
-        let mut auto_packed = vec![0u8; nb];
-        pack_codes_into(&codes, bits, &mut auto_packed);
-        let mut auto_unpacked = vec![0u8; codes.len()];
-        unpack_codes_into(&auto_packed, bits, &mut auto_unpacked);
-
-        let (forced_packed, forced_unpacked) = with_forced_scalar(|| {
-            let mut p = vec![0u8; nb];
-            pack_codes_into(&codes, bits, &mut p);
-            let mut u = vec![0u8; codes.len()];
-            unpack_codes_into(&p, bits, &mut u);
-            (p, u)
-        });
-        prop_assert_eq!(auto_packed, forced_packed);
-        prop_assert_eq!(auto_unpacked, forced_unpacked);
     }
 }
 
@@ -220,40 +190,52 @@ proptest! {
         };
         let row = edge_row(kind, element, block, len, seed);
         let codec = RowCodec::for_scheme(scheme);
-        let nb = codec.packed_bytes(len);
-        // One lock for the whole case, so the auto-dispatch run really is dispatched: a
-        // concurrently forced-scalar test would otherwise make it a second forced run.
-        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let run = || {
-            let mut qdq = vec![f32::NAN; len];
-            scheme.quantize_dequantize_into(&row, &mut qdq);
-            let mut packed = vec![0xaa_u8; nb];
-            codec.pack_row_into(&row, &mut packed);
-            let mut unpacked = vec![f32::NAN; len];
-            codec.unpack_row_into(&packed, &mut unpacked);
-            (canonical_bits(&qdq), packed, canonical_bits(&unpacked))
-        };
-        let (auto_qdq, auto_packed, auto_unpacked) = run();
-        force_scalar(true);
-        let (forced_qdq, forced_packed, forced_unpacked) = run();
-        force_scalar(false);
+        let mut qdq = vec![f32::NAN; len];
+        scheme.quantize_dequantize_into(&row, &mut qdq);
+        let mut packed = vec![0xaa_u8; codec.packed_bytes(len)];
+        codec.pack_row_into(&row, &mut packed);
+        let mut unpacked = vec![f32::NAN; len];
+        codec.unpack_row_into(&packed, &mut unpacked);
+        let (ref_qdq, ref_packed) = reference_row(scheme, element, block, &row);
 
         let case = format!("{scheme} block {block} len {len} kind {kind}");
-        prop_assert_eq!(&auto_qdq, &forced_qdq, "quantize_dequantize_into must be dispatch-invariant: {}", case);
-        prop_assert_eq!(&auto_packed, &forced_packed, "packed bytes must be dispatch-invariant: {}", case);
-        prop_assert_eq!(&auto_unpacked, &auto_qdq, "packed round trip must equal fake quantization: {}", case);
-        prop_assert_eq!(&forced_unpacked, &auto_qdq, "{}", case);
+        prop_assert_eq!(canonical_bits(&qdq), canonical_bits(&ref_qdq), "quantize_dequantize_into: {}", case);
+        prop_assert_eq!(&packed, &ref_packed, "packed bytes: {}", case);
+        prop_assert_eq!(canonical_bits(&unpacked), canonical_bits(&ref_qdq), "packed round trip: {}", case);
     }
 }
 
-#[test]
-fn forced_scalar_switch_is_observable() {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    force_scalar(false);
-    let auto = active_backend();
-    force_scalar(true);
-    assert_eq!(active_backend(), KernelBackend::Scalar);
-    assert!(kernels::scalar_forced());
-    force_scalar(false);
-    assert_eq!(active_backend(), auto);
+/// The fake-quantized row and the packed bytes of `row` under `scheme`, built from the
+/// reference block codecs: per block, the scale byte, for MX+ the BM-index byte, then
+/// the codes packed by `pack_codes_into_scalar`; for BF16, each element's `Bf16` bits.
+fn reference_row(scheme: QuantScheme, element: ElementType, block: usize, row: &[f32]) -> (Vec<f32>, Vec<u8>) {
+    let (mut values, mut bytes) = (Vec::new(), Vec::new());
+    if scheme == QuantScheme::Bf16 {
+        for &v in row {
+            let b = Bf16::from_f32(v);
+            values.push(b.to_f32());
+            bytes.extend(b.to_bits().to_le_bytes());
+        }
+        return (values, bytes);
+    }
+    let bits = element.bits();
+    for chunk in row.chunks(block) {
+        let (scale, bm_index, codes, dequantized) = match scheme {
+            QuantScheme::MxPlus(_) => {
+                let b = MxPlusBlock::quantize(element, chunk);
+                (b.scale(), Some(b.bm_index() as u8), b.codes().to_vec(), b.dequantize())
+            }
+            _ => {
+                let b = MxBlock::quantize(element, chunk);
+                (b.scale(), None, b.codes().to_vec(), b.dequantize())
+            }
+        };
+        values.extend(dequantized);
+        bytes.push(scale.to_bits());
+        bytes.extend(bm_index);
+        let at = bytes.len();
+        bytes.resize(at + packed_len(codes.len(), bits), 0);
+        pack_codes_into_scalar(&codes, bits, &mut bytes[at..]);
+    }
+    (values, bytes)
 }

@@ -4,28 +4,19 @@
 //!   1-row decodes at mixed contexts, a fresh-cache prefill, a prefill that continues a
 //!   cache, and a donor/recipient pair decoding over the donor's published prefix pages,
 //!   each into a boundary page of its own — gives every segment the bits of its own
-//!   one-segment forward, on the f32 and paged backends, with code-panel and
-//!   matrix-store weights.
+//!   one-segment forward, on the f32 and paged backends, with code-panel weights
+//!   (A-MXFP4+ on a kernel plan that runs the AVX2 kernels) and matrix-store weights
+//!   (BASELINE and MXFP6 on every plan, and A-MXFP4+ under `MX_FORCE_SCALAR_KERNELS=1`,
+//!   which CI also runs).
 //! * **Engine:** a fault addressed to one job of a batched pass costs only that
 //!   sequence: it alone is retried, its batch-mates still share the pass's batched
 //!   forward and are never rolled back, and every stream equals the fault-free run.
 
-use std::sync::{Mutex, MutexGuard};
-
-use mx_formats::kernels::force_scalar;
 use mx_formats::{QuantScheme, RowCodec};
 use mx_llm::{
     prefix_keys, Category, EventKind, FaultKind, FaultPlan, KvBackend, KvCache, ModelConfig, ModelQuantConfig,
     PagePool, PagedKvCache, ServingEngine, SubmitOptions, TelemetryConfig, TransformerModel,
 };
-
-/// `force_scalar` is process-global: tests in this file take turns so a model built by
-/// one never lands in another's forced-scalar window.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Positions per page of the paged caches: the 10-token shared prefix spans two full
 /// pages, which the recipient maps, plus a partially filled boundary page, which it
@@ -125,20 +116,13 @@ fn assert_batch_matches_solo<B: KvBackend>(
 
 #[test]
 fn batched_forward_equals_each_segment_alone() {
-    let _guard = serialized();
     let configs = [
-        ("A-MXFP4+", ModelQuantConfig::a_mxfp4_plus(), false),
-        ("BASELINE", ModelQuantConfig::BASELINE, false),
-        ("MXFP6", ModelQuantConfig::uniform(QuantScheme::mxfp6()), false),
-        ("A-MXFP4+ cast under force_scalar", ModelQuantConfig::a_mxfp4_plus(), true),
+        ("A-MXFP4+", ModelQuantConfig::a_mxfp4_plus()),
+        ("BASELINE", ModelQuantConfig::BASELINE),
+        ("MXFP6", ModelQuantConfig::uniform(QuantScheme::mxfp6())),
     ];
-    for (name, quant, cast_scalar) in configs {
-        // A cast under forced-scalar kernels keeps the row-major matrix store even on
-        // an AVX2 host; the forward itself then runs on the dispatched kernels.
-        force_scalar(cast_scalar);
+    for (name, quant) in configs {
         let model = TransformerModel::new(ModelConfig::tiny_test(31), quant);
-        force_scalar(false);
-
         assert_batch_matches_solo(&model, f32_segments(&model), f32_segments(&model), &format!("{name} f32"));
 
         let cfg = model.config();
@@ -168,7 +152,6 @@ fn run_engine(threads: usize, faults: Option<FaultPlan>) -> (ServingEngine<'stat
 
 #[test]
 fn a_fault_in_a_batched_pass_costs_only_its_sequence() {
-    let _guard = serialized();
     // Pass 0 prefills all nine sequences (one job each) and emits their first tokens;
     // pass 1 decodes them, each worker's contiguous chunk as one batch. The fault
     // targets the second job of worker 0's pass-1 batch at one thread (jobs 10..=18,

@@ -1,16 +1,13 @@
 //! Acceptance tests for the page-tiled attention over the packed KV cache: the tiled
 //! folds (`key_dots` / `value_accumulate`) of both backends must equal the per-position
 //! folds over row reads **bit for bit**, and the serving engine must stay token-identical
-//! to `generate_greedy` over the f32 `KvCache` end to end at 1, 2 and 4 threads. End
-//! to end, the fast kernels must also match the forced-scalar reference pipeline token
-//! for token, and a prefill must decode each cached row once per block of query rows.
+//! to `generate_greedy` over the f32 `KvCache` end to end at 1, 2 and 4 threads, and a
+//! prefill must decode each cached row once per block of query rows.
 //!
-//! Every test that flips the process-global forced-scalar switch serializes on one
-//! mutex. The decode count does not depend on it.
+//! The tests run on the process's kernel plan; CI runs them on the detected plan (the
+//! fused page kernels) and under `MX_FORCE_SCALAR_KERNELS=1` (the paged reader's
+//! row-by-row decode and the reference quantizer).
 
-use std::sync::Mutex;
-
-use mx_formats::kernels::force_scalar;
 use mx_formats::layout::RowCodec;
 use mx_formats::QuantScheme;
 use mx_llm::kvcache::{AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS};
@@ -18,8 +15,6 @@ use mx_llm::{
     LayerKvCache, ModelConfig, ModelQuantConfig, PagePool, PagedKvCache, PagedScratch, ServingEngine, SubmitOptions,
     TransformerModel,
 };
-
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
 /// GQA-shaped tiny model (4 query heads over 2 KV heads) so the tiled fold's
 /// head-group mapping is exercised, not just the trivial `group == 1` layout.
@@ -44,36 +39,20 @@ fn run_paged(model: &TransformerModel, threads: usize) -> Vec<Vec<usize>> {
 }
 
 /// Tiled attention over packed pages is token-identical to the same walk over the f32
-/// `KvCache` (`generate_greedy`) at every thread count.
+/// `KvCache` (`generate_greedy`) at every thread count. Beyond A-MXFP4+, uniform MXFP8+
+/// and MXINT8+ carry the quantizer's E4M3-saturation and integer-rounding arms.
 #[test]
 fn fused_paged_decode_matches_f32_at_1_2_and_4_threads() {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let model = gqa_model();
-    let reference: Vec<Vec<usize>> = PROMPTS.iter().map(|p| model.generate_greedy(p, 48)).collect();
-    for threads in [1usize, 2, 4] {
-        assert_eq!(run_paged(&model, threads), reference, "paged fused decode diverges at {threads} threads");
-    }
-}
-
-/// Forcing the scalar kernels changes no token: it selects the reference block
-/// quantizer for the weight cast (the reference model is built while forced), the
-/// activation and attention operands and the KV pack, and routes attention through the
-/// paged reader's row-by-row decode instead of the page kernels.
-/// Beyond A-MXFP4+, uniform MXFP8+ and MXINT8+ pin the quantizer's E4M3-saturation and
-/// integer-rounding arms token for token.
-#[test]
-fn forced_scalar_and_fused_paged_decodes_are_token_identical() {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     for quant in [
         ModelQuantConfig::a_mxfp4_plus(),
         ModelQuantConfig::uniform(QuantScheme::mxfp8_plus()),
         ModelQuantConfig::uniform(QuantScheme::mxint8_plus()),
     ] {
-        let fused = run_paged(&gqa_model_with(quant), 1);
-        force_scalar(true);
-        let reference = run_paged(&gqa_model_with(quant), 1);
-        force_scalar(false);
-        assert_eq!(fused, reference, "{quant:?}: the fast path must be token-identical to the reference pipeline");
+        let model = gqa_model_with(quant);
+        let reference: Vec<Vec<usize>> = PROMPTS.iter().map(|p| model.generate_greedy(p, 48)).collect();
+        for threads in [1usize, 2, 4] {
+            assert_eq!(run_paged(&model, threads), reference, "{quant:?}: paged decode diverges at {threads} threads");
+        }
     }
 }
 
@@ -125,13 +104,12 @@ fn tiled_folds(
 
 /// Reader-level pin of the tiled walk, on a GQA layout (4 query heads over 2 KV heads)
 /// with pages of 16 and of 5 positions (tiles then straddle pages), under MX, MX+, 6-bit,
-/// BF16 and `Dequantized` (FP32) rows, dispatched and forced scalar: scores folded tile
-/// by tile with `key_dots`, and outputs accumulated with `value_accumulate`, equal the
-/// per-position folds over row reads, bit for bit, on the paged backend (fused page
-/// kernels or its row-by-row decode) and the f32 backend (the provided bodies).
+/// BF16 and `Dequantized` (FP32) rows: scores folded tile by tile with `key_dots`, and
+/// outputs accumulated with `value_accumulate`, equal the per-position folds over row
+/// reads, bit for bit, on the paged backend (fused page kernels or its row-by-row
+/// decode) and the f32 backend (the provided bodies).
 #[test]
 fn tiled_reader_is_bit_identical_to_row_reads() {
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (heads, group, head_dim) = (4usize, 2usize, 8usize);
     let geom = AttnGeometry { heads, head_dim, group };
     let kv_dim = (heads / group) * head_dim;
@@ -152,53 +130,49 @@ fn tiled_reader_is_bit_identical_to_row_reads() {
             // Some exact-zero probabilities exercise the skip.
             let probs: Vec<f32> =
                 (0..heads * steps).map(|i| if i % 7 == 3 { 0.0 } else { 0.01 + (i % 11) as f32 * 0.013 }).collect();
-            for forced in [false, true] {
-                force_scalar(forced);
-                let case = format!("{scheme} pages of {page_positions} forced {forced}");
-                // The per-position reference: row reads, then sequential folds.
-                let mut ref_scores = vec![0.0f32; heads * steps];
-                let mut ref_out = vec![0.0f32; heads * head_dim];
-                let mut ref_scratch = PagedScratch::default();
-                let mut reader = paged.layer_reader(0, &mut ref_scratch);
-                for t in 0..steps {
-                    let key = reader.key_row(t).to_vec();
-                    assert_eq!(bits(&key), bits(flat.key_row(t)), "{case}: key row {t}");
-                    for h in 0..heads {
-                        let kv = (h / group) * head_dim;
-                        let mut acc = 0.0f32;
-                        for d in 0..head_dim {
-                            acc += q[h * head_dim + d] * key[kv + d];
-                        }
-                        ref_scores[h * steps + t] = acc;
+            let case = format!("{scheme} pages of {page_positions}");
+            // The per-position reference: row reads, then sequential folds.
+            let mut ref_scores = vec![0.0f32; heads * steps];
+            let mut ref_out = vec![0.0f32; heads * head_dim];
+            let mut ref_scratch = PagedScratch::default();
+            let mut reader = paged.layer_reader(0, &mut ref_scratch);
+            for t in 0..steps {
+                let key = reader.key_row(t).to_vec();
+                assert_eq!(bits(&key), bits(flat.key_row(t)), "{case}: key row {t}");
+                for h in 0..heads {
+                    let kv = (h / group) * head_dim;
+                    let mut acc = 0.0f32;
+                    for d in 0..head_dim {
+                        acc += q[h * head_dim + d] * key[kv + d];
                     }
-                    let value = reader.value_row(t).to_vec();
-                    assert_eq!(bits(&value), bits(flat.value_row(t)), "{case}: value row {t}");
-                    for h in 0..heads {
-                        let p = probs[h * steps + t];
-                        if p == 0.0 {
-                            continue;
-                        }
-                        let kv = (h / group) * head_dim;
-                        for d in 0..head_dim {
-                            ref_out[h * head_dim + d] += p * value[kv + d];
-                        }
+                    ref_scores[h * steps + t] = acc;
+                }
+                let value = reader.value_row(t).to_vec();
+                assert_eq!(bits(&value), bits(flat.value_row(t)), "{case}: value row {t}");
+                for h in 0..heads {
+                    let p = probs[h * steps + t];
+                    if p == 0.0 {
+                        continue;
+                    }
+                    let kv = (h / group) * head_dim;
+                    for d in 0..head_dim {
+                        ref_out[h * head_dim + d] += p * value[kv + d];
                     }
                 }
-                assert_eq!(ref_scratch.scratch_rows(), 2 * steps, "{case}");
-                assert_eq!(ref_scratch.tile_rows(), 0, "{case}");
-
-                // The tiled walk, over both backends' readers.
-                let mut scratch = PagedScratch::default();
-                let (scores, out) = tiled_folds(&mut paged.layer_reader(0, &mut scratch), geom, steps, &q, &probs);
-                let (flat_scores, flat_out) = tiled_folds(&mut &flat, geom, steps, &q, &probs);
-                force_scalar(false);
-                assert_eq!(bits(&scores), bits(&ref_scores), "{case}: paged tiled scores diverge");
-                assert_eq!(bits(&out), bits(&ref_out), "{case}: paged tiled outputs diverge");
-                assert_eq!(bits(&flat_scores), bits(&ref_scores), "{case}: f32 tiled scores diverge");
-                assert_eq!(bits(&flat_out), bits(&ref_out), "{case}: f32 tiled outputs diverge");
-                assert_eq!(scratch.tile_rows(), 2 * steps, "{case}");
-                assert_eq!(scratch.scratch_rows(), 0, "{case}: tile reads must not decode single rows");
             }
+            assert_eq!(ref_scratch.scratch_rows(), 2 * steps, "{case}");
+            assert_eq!(ref_scratch.tile_rows(), 0, "{case}");
+
+            // The tiled walk, over both backends' readers.
+            let mut scratch = PagedScratch::default();
+            let (scores, out) = tiled_folds(&mut paged.layer_reader(0, &mut scratch), geom, steps, &q, &probs);
+            let (flat_scores, flat_out) = tiled_folds(&mut &flat, geom, steps, &q, &probs);
+            assert_eq!(bits(&scores), bits(&ref_scores), "{case}: paged tiled scores diverge");
+            assert_eq!(bits(&out), bits(&ref_out), "{case}: paged tiled outputs diverge");
+            assert_eq!(bits(&flat_scores), bits(&ref_scores), "{case}: f32 tiled scores diverge");
+            assert_eq!(bits(&flat_out), bits(&ref_out), "{case}: f32 tiled outputs diverge");
+            assert_eq!(scratch.tile_rows(), 2 * steps, "{case}");
+            assert_eq!(scratch.scratch_rows(), 0, "{case}: tile reads must not decode single rows");
         }
     }
 }

@@ -8,7 +8,7 @@
 //!   1, 2 and 4, pages of 16 and of 5 positions (tiles then straddle pages), 1 to 16
 //!   positions and query rows, all-zero, tiny and huge blocks (scale bytes 0, near 1 and
 //!   near 254), queries with ±0, subnormals and overflowing magnitudes, and probabilities
-//!   with zeros, dispatched and forced scalar.
+//!   with zeros.
 //! - **Hostile headers.** Appends can only write headers the quantizer produces, so the
 //!   run-level entry points the reader calls (`RowCodec::key_dots` /
 //!   `RowCodec::value_accumulate`) are also driven on raw page bytes: scale bytes 0, 1,
@@ -20,20 +20,18 @@
 //!   that they did not run, and the paged reader's row-by-row decode of them equals the
 //!   provided path.
 //!
-//! Everything that flips the process-global forced-scalar switch runs under one mutex.
-
-use std::sync::Mutex;
+//! The kernels run only on a kernel plan that runs the AVX2 kernels; CI also runs this
+//! suite under `MX_FORCE_SCALAR_KERNELS=1`, where they decline and the paged reader's
+//! row-by-row decode meets the same references.
 
 use proptest::prelude::*;
 
-use mx_formats::kernels::{force_scalar, packed_len};
+use mx_formats::kernels::{active_backend, packed_len};
 use mx_formats::layout::{PackedRows, RowCodec};
 use mx_formats::mxplus::MxPlusFormat;
 use mx_formats::{ElementType, MxFormat, QuantScheme};
 use mx_llm::kvcache::{AttnGeometry, KvBackend, KvLayerReader, TILE_POSITIONS};
 use mx_llm::{PagePool, PagedKvCache, PagedScratch};
-
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A reader that serves attention through the trait's provided `key_dots` /
 /// `value_accumulate` over another reader's rows: the path the fused kernels replace.
@@ -187,18 +185,13 @@ proptest! {
         }
         let q = query(rows * geom.heads * head_dim, &mut next);
         let p = probs(rows * geom.heads * TILE_POSITIONS, &mut next);
-        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for forced in [false, true] {
-            force_scalar(forced);
-            let [dots, out, ref_dots, ref_out] = both_paths(&mut cache, geom, (t0, n, rows), &q, &p);
-            force_scalar(false);
-            let case = format!("{scheme} {geom:?} pages of {page_positions} t0 {t0} n {n} rows {rows} forced {forced}");
-            for s in 0..rows * geom.heads {
-                let at = s * TILE_POSITIONS;
-                prop_assert_eq!(bits(&dots[at..at + n]), bits(&ref_dots[at..at + n]), "dots of slice {}: {}", s, case);
-            }
-            prop_assert_eq!(bits(&out), bits(&ref_out), "outputs: {}", case);
+        let [dots, out, ref_dots, ref_out] = both_paths(&mut cache, geom, (t0, n, rows), &q, &p);
+        let case = format!("{scheme} {geom:?} pages of {page_positions} t0 {t0} n {n} rows {rows}");
+        for s in 0..rows * geom.heads {
+            let at = s * TILE_POSITIONS;
+            prop_assert_eq!(bits(&dots[at..at + n]), bits(&ref_dots[at..at + n]), "dots of slice {}: {}", s, case);
         }
+        prop_assert_eq!(bits(&out), bits(&ref_out), "outputs: {}", case);
     }
 }
 
@@ -313,34 +306,24 @@ proptest! {
         let run = PackedRows { bytes: &bytes, stride, rows, len };
         let q = query(q_rows * geom.heads * head_dim, &mut next);
         let p = probs(q_rows * geom.heads * TILE_POSITIONS, &mut next);
-        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for forced in [false, true] {
-            force_scalar(forced);
-            let (ran, dots, out, ref_dots, ref_out) = run_and_reference(codec, run, geom, &q, &p);
-            force_scalar(false);
-            let case = format!("{element:?} plus {plus} block {block} {geom:?} rows {rows} q_rows {q_rows} forced {forced}");
-            prop_assert_eq!(ran, !forced && avx2_backend(), "{}", case);
-            if ran {
-                for s in 0..q_rows * geom.heads {
-                    let at = s * TILE_POSITIONS;
-                    prop_assert_eq!(
-                        canonical_bits(&dots[at..at + rows]),
-                        canonical_bits(&ref_dots[at..at + rows]),
-                        "dots of slice {}: {}", s, case
-                    );
-                }
-                prop_assert_eq!(canonical_bits(&out), canonical_bits(&ref_out), "outputs: {}", case);
-            } else {
-                prop_assert!(dots.iter().all(|d| d.is_nan()), "a kernel that did not run wrote dots: {}", case);
-                prop_assert!(out.iter().all(|&o| o.to_bits() == 0), "a kernel that did not run wrote outputs: {}", case);
+        let (ran, dots, out, ref_dots, ref_out) = run_and_reference(codec, run, geom, &q, &p);
+        let case = format!("{element:?} plus {plus} block {block} {geom:?} rows {rows} q_rows {q_rows}");
+        prop_assert_eq!(ran, active_backend().runs_avx2(), "{}", case);
+        if ran {
+            for s in 0..q_rows * geom.heads {
+                let at = s * TILE_POSITIONS;
+                prop_assert_eq!(
+                    canonical_bits(&dots[at..at + rows]),
+                    canonical_bits(&ref_dots[at..at + rows]),
+                    "dots of slice {}: {}", s, case
+                );
             }
+            prop_assert_eq!(canonical_bits(&out), canonical_bits(&ref_out), "outputs: {}", case);
+        } else {
+            prop_assert!(dots.iter().all(|d| d.is_nan()), "a kernel that did not run wrote dots: {}", case);
+            prop_assert!(out.iter().all(|&o| o.to_bits() == 0), "a kernel that did not run wrote outputs: {}", case);
         }
     }
-}
-
-/// Whether the fused kernels run on this host when scalar is not forced.
-fn avx2_backend() -> bool {
-    mx_formats::kernels::active_backend() == mx_formats::kernels::KernelBackend::Avx2
 }
 
 /// 6-bit rows, blocks of 12 and heads of 12 are shapes the kernels do not take: the

@@ -3,13 +3,16 @@
 //!
 //! For a fixed prompt on the `llama2_7b` toy, the digest folds the `to_bits` of every
 //! prefill logit and of the logits of 8 greedy decode steps into one FNV-1a hash, under
-//! three quantization configurations. The prefill runs 13 rows and each decode step one,
-//! so both the many-row and the single-row projection kernels are covered. Any change to
-//! a single bit of any logit changes the digest; a change that is meant to keep the
-//! model's numbers must keep these values.
+//! five quantization configurations. The prefill runs 13 rows and each decode step one,
+//! so both the many-row and the single-row projection kernels are covered. Uniform
+//! MXFP8+ and MXINT8+ carry the block quantizer's E4M3-saturation and integer-rounding
+//! arms. Any change to a single bit of any logit changes the digest; a change that is
+//! meant to keep the model's numbers must keep these values.
 //!
 //! The digests were recorded on x86_64 Linux with glibc 2.36, on a CPU with AVX2 and FMA,
-//! and read the same under `MX_FORCE_SCALAR_KERNELS=1`. The logits pass through
+//! and read the same on the reference pipeline: CI runs this test a second time under
+//! `MX_FORCE_SCALAR_KERNELS=1`, so the fast kernels and the scalar plan must both give
+//! every digest. The logits pass through
 //! `f32::exp` (softmax, SiLU) and `powf` (rotary), which call the platform's libm, and
 //! libm does not round correctly: another libm or architecture can give other bits with
 //! no code change. So the test only runs on x86_64 Linux with glibc.
@@ -51,6 +54,8 @@ fn llama2_7b_logits_match_the_golden_digest() {
         ("A-MXFP4+", ModelQuantConfig::a_mxfp4_plus(), 0xb55c_c9d9_c902_c080),
         ("BASELINE", ModelQuantConfig::BASELINE, 0xd8bc_cd13_8841_3164),
         ("MXFP4+", ModelQuantConfig::uniform(QuantScheme::mxfp4_plus()), 0x29b4_7265_d755_7a46),
+        ("MXFP8+", ModelQuantConfig::uniform(QuantScheme::mxfp8_plus()), 0xa6f4_1d8d_b090_4822),
+        ("MXINT8+", ModelQuantConfig::uniform(QuantScheme::mxint8_plus()), 0x2513_e4c8_3274_07da),
     ];
     let got: Vec<(&str, u64)> = cases.iter().map(|&(name, quant, _)| (name, digest(quant))).collect();
     for ((name, _, expected), (_, actual)) in cases.iter().zip(&got) {

@@ -10,12 +10,13 @@
 //! holding Inf or NaN, keep the row-major `quantize_columns` matrix, which the GEMM
 //! hands to [`Matrix::matmul`] itself.
 //!
-//! Code panels are built only where the AVX2 backend runs (see
-//! [`mx_formats::kernels::active_backend`]); every other backend keeps the matrix too,
-//! since `matmul` over `f32` weights outruns a portable loop that decodes every weight
-//! on every call. Over code panels the GEMM runs one of two kernel sets, chosen once by
-//! CPU feature ([`panel_kernel`] names it):
-//! - **AVX-512F (`avx512`):** one loop for every M. Per panel, blocks of up to 8
+//! Code panels are built only on a kernel plan that runs the AVX2 kernels (see
+//! [`mx_formats::kernels::active_backend`]); every other plan, the scalar reference
+//! included, keeps the matrix too, since `matmul` over `f32` weights outruns a portable
+//! loop that decodes every weight on every call. The plan is fixed for the process, so
+//! code panels always meet the plan they were cast under, which picks one of two kernel
+//! sets:
+//! - **`Avx512` (AVX-512F):** one loop for every M. Per panel, blocks of up to 8
 //!   activation rows walk the reduction index `p` in ascending order. Each 16-byte row of
 //!   codes (32 weights) is widened to 16 lanes (`vpmovzxbd`) and looked up twice by
 //!   `vpermps` in the first 16 entries of [`mx_formats::kernels::decode_table`]: the low
@@ -25,7 +26,7 @@
 //!   and when the block ends `vpermt2ps` interleaves them back into column order. Nothing
 //!   is decoded into memory, and a lone row skips the code rows its zero activations
 //!   meet.
-//! - **AVX2 (`avx2`), on hosts without AVX-512F:** the kernel is chosen from M.
+//! - **`Avx2`, on CPUs without AVX-512F:** the kernel is chosen from M.
 //!   - **M = 1:** each code row is decoded in registers by one integer lookup
 //!     ([`mx_formats::kernels::avx2::IntLookup4`]: `pshufb` to the table's entries times
 //!     `2^m` as `i8`, widened to `f32`) and multiplied by its scales, which carry the
@@ -33,9 +34,6 @@
 //!   - **M > 1:** each panel is decoded the same way once into an `f32` slab that stays
 //!     in L1/L2, then a 6×16 register tile runs over it, so each loaded weight vector
 //!     feeds 6 rows.
-//!
-//! Under [`mx_formats::kernels::force_scalar`], code panels are decoded back to the
-//! row-major matrix and multiplied by [`Matrix::matmul`].
 //!
 //! Every kernel is bit-identical to `a.matmul(&w.quantize_columns(scheme))`. Each output
 //! accumulates `a[i][p] * w[p][j]` starting from +0.0, in ascending `p`, as a multiply and
@@ -54,9 +52,7 @@
 //! accumulator that started at +0.0 changes nothing, because that accumulator is never
 //! −0. So neither the skip nor the sign of a zero weight shows.
 
-use std::sync::OnceLock;
-
-use mx_formats::kernels as format_kernels;
+use mx_formats::kernels::{self as format_kernels, KernelBackend};
 use mx_formats::{ElementType, MxFormat, QuantScheme};
 use serde::{Deserialize, Serialize};
 
@@ -106,7 +102,8 @@ impl<'a> Panel<'a> {
 impl WeightPanels {
     /// Direct-casts `w` (`k × n`) with `scheme`, blocking along `k` exactly as
     /// [`Matrix::quantize_columns`]: straight into code panels for MX schemes with 4-bit
-    /// elements on the AVX2 backend, into the row-major matrix otherwise.
+    /// elements on a kernel plan that runs the AVX2 kernels, into the row-major matrix
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -114,7 +111,9 @@ impl WeightPanels {
     #[must_use]
     pub fn cast(w: &Matrix, scheme: QuantScheme) -> Self {
         let codes = match scheme {
-            QuantScheme::Mx(format) if format.element.bits() == 4 && code_panels_run() => cast_codes4(w, format),
+            QuantScheme::Mx(format) if format.element.bits() == 4 && format_kernels::active_backend().runs_avx2() => {
+                cast_codes4(w, format)
+            }
             _ => None,
         };
         let store = codes.unwrap_or_else(|| Store::Matrix(w.quantize_columns(scheme)));
@@ -170,34 +169,6 @@ impl WeightPanels {
     }
 }
 
-/// Whether 4-bit weights are cast to code panels: only where the AVX2 backend runs.
-fn code_panels_run() -> bool {
-    format_kernels::active_backend() == format_kernels::KernelBackend::Avx2
-}
-
-/// Whether the AVX-512F kernel runs over code panels instead of the AVX2 ones: the CPU
-/// has AVX-512F, checked once.
-fn avx512_runs() -> bool {
-    static DETECTED: OnceLock<bool> = OnceLock::new();
-    #[cfg(target_arch = "x86_64")]
-    let detect = || std::arch::is_x86_feature_detected!("avx512f");
-    #[cfg(not(target_arch = "x86_64"))]
-    let detect = || false;
-    *DETECTED.get_or_init(detect)
-}
-
-/// The kernel [`Matrix::matmul_panels`] runs over weights cast now, for logs and bench
-/// labels: `"avx512"` where the CPU has AVX-512F, `"avx2"` on other AVX2 hosts, and
-/// `"matmul"` where weights keep the row-major matrix (no AVX2, or scalar kernels forced).
-#[must_use]
-pub fn panel_kernel() -> &'static str {
-    match (code_panels_run(), avx512_runs()) {
-        (false, _) => "matmul",
-        (true, true) => "avx512",
-        (true, false) => "avx2",
-    }
-}
-
 /// Codes and scales of every column, straight from the block quantizer; `None` if a
 /// weight is not finite.
 fn cast_codes4(w: &Matrix, format: MxFormat) -> Option<Store> {
@@ -243,21 +214,24 @@ impl Matrix {
         if let Store::Matrix(wq) = &w.store {
             return self.matmul(wq);
         }
+        // `cast` builds code panels only on the two plans below, and the plan is fixed
+        // for the process; the decoded product is the portable definition.
         #[cfg(target_arch = "x86_64")]
-        if code_panels_run() {
+        {
             let mut out = Matrix::zeros(self.rows(), w.cols);
             if self.rows() == 0 || w.rows == 0 {
                 return out;
             }
-            if avx512_runs() {
-                // SAFETY: `avx512_runs` detected AVX-512F at runtime.
-                unsafe { avx512::product(self, w, &mut out) };
-                return out;
-            }
-            // SAFETY: the Avx2 backend is only selected after AVX2 was detected at
-            // runtime.
-            if unsafe { avx2::product(self, w, &mut out) } {
-                return out;
+            match format_kernels::active_backend() {
+                KernelBackend::Avx512 => {
+                    // SAFETY: `detect()` selects the Avx512 backend only where the CPU has
+                    // AVX-512F.
+                    unsafe { avx512::product(self, w, &mut out) };
+                    return out;
+                }
+                // SAFETY: `detect()` selects the Avx2 backend only where the CPU has AVX2.
+                KernelBackend::Avx2 if unsafe { avx2::product(self, w, &mut out) } => return out,
+                _ => {}
             }
         }
         self.matmul(&w.decoded())
@@ -266,7 +240,7 @@ impl Matrix {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The AVX2 kernels of [`Matrix::matmul_panels`], for hosts without AVX-512F.
+    //! The AVX2 kernels of [`Matrix::matmul_panels`], for CPUs without AVX-512F.
 
     use std::arch::x86_64::*;
 
@@ -574,7 +548,8 @@ mod tests {
         let w = weights(64, 40);
         let matrix_bytes = 4 * 64 * 40;
         // 2 panels × 64 rows × 16 code bytes, plus 2 panels × 2 blocks × 32 scales.
-        let codes_bytes = if code_panels_run() { 2 * 64 * 16 + 4 * 2 * 2 * 32 } else { matrix_bytes };
+        let code_panels = format_kernels::active_backend().runs_avx2();
+        let codes_bytes = if code_panels { 2 * 64 * 16 + 4 * 2 * 2 * 32 } else { matrix_bytes };
         for scheme in [QuantScheme::mxfp4(), QuantScheme::mxint4()] {
             assert_eq!(WeightPanels::cast(&w, scheme).storage_bytes(), codes_bytes, "{scheme}");
         }

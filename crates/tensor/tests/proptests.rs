@@ -1,25 +1,15 @@
 //! Property-based tests for the tensor substrate: matmul algebra, quantized-matmul
 //! invariants, and the panel GEMM's bit identity with the reference matmul.
 //!
-//! The panel GEMM cases compare `matmul_panels` with `matmul` on `quantize_columns`
-//! weights by `to_bits`, on the dispatched path, under forced scalar kernels, and on
-//! weights cast while scalar is forced (the store a host without AVX2 keeps). Forcing
-//! scalar flips a process-global switch, so those cases hold one mutex for their whole
-//! body: the dispatched product then really runs on the detected backend.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! The panel GEMM cases compare `matmul_panels` on weights cast by `WeightPanels::cast`
+//! with `matmul` on `quantize_columns` weights by `to_bits`, on the process's kernel
+//! plan. CI runs them on the detected plan (code panels on an AVX2 or AVX-512F CPU) and
+//! under `MX_FORCE_SCALAR_KERNELS=1` (the row-major store of every other plan).
 
 use proptest::prelude::*;
 
-use mx_formats::kernels::force_scalar;
 use mx_formats::quantize::{MatmulQuantConfig, QuantScheme};
 use mx_tensor::{kernels, Matrix, WeightPanels};
-
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_lock() -> MutexGuard<'static, ()> {
-    FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Weight schemes of the panel GEMM cases: both 4-bit code stores (MXFP4, MXINT4) and
 /// five schemes that keep the row-major matrix.
@@ -69,22 +59,10 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// The paths of [`panel_products`], in order.
-const PANEL_PATHS: [&str; 3] = ["dispatched", "forced-scalar", "forced-scalar cast"];
-
-/// Bits of `a · w` through panels on the three [`PANEL_PATHS`]: cast and multiplied
-/// dispatched, cast dispatched and multiplied under forced scalar kernels, and cast and
-/// multiplied under forced scalar kernels. Last, the reference `matmul` on the
+/// Bits of `a · w` through `w`'s panels, then of the reference `matmul` on the
 /// `quantize_columns` weights.
-fn panel_products(a: &Matrix, w: &Matrix, scheme: QuantScheme) -> [Vec<u32>; 4] {
-    let _guard = force_lock();
-    let panels = WeightPanels::cast(w, scheme);
-    let dispatched = bits(&a.matmul_panels(&panels));
-    force_scalar(true);
-    let forced = bits(&a.matmul_panels(&panels));
-    let forced_cast = bits(&a.matmul_panels(&WeightPanels::cast(w, scheme)));
-    force_scalar(false);
-    [dispatched, forced, forced_cast, bits(&a.matmul(&w.quantize_columns(scheme)))]
+fn panel_products(a: &Matrix, w: &Matrix, scheme: QuantScheme) -> [Vec<u32>; 2] {
+    [bits(&a.matmul_panels(&WeightPanels::cast(w, scheme))), bits(&a.matmul(&w.quantize_columns(scheme)))]
 }
 
 #[test]
@@ -94,10 +72,8 @@ fn panel_gemm_matches_matmul_for_every_scheme_and_shape() {
             for n in [1, 15, 16, 17, 31, 33, 512] {
                 let w = panel_weights(k, n, s as u64);
                 for m in [1, 7] {
-                    let [products @ .., reference] = panel_products(&panel_activations(m, k, 9), &w, scheme);
-                    for (path, product) in PANEL_PATHS.iter().zip(&products) {
-                        assert!(*product == reference, "{scheme} m {m} k {k} n {n}: {path} panel GEMM differs");
-                    }
+                    let [product, reference] = panel_products(&panel_activations(m, k, 9), &w, scheme);
+                    assert!(product == reference, "{scheme} m {m} k {k} n {n}: panel GEMM differs");
                 }
             }
         }
@@ -115,10 +91,8 @@ fn non_finite_weights_match_matmul_bit_for_bit() {
     w.set(50, 8, f32::MAX);
     let a = Matrix::from_fn(3, 64, |r, c| if r != 1 && (c == 3 || c == 40) { 0.0 } else { unit(3, r * 64 + c) });
     for scheme in PANEL_SCHEMES {
-        let [products @ .., reference] = panel_products(&a, &w, scheme);
-        for (path, product) in PANEL_PATHS.iter().zip(&products) {
-            assert!(*product == reference, "{scheme}: {path} panel GEMM differs");
-        }
+        let [product, reference] = panel_products(&a, &w, scheme);
+        assert!(product == reference, "{scheme}: panel GEMM differs");
     }
 }
 
@@ -204,11 +178,8 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let scheme = PANEL_SCHEMES[scheme];
-        let [products @ .., reference] =
-            panel_products(&panel_activations(m, k, seed), &panel_weights(k, n, seed), scheme);
-        for (path, product) in PANEL_PATHS.iter().zip(&products) {
-            prop_assert!(*product == reference, "{} m {} k {} n {}: {} panel GEMM differs", scheme, m, k, n, path);
-        }
+        let [product, reference] = panel_products(&panel_activations(m, k, seed), &panel_weights(k, n, seed), scheme);
+        prop_assert!(product == reference, "{} m {} k {} n {}: panel GEMM differs", scheme, m, k, n);
     }
 }
 
@@ -256,10 +227,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let scheme = if int4 == 1 { QuantScheme::mxint4() } else { QuantScheme::mxfp4() };
-        let [products @ .., reference] =
-            panel_products(&edge_activations(m, k, seed), &edge_weights(k, n, seed), scheme);
-        for (path, product) in PANEL_PATHS.iter().zip(&products) {
-            prop_assert!(*product == reference, "{} m {} k {} n {}: {} panel GEMM differs", scheme, m, k, n, path);
-        }
+        let [product, reference] = panel_products(&edge_activations(m, k, seed), &edge_weights(k, n, seed), scheme);
+        prop_assert!(product == reference, "{} m {} k {} n {}: panel GEMM differs", scheme, m, k, n);
     }
 }
